@@ -13,7 +13,7 @@ from typing import Sequence
 from . import metrics, rules
 from .dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
 from .errors import ConfigurationError, IngestionError
-from .metrics import ComparisonReport, RunTiming, round_percent
+from .metrics import ComparisonReport, RunTiming, format_min_support, round_percent
 from .mining import MiningResult, run_apriori
 
 EXIT_OK = 0
@@ -130,7 +130,8 @@ def _add_common(parser: argparse.ArgumentParser, multi_input: bool = False) -> N
     parser.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker cap for candidate counting; never changes output (default: 1)",
+        help="worker cap for candidate counting, at most the CPU count; never "
+        "changes output (default: 1)",
     )
 
 
@@ -205,10 +206,6 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _format_min_support(value: int | float) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _scan_summary(result: MiningResult) -> str:
     parts = [f"{k}-itemset {v}" for k, v in result.ledger.per_level.items()]
     parts.append(f"total {result.ledger.total}")
@@ -246,7 +243,7 @@ def _mine_text(result: MiningResult, db: TransactionDb, label: str) -> str:
     lines = [
         f"dataset: {label} ({len(db)} transactions, {db.num_items} items)",
         (
-            f"min_support: {_format_min_support(result.min_support)} "
+            f"min_support: {format_min_support(result.min_support)} "
             f"(count {result.min_support_count})  variant: {result.variant}  "
             f"candidates: {result.candidate_strategy}"
         ),
@@ -314,7 +311,7 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     lines = [
         f"dataset: {label} ({len(db)} transactions, {db.num_items} items)",
         (
-            f"min_support: {_format_min_support(result.min_support)} "
+            f"min_support: {format_min_support(result.min_support)} "
             f"(count {result.min_support_count})  min_confidence: {args.min_confidence:g}"
         ),
         f"{len(found)} rules",
@@ -417,7 +414,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     width = max(len("dataset"), max(len(r.dataset) for r in reports)) + 2
     lines = [
         (
-            f"min_support: {_format_min_support(min_support)}  candidates: {strategy}  "
+            f"min_support: {format_min_support(min_support)}  candidates: {strategy}  "
             f"reps: {args.reps}"
         ),
         "",

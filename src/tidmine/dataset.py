@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import ConfigurationError, IngestionError, UnknownItemError
 
 DELIMITER_POLICIES = ("whitespace", "comma")
@@ -30,7 +28,7 @@ class TransactionDb:
     original token interned as item id `i`.
     """
 
-    __slots__ = ("transactions", "tokens", "_id_of")
+    __slots__ = ("transactions", "tokens", "_id_of", "_transaction_sets")
 
     def __init__(self, transactions: Iterable[Sequence[int]], tokens: Iterable[str]):
         self.tokens: tuple[str, ...] = tuple(tokens)
@@ -38,6 +36,7 @@ class TransactionDb:
             tuple(txn) for txn in transactions
         )
         self._id_of: dict[str, int] = {}
+        self._transaction_sets: tuple[frozenset[int], ...] | None = None
         for item_id, token in enumerate(self.tokens):
             if token in self._id_of:
                 raise ConfigurationError(f"duplicate token in intern table: {token!r}")
@@ -60,6 +59,15 @@ class TransactionDb:
     @property
     def num_items(self) -> int:
         return len(self.tokens)
+
+    @property
+    def transaction_sets(self) -> tuple[frozenset[int], ...]:
+        """One frozenset of item ids per transaction, indexed like
+        `transactions`; built on first use and cached, since the database
+        never changes."""
+        if self._transaction_sets is None:
+            self._transaction_sets = tuple(map(frozenset, self.transactions))
+        return self._transaction_sets
 
     def item_id(self, token: str) -> int:
         """Intern-table id of `token`."""
@@ -190,6 +198,9 @@ def generate_synthetic(config: GeneratorConfig) -> TransactionDb:
     replacement under a Zipf-like popularity weighting, so per-item supports
     differ widely. The same config always yields a byte-identical database.
     """
+    # Imported here so that jobs reading --input never pay numpy's import.
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     universe = np.arange(config.num_items)
     weights = 1.0 / (universe + 1.0) ** ZIPF_EXPONENT

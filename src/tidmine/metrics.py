@@ -175,7 +175,8 @@ class ComparisonReport:
         return sorted(keys)
 
 
-def _format_min_support(value: int | float) -> str:
+def format_min_support(value: int | float) -> str:
+    """Display form of a min_support: floats by repr, counts as integers."""
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -201,7 +202,7 @@ def _render_human(report: ComparisonReport) -> str:
     lines = [
         f"comparison: {report.dataset}",
         (
-            f"min_support: {_format_min_support(report.min_support)} "
+            f"min_support: {format_min_support(report.min_support)} "
             f"(count {report.min_support_count})  candidates: {report.candidate_strategy}"
         ),
         "",

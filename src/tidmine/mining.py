@@ -13,6 +13,7 @@ with the same members are the same tuple.
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -221,19 +222,6 @@ def target_tids(item: int, l1: L1Index) -> tuple[int, ...]:
     return l1.tids(item)
 
 
-def _contains(transaction: Itemset, candidate: Itemset) -> bool:
-    # Linear merge of two sorted id sequences.
-    n = len(transaction)
-    i = 0
-    for item in candidate:
-        while i < n and transaction[i] < item:
-            i += 1
-        if i == n or transaction[i] != item:
-            return False
-        i += 1
-    return True
-
-
 def _candidate_list(candidates: CandidateSet | Iterable[Itemset]) -> tuple[Itemset, ...]:
     if isinstance(candidates, CandidateSet):
         return candidates.candidates
@@ -252,14 +240,13 @@ def count_support_full(
 ) -> dict[Itemset, int]:
     """Support of every candidate by scanning the whole database.
 
-    Every candidate examines every transaction, so the level gains
-    len(candidates) * len(db) ledger examinations.
+    Every candidate examines every transaction with one subset test against
+    its item set, so the level gains len(candidates) * len(db) ledger
+    examinations.
     """
     cands = _candidate_list(candidates)
-    counts = {
-        cand: sum(1 for txn in db.transactions if _contains(txn, cand))
-        for cand in cands
-    }
+    txn_sets = db.transaction_sets
+    counts = {cand: sum(map(frozenset(cand).issubset, txn_sets)) for cand in cands}
     if ledger is not None and cands:
         ledger.add(len(cands[0]), len(cands) * len(db))
     return counts
@@ -275,12 +262,13 @@ def count_support_restricted(
 
     A transaction containing the whole candidate necessarily contains that
     member, so it appears in the member's TID list and the restricted count
-    equals the full-database support. The ledger gains one examination per
-    TID in the restricted list.
+    equals the full-database support. Each TID in the restricted list gets
+    one subset test and one ledger examination.
     """
     cand = tuple(candidate)
     tids = target_tids(min_support_item(cand, l1), l1)
-    count = sum(1 for tid in tids if _contains(db.transactions[tid], cand))
+    txn_sets = db.transaction_sets
+    count = sum(map(frozenset(cand).issubset, map(txn_sets.__getitem__, tids)))
     if ledger is not None:
         ledger.add(len(cand), len(tids))
     return count
@@ -325,8 +313,8 @@ def run_apriori(
     pruned self-join, "join_unpruned" skips the subset filter, "combinations"
     enumerates all k-combinations of frequent single items). All variants and
     strategies return identical itemsets and supports; only the ledger
-    differs. `threads` splits counting across workers without changing any
-    output.
+    differs. `threads` splits counting across at most os.cpu_count() workers
+    without changing any output.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -337,6 +325,7 @@ def run_apriori(
         )
     if threads < 1:
         raise ConfigurationError(f"threads must be at least 1, got {threads}")
+    threads = min(threads, os.cpu_count() or 1)
     support_floor = resolve_min_support(min_support, len(db))
     ledger = ScanLedger()
     l1 = compute_l1(db, support_floor, ledger)
@@ -382,7 +371,9 @@ def _count_level(
         ledger.absorb(scratch)
         return counts
     # Counting is a pure function per chunk; ledger increments merge
-    # associatively, and contiguous chunks keep the canonical order.
+    # associatively, and contiguous chunks keep the canonical order. The
+    # transaction sets are built here so that workers only read the cache.
+    db.transaction_sets
     merged: dict[Itemset, int] = {}
     with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
         results = pool.map(

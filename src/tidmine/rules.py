@@ -43,14 +43,17 @@ def generate_rules(
 
     Every non-empty proper subset A of F yields a candidate rule, so each
     n-itemset contributes 2**n - 2 candidates; a rule is kept when
-    support(F) / support(A) >= min_confidence. The threshold comparison uses
-    the exact integer ratio, so boundary confidences never misclassify from
+    support(F) / support(A) >= min_confidence. The threshold is read as the
+    decimal it prints as (0.1 is exactly 1/10) and compared by integer
+    cross-multiplication, so boundary confidences never misclassify from
     float rounding. Output is sorted by (itemset size, itemset, antecedent).
     """
     if not 0.0 < min_confidence <= 1.0:
         raise ConfigurationError(
             f"min_confidence must lie in (0, 1], got {min_confidence}"
         )
+    threshold = Fraction(str(min_confidence))
+    num, den = threshold.numerator, threshold.denominator
     out = []
     for size in sorted(result.levels):
         if size < 2:
@@ -64,7 +67,7 @@ def generate_rules(
                             f"support of antecedent {antecedent} missing from the "
                             "mining result; downward closure violated"
                         )
-                    if Fraction(support, a_support) >= min_confidence:
+                    if support * den >= num * a_support:
                         members = set(antecedent)
                         consequent = tuple(i for i in itemset if i not in members)
                         out.append(

@@ -375,3 +375,24 @@ def test_module_entry_point(golden_path):
     )
     assert proc.returncode == 0
     assert "8 frequent itemsets" in proc.stdout
+
+
+def test_input_jobs_never_import_numpy(golden_path):
+    # numpy is only for --generate; file jobs should not pay for importing it.
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['tidmine', 'mine', '--input', sys.argv[1], '--min-support', '3']\n"
+        "try:\n"
+        "    runpy.run_module('tidmine', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(golden_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "8 frequent itemsets" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "False"

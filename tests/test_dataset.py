@@ -105,6 +105,12 @@ def test_items_strictly_increasing(golden_db):
         assert all(a < b for a, b in zip(txn, txn[1:]))
 
 
+def test_transaction_sets_match_transactions_and_are_cached(golden_db):
+    sets = golden_db.transaction_sets
+    assert sets == tuple(frozenset(txn) for txn in golden_db.transactions)
+    assert golden_db.transaction_sets is sets
+
+
 def test_constructor_rejects_bad_transactions():
     with pytest.raises(ConfigurationError):
         TransactionDb([(1, 0)], ["A", "B"])  # not increasing

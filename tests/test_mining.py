@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from oracle import bruteforce_frequent, bruteforce_support, iset, random_db, tids
+from tidmine import mining
 from tidmine.dataset import load_transactions
 from tidmine.errors import ConfigurationError, ContractViolationError
 from tidmine.metrics import ScanLedger
@@ -476,7 +477,9 @@ def test_scan_dominance_randomized():
                 assert improved.ledger.level(k) <= classic.ledger.level(k)
 
 
-def test_threads_do_not_change_output(golden_db):
+def test_threads_do_not_change_output(golden_db, monkeypatch):
+    # Let up to 7 workers run whatever this machine's core count.
+    monkeypatch.setattr(mining.os, "cpu_count", lambda: 8)
     base = run_apriori(golden_db, 3, candidate_strategy="combinations")
     rng = random.Random(8)
     db = random_db(rng, max_items=10, max_transactions=30)
@@ -496,3 +499,30 @@ def test_result_support_lookup(golden_db):
     result = run_apriori(golden_db, 3, candidate_strategy="combinations")
     assert result.support_of(iset(golden_db, "I1 I2")) == 4
     assert result.support_of(iset(golden_db, "I3 I4")) is None
+
+
+def test_threads_capped_at_cpu_count(golden_db, monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor and runs every chunk inline."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mining, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mining.os, "cpu_count", lambda: 3)
+    base = run_apriori(golden_db, 1, candidate_strategy="combinations")
+    capped = run_apriori(golden_db, 1, candidate_strategy="combinations", threads=100_000)
+    assert seen and max(seen) == 3
+    assert capped.levels == base.levels
+    assert capped.ledger == base.ledger

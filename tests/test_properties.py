@@ -1,0 +1,80 @@
+"""Property tests: every variant and strategy against the brute-force oracle.
+
+Hypothesis drives the `random.Random` that `oracle.random_db` draws from, so
+a failing corpus shrinks toward a small one.
+"""
+
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle import bruteforce_frequent, bruteforce_support, random_db
+from tidmine.mining import (
+    CANDIDATE_STRATEGIES,
+    VARIANTS,
+    compute_l1,
+    count_support_full,
+    count_support_restricted,
+    run_apriori,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def _expected_candidates(strategy, frequent, k):
+    """Level-k candidates from the oracle's frequent itemsets, by definition."""
+    prev = sorted(s for s in frequent if len(s) == k - 1)
+    if strategy == "combinations":
+        items = sorted(s[0] for s in frequent if len(s) == 1)
+        return list(combinations(items, k))
+    joined = [
+        left + (right[-1],)
+        for i, left in enumerate(prev)
+        for right in prev[i + 1 :]
+        if left[:-1] == right[:-1]
+    ]
+    if strategy == "join_unpruned":
+        return joined
+    prev_set = set(prev)
+    return [c for c in joined if all(s in prev_set for s in combinations(c, k - 1))]
+
+
+@PROPERTY_SETTINGS
+@given(
+    rng=st.randoms(use_true_random=False),
+    variant=st.sampled_from(VARIANTS),
+    strategy=st.sampled_from(CANDIDATE_STRATEGIES),
+    data=st.data(),
+)
+def test_run_matches_oracle_and_ledger(rng, variant, strategy, data):
+    db = random_db(rng)
+    min_support = data.draw(st.integers(1, max(1, len(db))), label="min_support")
+    result = run_apriori(db, min_support, variant=variant, candidate_strategy=strategy)
+    expected = bruteforce_frequent(db, min_support)
+    assert dict(result.frequent()) == expected
+
+    single = {item: bruteforce_support(db, (item,)) for item in range(db.num_items)}
+    ledger = {1: len(db) * db.num_items}
+    for k in range(2, result.max_level + 2):
+        cands = _expected_candidates(strategy, expected, k)
+        if not cands:
+            continue
+        if variant == "classic":
+            ledger[k] = len(cands) * len(db)
+        else:
+            # The min-support member's TID list is as long as its support.
+            ledger[k] = sum(min(single[item] for item in cand) for cand in cands)
+    assert result.ledger.per_level == ledger
+
+
+@PROPERTY_SETTINGS
+@given(rng=st.randoms(use_true_random=False))
+def test_counting_kernels_match_bruteforce(rng):
+    db = random_db(rng)
+    l1 = compute_l1(db, 1)
+    for _ in range(10):
+        cand = tuple(sorted(rng.sample(range(db.num_items), rng.randint(1, db.num_items))))
+        want = bruteforce_support(db, cand)
+        assert count_support_full([cand], db) == {cand: want}
+        assert count_support_restricted(cand, db, l1) == want

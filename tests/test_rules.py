@@ -83,6 +83,22 @@ def test_exact_three_fifths_boundary(golden_db):
     )
 
 
+@pytest.mark.parametrize("tenths", [1, 3, 7])
+def test_decimal_threshold_keeps_exact_boundary(tenths):
+    # A => B holds in `tenths` of ten transactions: confidence exactly tenths/10.
+    lines = ["A B"] * tenths + ["A"] * (10 - tenths)
+    db = load_transactions(io.StringIO("\n".join(lines) + "\n"))
+    result = run_apriori(db, 1)
+    a_to_b = (iset(db, "A"), iset(db, "B"))
+
+    def emitted(threshold):
+        rules = generate_rules(result, threshold)
+        return a_to_b in {(r.antecedent, r.consequent) for r in rules}
+
+    assert emitted(tenths / 10)
+    assert not emitted(tenths / 10 + 0.01)
+
+
 def test_full_confidence_needs_equal_supports(golden_db):
     result = run_apriori(golden_db, 3, candidate_strategy="combinations")
     rules = generate_rules(result, 1.0)
