@@ -11,13 +11,14 @@ from .errors import (
     ConfigurationError,
     ContractViolationError,
     IngestionError,
+    ResourceLimitError,
     TidmineError,
     UnknownItemError,
 )
 from .metrics import (
     ComparisonReport,
-    RunTiming,
     ScanLedger,
+    VariantRun,
     mean_rate,
     median_seconds,
     reduction_rate,
@@ -37,7 +38,6 @@ from .mining import (
     min_support_item,
     resolve_min_support,
     run_apriori,
-    target_tids,
 )
 from .rules import AssociationRule, generate_rules
 
@@ -55,11 +55,12 @@ __all__ = [
     "Itemset",
     "L1Index",
     "MiningResult",
-    "RunTiming",
+    "ResourceLimitError",
     "ScanLedger",
     "TidmineError",
     "TransactionDb",
     "UnknownItemError",
+    "VariantRun",
     "compute_l1",
     "count_support_full",
     "count_support_restricted",
@@ -76,5 +77,4 @@ __all__ = [
     "resolve_min_support",
     "round_percent",
     "run_apriori",
-    "target_tids",
 ]

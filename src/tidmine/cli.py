@@ -1,24 +1,31 @@
 """Command-line front end: mine, rules, compare, and bench subcommands.
 
-Exit codes: 0 success, 1 runtime or I/O failure, 2 usage error. Reports go to
-standard output, diagnostics to standard error. Machine-format output is
-byte-identical for identical flags, input, and seed, regardless of --threads.
+Exit codes: 0 success, 1 runtime or I/O failure (including a run stopped by a
+resource budget), 2 usage error. Reports go to standard output, diagnostics to
+standard error. Machine-format output is byte-identical for identical flags,
+input, and seed.
 """
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 from typing import Sequence
 
 from . import metrics, rules
 from .dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
-from .errors import ConfigurationError, IngestionError
-from .metrics import ComparisonReport, RunTiming, format_min_support, round_percent
-from .mining import MiningResult, run_apriori
+from .errors import ConfigurationError, IngestionError, ResourceLimitError
+from .metrics import ComparisonReport, VariantRun, format_min_support, round_percent
+from .mining import VARIANTS, MiningResult, run_apriori
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+# Encoder chunks joined per write: large enough that writes stay few, small
+# enough that a big payload is never held as one string.
+JSON_BATCH_CHUNKS = 65_536
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -32,7 +39,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IngestionError, OSError) as exc:
+    except (IngestionError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
@@ -128,11 +135,6 @@ def _add_common(parser: argparse.ArgumentParser, multi_input: bool = False) -> N
         help="token delimiter for --input files (default: whitespace)",
     )
     parser.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker cap for candidate counting, at most the CPU count; never "
-        "changes output (default: 1)",
-    )
 
 
 def _add_variant(parser: argparse.ArgumentParser) -> None:
@@ -202,8 +204,12 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit_json(payload: dict) -> None:
+    """Write `payload` as indented, key-sorted JSON plus a newline, in batches."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    while batch := "".join(itertools.islice(chunks, JSON_BATCH_CHUNKS)):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
 
 
 def _scan_summary(result: MiningResult) -> str:
@@ -268,10 +274,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         _parse_min_support(args.min_support),
         variant=args.variant,
         candidate_strategy=_strategy(args.candidates),
-        threads=args.threads,
     )
     if args.format == "machine":
-        _emit(_dump_json(_mine_payload(result, db, label)))
+        _emit_json(_mine_payload(result, db, label))
     else:
         _emit(_mine_text(result, db, label))
     return EXIT_OK
@@ -290,7 +295,6 @@ def _cmd_rules(args: argparse.Namespace) -> int:
         _parse_min_support(args.min_support),
         variant=args.variant,
         candidate_strategy=_strategy(args.candidates),
-        threads=args.threads,
     )
     found = rules.generate_rules(result, args.min_confidence)
     if args.format == "machine":
@@ -306,7 +310,7 @@ def _cmd_rules(args: argparse.Namespace) -> int:
             }
             for rule in found
         ]
-        _emit(_dump_json(payload))
+        _emit_json(payload)
         return EXIT_OK
     lines = [
         f"dataset: {label} ({len(db)} transactions, {db.num_items} items)",
@@ -322,27 +326,23 @@ def _cmd_rules(args: argparse.Namespace) -> int:
 
 
 def _compare_on(
-    db: TransactionDb,
-    label: str,
-    min_support: int | float,
-    strategy: str,
-    reps: int,
-    threads: int,
+    db: TransactionDb, label: str, min_support: int | float, strategy: str, reps: int
 ) -> ComparisonReport:
-    def runner(variant: str):
-        return lambda: run_apriori(
-            db, min_support, variant=variant, candidate_strategy=strategy, threads=threads
+    runs = []
+    for variant in VARIANTS:
+        result, wall = metrics.median_seconds(
+            functools.partial(
+                run_apriori, db, min_support, variant=variant, candidate_strategy=strategy
+            ),
+            reps,
         )
-
-    classic, classic_wall = metrics.median_seconds(runner("classic"), reps)
-    improved, improved_wall = metrics.median_seconds(runner("improved"), reps)
+        runs.append(VariantRun(variant, result.ledger, wall))
     return ComparisonReport(
-        classic_ledger=classic.ledger,
-        classic_timing=RunTiming("classic", label, min_support, classic_wall),
-        improved_ledger=improved.ledger,
-        improved_timing=RunTiming("improved", label, min_support, improved_wall),
+        dataset=label,
+        min_support=min_support,
+        min_support_count=result.min_support_count,
         candidate_strategy=strategy,
-        min_support_count=classic.min_support_count,
+        runs=tuple(runs),
     )
 
 
@@ -356,7 +356,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _parse_min_support(args.min_support),
         _strategy(args.candidates),
         args.reps,
-        args.threads,
     )
     _emit(metrics.render_report(report, args.format))
     return EXIT_OK
@@ -369,7 +368,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     min_support = _parse_min_support(args.min_support)
     strategy = _strategy(args.candidates)
     reports = [
-        _compare_on(db, label, min_support, strategy, args.reps, args.threads)
+        _compare_on(db, label, min_support, strategy, args.reps)
         for db, label in sources
     ]
     time_rates = [r.reduction_rate_percent for r in reports]
@@ -383,33 +382,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "min_support": min_support,
             "candidate_strategy": strategy,
             "repetitions": args.reps,
-            "datasets": [
-                {
-                    "dataset": report.dataset,
-                    "min_support_count": report.min_support_count,
-                    "classic": {
-                        "per_level_scans": {
-                            str(k): v for k, v in report.classic_ledger.per_level.items()
-                        },
-                        "total_scans": report.classic_ledger.total,
-                        "wall_seconds": report.classic_timing.wall_seconds,
-                    },
-                    "improved": {
-                        "per_level_scans": {
-                            str(k): v for k, v in report.improved_ledger.per_level.items()
-                        },
-                        "total_scans": report.improved_ledger.total,
-                        "wall_seconds": report.improved_timing.wall_seconds,
-                    },
-                    "reduction_rate_percent": report.reduction_rate_percent,
-                    "scan_reduction_percent": report.scan_reduction_percent,
-                }
-                for report in reports
-            ],
+            "datasets": [metrics.report_payload(report) for report in reports],
             "mean_reduction_rate_percent": mean_time,
             "mean_scan_reduction_percent": mean_scan,
         }
-        _emit(_dump_json(payload))
+        _emit_json(payload)
         return EXIT_OK
     width = max(len("dataset"), max(len(r.dataset) for r in reports)) + 2
     lines = [
@@ -418,15 +395,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"reps: {args.reps}"
         ),
         "",
-        f"{'dataset':<{width}}{'classic (s)':>14}{'improved (s)':>14}{'reduction (%)':>15}",
+        f"{'dataset':<{width}}"
+        + "".join(f"{run.variant + ' (s)':>14}" for run in reports[0].runs)
+        + f"{'reduction (%)':>15}",
     ]
     for report in reports:
-        rate = report.reduction_rate_percent
         lines.append(
             f"{report.dataset:<{width}}"
-            f"{report.classic_timing.wall_seconds:>14.6f}"
-            f"{report.improved_timing.wall_seconds:>14.6f}"
-            f"{round_percent(rate):>15.2f}"
+            + "".join(f"{run.wall_seconds:>14.6f}" for run in report.runs)
+            + f"{round_percent(report.reduction_rate_percent):>15.2f}"
         )
     lines.append("")
     lines.append(f"mean reduction rate: {round_percent(mean_time):.2f}%")

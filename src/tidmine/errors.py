@@ -27,3 +27,7 @@ class ContractViolationError(TidmineError, ValueError):
 
 class ArithmeticDomainError(TidmineError, ValueError):
     """A numeric operation was applied outside its domain."""
+
+
+class ResourceLimitError(TidmineError, RuntimeError):
+    """A run would exceed a fixed time or memory budget, so it stops early."""

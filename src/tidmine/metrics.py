@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Mapping, Sequence, TypeVar
 
-from .errors import ArithmeticDomainError, ConfigurationError
+from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 T = TypeVar("T")
 
@@ -40,11 +40,6 @@ class ScanLedger:
         if scanned < 0:
             raise ConfigurationError("ledger entries only increase")
         self._per_level[level] = self._per_level.get(level, 0) + scanned
-
-    def absorb(self, other: "ScanLedger") -> None:
-        """Merge another ledger's increments into this one."""
-        for level, scanned in other._per_level.items():
-            self.add(level, scanned)
 
     def level(self, k: int) -> int:
         return self._per_level.get(k, 0)
@@ -112,12 +107,11 @@ def median_seconds(fn: Callable[[], T], repetitions: int = 5) -> tuple[T, float 
 
 
 @dataclass(frozen=True)
-class RunTiming:
-    """Wall-clock measurement of one mining run (None when untimed)."""
+class VariantRun:
+    """Scan ledger and median wall seconds (None when untimed) of one variant."""
 
     variant: str
-    dataset: str
-    min_support: int | float
+    ledger: ScanLedger
     wall_seconds: float | None
 
     def __post_init__(self):
@@ -127,38 +121,30 @@ class RunTiming:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Scan ledgers and timings of a classic run and an improved run.
+    """Runs of several counting variants on one database and min_support.
 
-    Both runs must have used the same database, min_support, and candidate
-    strategy; the timings echo those labels and are validated for agreement.
+    All runs used the same candidate strategy. The paper's two rates compare
+    the run named `classic` with the run named `improved`.
     """
 
-    classic_ledger: ScanLedger
-    classic_timing: RunTiming
-    improved_ledger: ScanLedger
-    improved_timing: RunTiming
-    candidate_strategy: str
+    dataset: str
+    min_support: int | float
     min_support_count: int
+    candidate_strategy: str
+    runs: tuple[VariantRun, ...]
 
-    def __post_init__(self):
-        if self.classic_timing.dataset != self.improved_timing.dataset:
-            raise ConfigurationError("compared runs must share a dataset")
-        if self.classic_timing.min_support != self.improved_timing.min_support:
-            raise ConfigurationError("compared runs must share min_support")
-
-    @property
-    def dataset(self) -> str:
-        return self.classic_timing.dataset
-
-    @property
-    def min_support(self) -> int | float:
-        return self.classic_timing.min_support
+    def run(self, variant: str) -> VariantRun:
+        """The first run of `variant`."""
+        for run in self.runs:
+            if run.variant == variant:
+                return run
+        raise ContractViolationError(f"the report has no {variant!r} run")
 
     @property
     def reduction_rate_percent(self) -> float | None:
         """Time-based reduction rate; None when either run is untimed."""
-        original = self.classic_timing.wall_seconds
-        improved = self.improved_timing.wall_seconds
+        original = self.run("classic").wall_seconds
+        improved = self.run("improved").wall_seconds
         if original is None or improved is None or original == 0:
             return None
         return reduction_rate(original, improved)
@@ -166,13 +152,13 @@ class ComparisonReport:
     @property
     def scan_reduction_percent(self) -> float | None:
         """Ledger-based reduction rate; deterministic for a given input."""
-        if self.classic_ledger.total == 0:
+        original = self.run("classic").ledger.total
+        if original == 0:
             return None
-        return reduction_rate(self.classic_ledger.total, self.improved_ledger.total)
+        return reduction_rate(original, self.run("improved").ledger.total)
 
     def levels(self) -> list[int]:
-        keys = set(self.classic_ledger.per_level) | set(self.improved_ledger.per_level)
-        return sorted(keys)
+        return sorted({k for run in self.runs for k in run.ledger.per_level})
 
 
 def format_min_support(value: int | float) -> str:
@@ -206,26 +192,21 @@ def _render_human(report: ComparisonReport) -> str:
             f"(count {report.min_support_count})  candidates: {report.candidate_strategy}"
         ),
         "",
-        f"{'level':<14}{'classic':>12}{'improved':>12}",
+        f"{'level':<14}" + "".join(f"{run.variant:>12}" for run in report.runs),
     ]
     for k in report.levels():
         lines.append(
-            f"{f'{k}-itemset':<14}{report.classic_ledger.level(k):>12}"
-            f"{report.improved_ledger.level(k):>12}"
+            f"{f'{k}-itemset':<14}"
+            + "".join(f"{run.ledger.level(k):>12}" for run in report.runs)
         )
-    lines.append(
-        f"{'sum':<14}{report.classic_ledger.total:>12}{report.improved_ledger.total:>12}"
-    )
+    lines.append(f"{'sum':<14}" + "".join(f"{run.ledger.total:>12}" for run in report.runs))
     lines.append("")
     lines.append(f"scan reduction rate: {_percent_cell(report.scan_reduction_percent)}")
-    classic_wall = report.classic_timing.wall_seconds
-    improved_wall = report.improved_timing.wall_seconds
-    if classic_wall is None or improved_wall is None:
+    if any(run.wall_seconds is None for run in report.runs):
         lines.append("wall seconds: not measured")
     else:
-        lines.append(
-            f"wall seconds: classic {classic_wall:.6f}, improved {improved_wall:.6f}"
-        )
+        walls = ", ".join(f"{run.variant} {run.wall_seconds:.6f}" for run in report.runs)
+        lines.append(f"wall seconds: {walls}")
         lines.append(
             f"time reduction rate: {_percent_cell(report.reduction_rate_percent)}"
         )
@@ -236,24 +217,27 @@ def _render_machine(report: ComparisonReport) -> str:
     payload = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "command": "compare",
+        **report_payload(report),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def report_payload(report: ComparisonReport) -> dict:
+    """The machine form of one report: a `compare` payload, and a `bench` row."""
+    return {
         "dataset": report.dataset,
         "min_support": report.min_support,
         "min_support_count": report.min_support_count,
         "candidate_strategy": report.candidate_strategy,
         "variants": [
-            _variant_payload(report.classic_timing, report.classic_ledger),
-            _variant_payload(report.improved_timing, report.improved_ledger),
+            {
+                "variant": run.variant,
+                "per_level_scans": {str(k): v for k, v in run.ledger.per_level.items()},
+                "total_scans": run.ledger.total,
+                "wall_seconds": run.wall_seconds,
+            }
+            for run in report.runs
         ],
         "reduction_rate_percent": report.reduction_rate_percent,
         "scan_reduction_percent": report.scan_reduction_percent,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _variant_payload(timing: RunTiming, ledger: ScanLedger) -> dict:
-    return {
-        "variant": timing.variant,
-        "per_level_scans": {str(k): v for k, v in ledger.per_level.items()},
-        "total_scans": ledger.total,
-        "wall_seconds": timing.wall_seconds,
     }

@@ -13,20 +13,22 @@ with the same members are the same tuple.
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dataset import TransactionDb
-from .errors import ConfigurationError, ContractViolationError
+from .errors import ConfigurationError, ContractViolationError, ResourceLimitError
 from .metrics import ScanLedger
 
 Itemset = tuple[int, ...]
 
 VARIANTS = ("classic", "improved")
 CANDIDATE_STRATEGIES = ("join", "join_unpruned", "combinations")
+
+# Largest level `generate_candidates_combinations` builds. C(|L1|, k) grows
+# so fast that an unbounded level would exhaust time or memory, not fail.
+MAX_CANDIDATES = 1_000_000
 
 
 class L1Index:
@@ -201,10 +203,18 @@ def generate_candidates_combinations(l1: L1Index, k: int) -> CandidateSet:
     """Every k-combination of the frequent single items, canonical order.
 
     Asking for more items than the index holds yields an empty set, not an
-    error.
+    error. A level of more than MAX_CANDIDATES combinations raises
+    ResourceLimitError before any candidate is built.
     """
     if k < 2:
         raise ContractViolationError(f"combination level must be at least 2, got {k}")
+    size = math.comb(len(l1), k)
+    if size > MAX_CANDIDATES:
+        raise ResourceLimitError(
+            f"the combinations strategy would build C({len(l1)}, {k}) = {size} "
+            f"level-{k} candidates, over the budget of {MAX_CANDIDATES}; "
+            "use the join strategy or a higher min_support"
+        )
     return CandidateSet(k, tuple(itertools.combinations(l1.items, k)))
 
 
@@ -215,11 +225,6 @@ def min_support_item(candidate: Sequence[int], l1: L1Index) -> int:
     if not cand:
         raise ContractViolationError("candidate must be non-empty")
     return min(cand, key=lambda item: (l1.support(item), item))
-
-
-def target_tids(item: int, l1: L1Index) -> tuple[int, ...]:
-    """The stored transaction-id list for `item`, unmodified."""
-    return l1.tids(item)
 
 
 def _candidate_list(candidates: CandidateSet | Iterable[Itemset]) -> tuple[Itemset, ...]:
@@ -266,7 +271,7 @@ def count_support_restricted(
     one subset test and one ledger examination.
     """
     cand = tuple(candidate)
-    tids = target_tids(min_support_item(cand, l1), l1)
+    tids = l1.tids(min_support_item(cand, l1))
     txn_sets = db.transaction_sets
     count = sum(map(frozenset(cand).issubset, map(txn_sets.__getitem__, tids)))
     if ledger is not None:
@@ -303,7 +308,6 @@ def run_apriori(
     min_support: int | float,
     variant: str = "improved",
     candidate_strategy: str = "join",
-    threads: int = 1,
 ) -> MiningResult:
     """Level-wise mining: L1 from a full pass, then candidate generation and
     counting per level until no k-itemset reaches the support floor.
@@ -313,8 +317,7 @@ def run_apriori(
     pruned self-join, "join_unpruned" skips the subset filter, "combinations"
     enumerates all k-combinations of frequent single items). All variants and
     strategies return identical itemsets and supports; only the ledger
-    differs. `threads` splits counting across at most os.cpu_count() workers
-    without changing any output.
+    differs.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -323,9 +326,6 @@ def run_apriori(
             f"candidate_strategy must be one of {CANDIDATE_STRATEGIES}, "
             f"got {candidate_strategy!r}"
         )
-    if threads < 1:
-        raise ConfigurationError(f"threads must be at least 1, got {threads}")
-    threads = min(threads, os.cpu_count() or 1)
     support_floor = resolve_min_support(min_support, len(db))
     ledger = ScanLedger()
     l1 = compute_l1(db, support_floor, ledger)
@@ -340,7 +340,10 @@ def run_apriori(
             candidates = generate_candidates_join(
                 levels[k - 1], prune=candidate_strategy == "join"
             )
-        counts = _count_level(candidates, db, l1, variant, ledger, threads)
+        if variant == "classic":
+            counts = count_support_full(candidates, db, ledger)
+        else:
+            counts = {c: count_support_restricted(c, db, l1, ledger) for c in candidates}
         frequent = {c: n for c, n in counts.items() if n >= support_floor}
         if frequent:
             levels[k] = frequent
@@ -353,64 +356,3 @@ def run_apriori(
         variant=variant,
         candidate_strategy=candidate_strategy,
     )
-
-
-def _count_level(
-    candidates: CandidateSet,
-    db: TransactionDb,
-    l1: L1Index,
-    variant: str,
-    ledger: ScanLedger,
-    threads: int,
-) -> dict[Itemset, int]:
-    if not candidates.candidates:
-        return {}
-    chunks = _split_chunks(candidates.candidates, threads)
-    if len(chunks) == 1:
-        counts, scratch = _count_chunk(chunks[0], candidates.level, db, l1, variant)
-        ledger.absorb(scratch)
-        return counts
-    # Counting is a pure function per chunk; ledger increments merge
-    # associatively, and contiguous chunks keep the canonical order. The
-    # transaction sets are built here so that workers only read the cache.
-    db.transaction_sets
-    merged: dict[Itemset, int] = {}
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        results = pool.map(
-            lambda chunk: _count_chunk(chunk, candidates.level, db, l1, variant), chunks
-        )
-        for counts, scratch in results:
-            merged.update(counts)
-            ledger.absorb(scratch)
-    return merged
-
-
-def _count_chunk(
-    chunk: tuple[Itemset, ...],
-    level: int,
-    db: TransactionDb,
-    l1: L1Index,
-    variant: str,
-) -> tuple[dict[Itemset, int], ScanLedger]:
-    scratch = ScanLedger()
-    if variant == "classic":
-        counts = count_support_full(CandidateSet(level, chunk), db, scratch)
-    else:
-        counts = {
-            cand: count_support_restricted(cand, db, l1, scratch) for cand in chunk
-        }
-    return counts, scratch
-
-
-def _split_chunks(
-    items: tuple[Itemset, ...], parts: int
-) -> list[tuple[Itemset, ...]]:
-    parts = min(parts, len(items))
-    size, extra = divmod(len(items), parts)
-    chunks = []
-    start = 0
-    for i in range(parts):
-        end = start + size + (1 if i < extra else 0)
-        chunks.append(items[start:end])
-        start = end
-    return chunks

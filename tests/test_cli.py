@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from tidmine import cli, mining
 from tidmine.cli import main
 
 
@@ -215,7 +216,7 @@ def test_compare_degenerate_db_reduces_zero(tmp_path, capsys):
     assert json.loads(out)["scan_reduction_percent"] == 0.0
 
 
-def test_machine_output_deterministic_across_runs_and_threads(golden_path, capsys):
+def test_machine_output_deterministic_across_runs(golden_path, capsys):
     base_args = (
         "mine",
         "--input", str(golden_path),
@@ -223,10 +224,32 @@ def test_machine_output_deterministic_across_runs_and_threads(golden_path, capsy
         "--candidates", "combinations",
         "--format", "machine",
     )
-    _, first, _ = run_cli(capsys, *base_args, "--threads", "1")
-    _, second, _ = run_cli(capsys, *base_args, "--threads", "1")
-    _, threaded, _ = run_cli(capsys, *base_args, "--threads", "4")
-    assert first == second == threaded
+    outputs = [run_cli(capsys, *base_args)[1] for _ in range(3)]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_emit_json_batches_match_one_shot_dump(capsys):
+    # More encoder chunks than one batch holds, so several writes happen.
+    payload = {"rows": [{"id": i, "name": f"r{i}", "tags": ["a", "b"]} for i in range(6000)]}
+    cli._emit_json(payload)
+    out = capsys.readouterr().out
+    assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload)) > cli.JSON_BATCH_CHUNKS
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_combinations_budget_exits_1(golden_path, capsys, monkeypatch):
+    # The golden L1 holds 4 items, so level 2 alone has C(4, 2) = 6 candidates.
+    monkeypatch.setattr(mining, "MAX_CANDIDATES", 5)
+    code, out, err = run_cli(
+        capsys,
+        "mine",
+        "--input", str(golden_path),
+        "--min-support", "3",
+        "--candidates", "combinations",
+    )
+    assert code == 1
+    assert out == ""
+    assert "C(4, 2) = 6" in err and "budget of 5" in err
 
 
 def test_bench_two_datasets(capsys):
@@ -247,8 +270,10 @@ def test_bench_two_datasets(capsys):
     rates = [row["reduction_rate_percent"] for row in payload["datasets"]]
     assert payload["mean_reduction_rate_percent"] == pytest.approx(sum(rates) / 2)
     for row in payload["datasets"]:
-        assert row["classic"]["wall_seconds"] >= 0
-        assert row["improved"]["total_scans"] <= row["classic"]["total_scans"]
+        classic, improved = row["variants"]
+        assert [classic["variant"], improved["variant"]] == ["classic", "improved"]
+        assert classic["wall_seconds"] >= 0
+        assert improved["total_scans"] <= classic["total_scans"]
 
 
 def test_bench_single_dataset_mean_is_row(capsys):
@@ -282,7 +307,7 @@ def test_bench_ledgers_independent_of_reps(capsys):
         assert code == 0
         payload = json.loads(out)
         return [
-            (row["classic"]["per_level_scans"], row["improved"]["per_level_scans"])
+            [variant["per_level_scans"] for variant in row["variants"]]
             for row in payload["datasets"]
         ]
 
@@ -299,7 +324,10 @@ def test_bench_human_table(capsys):
     )
     assert code == 0
     assert "mean reduction rate:" in out
-    assert "classic (s)" in out
+    header, row = out.splitlines()[2:4]
+    assert header.split() == ["dataset", "classic", "(s)", "improved", "(s)", "reduction", "(%)"]
+    assert header.endswith("classic (s)  improved (s)  reduction (%)")
+    assert len(row) == len(header)
 
 
 def test_bench_rejects_mixed_sources(golden_path, capsys):
@@ -337,7 +365,20 @@ def test_bench_input_files(golden_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert [row["classic"]["total_scans"] for row in payload["datasets"]] == [135, 135]
+    assert payload["schema_version"] == 2
+    assert [row["variants"][0]["total_scans"] for row in payload["datasets"]] == [135, 135]
+    # Each row is the payload `compare` emits, without its two envelope keys.
+    _, compared, _ = run_cli(
+        capsys,
+        "compare",
+        "--input", str(golden_path),
+        "--min-support", "3",
+        "--candidates", "combinations",
+        "--reps", "1",
+        "--format", "machine",
+    )
+    compare_keys = set(json.loads(compared)) - {"schema_version", "command"}
+    assert all(set(row) == compare_keys for row in payload["datasets"])
 
 
 def test_compare_min_support_sweep(capsys):

@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from tidmine.errors import ArithmeticDomainError, ConfigurationError
+from tidmine.errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
 from tidmine.metrics import (
     ComparisonReport,
-    RunTiming,
     ScanLedger,
+    VariantRun,
     mean_rate,
     median_seconds,
     reduction_rate,
@@ -115,13 +115,6 @@ def test_ledger_entries_only_increase():
         ledger.add(0, 5)
 
 
-def test_ledger_absorb():
-    a = ScanLedger({1: 10, 2: 5})
-    b = ScanLedger({2: 7, 3: 1})
-    a.absorb(b)
-    assert a.per_level == {1: 10, 2: 12, 3: 1}
-
-
 def test_ledger_equality():
     assert ScanLedger({1: 3}) == ScanLedger({1: 3})
     assert ScanLedger({1: 3}) != ScanLedger({1: 4})
@@ -146,7 +139,7 @@ def test_median_seconds_zero_reps_untimed():
 
 def test_run_timing_validation():
     with pytest.raises(ConfigurationError):
-        RunTiming("classic", "d", 3, -0.1)
+        VariantRun("classic", ScanLedger(), -0.1)
 
 
 # --- ComparisonReport and rendering --------------------------------------------
@@ -155,27 +148,23 @@ GOLDEN_CLASSIC = {1: 45, 2: 54, 3: 36}
 GOLDEN_IMPROVED = {1: 45, 2: 25, 3: 14}
 
 
-def _golden_report(classic_wall=None, improved_wall=None):
+def _report(runs):
     return ComparisonReport(
-        classic_ledger=ScanLedger(GOLDEN_CLASSIC),
-        classic_timing=RunTiming("classic", "golden.txt", 3, classic_wall),
-        improved_ledger=ScanLedger(GOLDEN_IMPROVED),
-        improved_timing=RunTiming("improved", "golden.txt", 3, improved_wall),
-        candidate_strategy="combinations",
+        dataset="golden.txt",
+        min_support=3,
         min_support_count=3,
+        candidate_strategy="combinations",
+        runs=tuple(runs),
     )
 
 
-def test_report_consistency_enforced():
-    with pytest.raises(ConfigurationError):
-        ComparisonReport(
-            classic_ledger=ScanLedger(),
-            classic_timing=RunTiming("classic", "a", 3, None),
-            improved_ledger=ScanLedger(),
-            improved_timing=RunTiming("improved", "b", 3, None),
-            candidate_strategy="join",
-            min_support_count=3,
-        )
+def _golden_report(classic_wall=None, improved_wall=None):
+    return _report(
+        [
+            VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), classic_wall),
+            VariantRun("improved", ScanLedger(GOLDEN_IMPROVED), improved_wall),
+        ]
+    )
 
 
 def test_human_report_has_sum_row():
@@ -188,13 +177,11 @@ def test_human_report_has_sum_row():
 
 
 def test_identical_runs_reduce_zero():
-    report = ComparisonReport(
-        classic_ledger=ScanLedger(GOLDEN_CLASSIC),
-        classic_timing=RunTiming("classic", "d", 3, 1.5),
-        improved_ledger=ScanLedger(GOLDEN_CLASSIC),
-        improved_timing=RunTiming("classic", "d", 3, 1.5),
-        candidate_strategy="join",
-        min_support_count=3,
+    report = _report(
+        [
+            VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), 1.5),
+            VariantRun("improved", ScanLedger(GOLDEN_CLASSIC), 1.5),
+        ]
     )
     assert report.reduction_rate_percent == 0.0
     assert report.scan_reduction_percent == 0.0
@@ -211,7 +198,8 @@ def test_render_deterministic():
 def test_machine_report_round_trips_numbers():
     report = _golden_report(classic_wall=0.123456789, improved_wall=0.0456789)
     payload = json.loads(render_report(report, "machine"))
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
+    assert payload["command"] == "compare"
     assert payload["dataset"] == "golden.txt"
     assert payload["min_support"] == 3
     assert payload["candidate_strategy"] == "combinations"
@@ -237,3 +225,31 @@ def test_machine_report_untimed_is_null():
 def test_render_rejects_unknown_format():
     with pytest.raises(ConfigurationError):
         render_report(_golden_report(), "yaml")
+
+
+def test_report_renders_every_run_and_rates_by_name():
+    # A third variant gets its own column and wall time; the rates still
+    # compare `classic` with `improved`, wherever those runs sit in the list.
+    report = _report(
+        [
+            VariantRun("improved", ScanLedger(GOLDEN_IMPROVED), 1.0),
+            VariantRun("bitset", ScanLedger({1: 45}), 0.5),
+            VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), 4.0),
+        ]
+    )
+    assert report.run("classic").wall_seconds == 4.0
+    assert report.reduction_rate_percent == 75.0
+    assert report.scan_reduction_percent == reduction_rate(135, 84)
+    assert report.levels() == [1, 2, 3]
+    lines = render_report(report, "human").splitlines()
+    assert lines[3].split() == ["level", "improved", "bitset", "classic"]
+    assert lines[5].split() == ["2-itemset", "25", "0", "54"]
+    assert "wall seconds: improved 1.000000, bitset 0.500000, classic 4.000000" in lines
+    payload = json.loads(render_report(report, "machine"))
+    assert [v["variant"] for v in payload["variants"]] == ["improved", "bitset", "classic"]
+
+
+def test_report_needs_both_paper_variants_for_rates():
+    report = _report([VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), None)])
+    with pytest.raises(ContractViolationError):
+        report.scan_reduction_percent

@@ -7,7 +7,7 @@ import pytest
 from oracle import bruteforce_frequent, bruteforce_support, iset, random_db, tids
 from tidmine import mining
 from tidmine.dataset import load_transactions
-from tidmine.errors import ConfigurationError, ContractViolationError
+from tidmine.errors import ConfigurationError, ContractViolationError, ResourceLimitError
 from tidmine.metrics import ScanLedger
 from tidmine.mining import (
     CandidateSet,
@@ -20,7 +20,6 @@ from tidmine.mining import (
     min_support_item,
     resolve_min_support,
     run_apriori,
-    target_tids,
 )
 
 # --- compute_l1 -------------------------------------------------------------
@@ -153,6 +152,19 @@ def test_combinations_rejects_level_below_two(golden_db):
         generate_candidates_combinations(compute_l1(golden_db, 3), 1)
 
 
+def test_combinations_budget(golden_db, monkeypatch):
+    # C(200, 5) is about 2.5e9 tuples: building them would not finish.
+    wide = L1Index({item: (item,) for item in range(200)})
+    with pytest.raises(ResourceLimitError, match=r"C\(200, 5\) = 2535650040"):
+        generate_candidates_combinations(wide, 5)
+    l1 = compute_l1(golden_db, 3)  # 4 items: C(4, 2) = 6
+    monkeypatch.setattr(mining, "MAX_CANDIDATES", 6)
+    assert len(generate_candidates_combinations(l1, 2)) == 6
+    monkeypatch.setattr(mining, "MAX_CANDIDATES", 5)
+    with pytest.raises(ResourceLimitError):
+        generate_candidates_combinations(l1, 2)
+
+
 def test_candidate_set_validates():
     with pytest.raises(ContractViolationError):
         CandidateSet(2, ((0, 1), (0,)))  # size mismatch
@@ -205,22 +217,10 @@ def test_min_item_missing_from_l1(golden_db):
         min_support_item((golden_db.item_id("I5"),), l1)
 
 
-def test_target_tids_golden(golden_db):
-    l1 = compute_l1(golden_db, 3)
-    assert target_tids(golden_db.item_id("I4"), l1) == tids(2, 3, 4)
-    assert target_tids(golden_db.item_id("I1"), l1) == tids(1, 4, 5, 7, 8, 9)
-
-
-def test_target_tids_ubiquitous_item():
-    db = load_transactions(io.StringIO("A B\nA C\nA D\n"))
-    l1 = compute_l1(db, 1)
-    assert target_tids(db.item_id("A"), l1) == (0, 1, 2)
-
-
-def test_target_tids_missing_item(golden_db):
+def test_l1_tids_missing_item(golden_db):
     l1 = compute_l1(golden_db, 3)
     with pytest.raises(ContractViolationError):
-        target_tids(golden_db.item_id("I5"), l1)
+        l1.tids(golden_db.item_id("I5"))
 
 
 # --- support counting -------------------------------------------------------
@@ -403,8 +403,6 @@ def test_run_rejects_bad_config(golden_db):
         run_apriori(golden_db, 3, candidate_strategy="bogus")
     with pytest.raises(ConfigurationError):
         run_apriori(golden_db, 0)
-    with pytest.raises(ConfigurationError):
-        run_apriori(golden_db, 3, threads=0)
 
 
 def test_variants_and_strategies_agree_randomized():
@@ -477,52 +475,7 @@ def test_scan_dominance_randomized():
                 assert improved.ledger.level(k) <= classic.ledger.level(k)
 
 
-def test_threads_do_not_change_output(golden_db, monkeypatch):
-    # Let up to 7 workers run whatever this machine's core count.
-    monkeypatch.setattr(mining.os, "cpu_count", lambda: 8)
-    base = run_apriori(golden_db, 3, candidate_strategy="combinations")
-    rng = random.Random(8)
-    db = random_db(rng, max_items=10, max_transactions=30)
-    wide = run_apriori(db, 2)
-    for threads in (2, 4, 7):
-        again = run_apriori(
-            golden_db, 3, candidate_strategy="combinations", threads=threads
-        )
-        assert again.levels == base.levels
-        assert again.ledger == base.ledger
-        again_wide = run_apriori(db, 2, threads=threads)
-        assert again_wide.levels == wide.levels
-        assert again_wide.ledger == wide.ledger
-
-
 def test_result_support_lookup(golden_db):
     result = run_apriori(golden_db, 3, candidate_strategy="combinations")
     assert result.support_of(iset(golden_db, "I1 I2")) == 4
     assert result.support_of(iset(golden_db, "I3 I4")) is None
-
-
-def test_threads_capped_at_cpu_count(golden_db, monkeypatch):
-    seen = []
-
-    class RecordingPool:
-        """Stands in for ThreadPoolExecutor and runs every chunk inline."""
-
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(mining, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(mining.os, "cpu_count", lambda: 3)
-    base = run_apriori(golden_db, 1, candidate_strategy="combinations")
-    capped = run_apriori(golden_db, 1, candidate_strategy="combinations", threads=100_000)
-    assert seen and max(seen) == 3
-    assert capped.levels == base.levels
-    assert capped.ledger == base.ledger

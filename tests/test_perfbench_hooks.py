@@ -1,0 +1,49 @@
+"""The benchmark's tracer still finds the functions it times.
+
+`perfbench/traced_job.py` wraps module attributes from outside the program,
+so a refactor that stops calling them through those attributes would leave
+their time unattributed without failing any other test.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_compare_records_every_hooked_layer(golden_path, tmp_path):
+    spans_path = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, str(ROOT / "perfbench" / "traced_job.py"),
+            str(spans_path), "job-0", "--",
+            "compare",
+            "--input", str(golden_path),
+            "--min-support", "3",
+            "--candidates", "combinations",
+            "--reps", "0",
+            "--format", "machine",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "compare"
+    spans = json.loads(spans_path.read_text())
+    names = Counter(span["name"] for span in spans)
+    assert names["mining.run_apriori"] == 2
+    assert names["metrics.render_report"] == 1
+    counted = {
+        span["attrs"]["variant"] for span in spans if span["name"] == "mining.count_support"
+    }
+    assert counted == {"classic", "improved"}

@@ -4,6 +4,7 @@ Hypothesis drives the `random.Random` that `oracle.random_db` draws from, so
 a failing corpus shrinks toward a small one.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -18,8 +19,24 @@ from tidmine.mining import (
     count_support_restricted,
     run_apriori,
 )
+from tidmine.rules import generate_rules
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
+
+
+def _bruteforce_rules(frequent, min_confidence):
+    """Every rule A => F minus A over the oracle's itemsets, as plain tuples."""
+    threshold = Fraction(str(min_confidence))
+    keyed = []
+    for itemset, support in frequent.items():
+        for size in range(1, len(itemset)):
+            for antecedent in combinations(itemset, size):
+                a_support = frequent[antecedent]
+                if Fraction(support, a_support) >= threshold:
+                    consequent = tuple(i for i in itemset if i not in antecedent)
+                    rule = (antecedent, consequent, support, support / a_support)
+                    keyed.append(((len(itemset), itemset, antecedent), rule))
+    return [rule for _, rule in sorted(keyed)]
 
 
 def _expected_candidates(strategy, frequent, k):
@@ -78,3 +95,20 @@ def test_counting_kernels_match_bruteforce(rng):
         want = bruteforce_support(db, cand)
         assert count_support_full([cand], db) == {cand: want}
         assert count_support_restricted(cand, db, l1) == want
+
+
+@PROPERTY_SETTINGS
+@given(
+    rng=st.randoms(use_true_random=False),
+    min_confidence=st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
+    data=st.data(),
+)
+def test_rules_match_oracle(rng, min_confidence, data):
+    # An n-item transaction at support 1 yields about 3**n rules; 8 items
+    # keep the worst corpus near six thousand.
+    db = random_db(rng, max_items=8)
+    min_support = data.draw(st.integers(1, max(1, len(db))), label="min_support")
+    found = generate_rules(run_apriori(db, min_support), min_confidence)
+    expected = _bruteforce_rules(bruteforce_frequent(db, min_support), min_confidence)
+    got = [(r.antecedent, r.consequent, r.support, r.confidence) for r in found]
+    assert got == expected
