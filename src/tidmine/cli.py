@@ -11,21 +11,34 @@ import functools
 import itertools
 import json
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import metrics, rules
 from .dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
 from .errors import ConfigurationError, IngestionError, ResourceLimitError
-from .metrics import ComparisonReport, VariantRun, format_min_support, round_percent
+from .metrics import (
+    ComparisonReport,
+    VariantRun,
+    format_min_support,
+    format_percent,
+    round_percent,
+)
 from .mining import VARIANTS, MiningResult, run_apriori
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-# Encoder chunks joined per write: large enough that writes stay few, small
-# enough that a big payload is never held as one string.
-JSON_BATCH_CHUNKS = 65_536
+# Chunks joined per write: large enough that writes stay few, small enough
+# that a big report is never held as one string. A chunk is a few bytes from
+# the JSON encoder, or one itemset or rule entry (about 200 bytes) from the
+# mine/rules writer.
+JSON_BATCH_CHUNKS = 4_096
+
+# Item separators inside the `items` lists of `levels[].itemsets[]` entries
+# and the `antecedent`/`consequent` lists of `rules[]` entries.
+_ITEMSET_ITEM_SEP = ",\n            "
+_RULE_ITEM_SEP = ",\n        "
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -204,12 +217,85 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
 
 
-def _emit_json(payload: dict) -> None:
-    """Write `payload` as indented, key-sorted JSON plus a newline, in batches."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+def _emit_chunks(chunks: Iterator[str]) -> None:
+    """Write `chunks` joined in batches of JSON_BATCH_CHUNKS."""
     while batch := "".join(itertools.islice(chunks, JSON_BATCH_CHUNKS)):
         sys.stdout.write(batch)
+
+
+def _emit_json(payload: dict) -> None:
+    """Write `payload` as indented, key-sorted JSON plus a newline, in batches."""
+    _emit_chunks(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
     sys.stdout.write("\n")
+
+
+def _emit_report(fields: dict, streamed: dict[str, Iterator[str]]) -> None:
+    """Write one key-sorted, indent-2 JSON object plus a newline, in batches.
+
+    `fields` holds members encoded by `json`; each value of `streamed` yields
+    the rendered text of one top-level list member. The bytes equal
+    `json.dumps(payload, indent=2, sort_keys=True) + "\n"` for the payload
+    holding both, which `json` itself would encode in pure Python only, as
+    its C encoder never runs when `indent` is set.
+    """
+
+    def chunks() -> Iterator[str]:
+        opening = "{\n"
+        for key in sorted([*fields, *streamed]):
+            yield f"{opening}  {json.dumps(key)}: "
+            if key in streamed:
+                yield from streamed[key]
+            else:
+                # JSON strings hold no raw newline, so this re-indents the
+                # value by one level exactly as a nested encoding would.
+                yield json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+            opening = ",\n"
+        yield "\n}\n"
+
+    _emit_chunks(chunks())
+
+
+def _levels_json(result: MiningResult, json_tokens: Sequence[str]) -> Iterator[str]:
+    """The `levels` member: one entry per level, holding `itemsets[]`."""
+    if not result.levels:
+        yield "[]"
+        return
+    token = json_tokens.__getitem__
+    opening = "[\n"
+    for k in sorted(result.levels):
+        yield f'{opening}    {{\n      "itemsets": [\n'
+        separator = ""
+        for itemset, support in result.levels[k].items():
+            yield (
+                f'{separator}        {{\n          "items": [\n            '
+                f"{_ITEMSET_ITEM_SEP.join(map(token, itemset))}\n          ],\n"
+                f'          "support": {support!r}\n        }}'
+            )
+            separator = ",\n"
+        yield f'\n      ],\n      "k": {k!r}\n    }}'
+        opening = ",\n"
+    yield "\n  ]"
+
+
+def _rules_json(
+    found: list[rules.AssociationRule], json_tokens: Sequence[str]
+) -> Iterator[str]:
+    """The `rules` member: antecedent, confidence, consequent, support."""
+    if not found:
+        yield "[]"
+        return
+    token = json_tokens.__getitem__
+    opening = "[\n"
+    for rule in found:
+        yield (
+            f'{opening}    {{\n      "antecedent": [\n        '
+            f"{_RULE_ITEM_SEP.join(map(token, rule.antecedent))}\n      ],\n"
+            f'      "confidence": {rule.confidence!r},\n      "consequent": [\n        '
+            f"{_RULE_ITEM_SEP.join(map(token, rule.consequent))}\n      ],\n"
+            f'      "support": {rule.support!r}\n    }}'
+        )
+        opening = ",\n"
+    yield "\n  ]"
 
 
 def _scan_summary(result: MiningResult) -> str:
@@ -218,10 +304,11 @@ def _scan_summary(result: MiningResult) -> str:
     return ", ".join(parts)
 
 
-def _mine_payload(result: MiningResult, db: TransactionDb, label: str) -> dict:
+def _report_fields(result: MiningResult, db: TransactionDb, label: str, command: str) -> dict:
+    """The `mine`/`rules` machine members other than the streamed lists."""
     return {
         "schema_version": metrics.REPORT_SCHEMA_VERSION,
-        "command": "mine",
+        "command": command,
         "dataset": label,
         "num_transactions": len(db),
         "num_items": db.num_items,
@@ -229,20 +316,37 @@ def _mine_payload(result: MiningResult, db: TransactionDb, label: str) -> dict:
         "min_support_count": result.min_support_count,
         "variant": result.variant,
         "candidate_strategy": result.candidate_strategy,
-        "levels": [
-            {
-                "k": k,
-                "itemsets": [
-                    {"items": list(db.tokens_of(itemset)), "support": support}
-                    for itemset, support in result.levels[k].items()
-                ],
-            }
-            for k in sorted(result.levels)
-        ],
         "per_level_scans": {str(k): v for k, v in result.ledger.per_level.items()},
         "total_scans": result.ledger.total,
         "total_frequent_itemsets": result.total_frequent,
     }
+
+
+def _emit_mine_machine(result: MiningResult, db: TransactionDb, label: str) -> None:
+    json_tokens = [json.dumps(token) for token in db.tokens]
+    _emit_report(
+        _report_fields(result, db, label, "mine"),
+        {"levels": _levels_json(result, json_tokens)},
+    )
+
+
+def _emit_rules_machine(
+    result: MiningResult,
+    found: list[rules.AssociationRule],
+    min_confidence: float,
+    db: TransactionDb,
+    label: str,
+) -> None:
+    json_tokens = [json.dumps(token) for token in db.tokens]
+    fields = _report_fields(result, db, label, "rules")
+    fields["min_confidence"] = min_confidence
+    _emit_report(
+        fields,
+        {
+            "levels": _levels_json(result, json_tokens),
+            "rules": _rules_json(found, json_tokens),
+        },
+    )
 
 
 def _mine_text(result: MiningResult, db: TransactionDb, label: str) -> str:
@@ -255,11 +359,12 @@ def _mine_text(result: MiningResult, db: TransactionDb, label: str) -> str:
         ),
         "",
     ]
+    token = db.tokens.__getitem__
     for k in sorted(result.levels):
         level = result.levels[k]
         lines.append(f"L{k}: {len(level)} itemsets")
         for itemset, support in level.items():
-            lines.append(f"  {', '.join(db.tokens_of(itemset))}  (support {support})")
+            lines.append(f"  {', '.join(map(token, itemset))}  (support {support})")
     if result.levels:
         lines.append("")
     lines.append(f"{result.total_frequent} frequent itemsets")
@@ -276,15 +381,15 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         candidate_strategy=_strategy(args.candidates),
     )
     if args.format == "machine":
-        _emit_json(_mine_payload(result, db, label))
+        _emit_mine_machine(result, db, label)
     else:
         _emit(_mine_text(result, db, label))
     return EXIT_OK
 
 
-def _rule_line(rule: rules.AssociationRule, db: TransactionDb) -> str:
-    left = ", ".join(db.tokens_of(rule.antecedent))
-    right = ", ".join(db.tokens_of(rule.consequent))
+def _rule_line(rule: rules.AssociationRule, tokens: Sequence[str]) -> str:
+    left = ", ".join(map(tokens.__getitem__, rule.antecedent))
+    right = ", ".join(map(tokens.__getitem__, rule.consequent))
     return f"{left} => {right} (support {rule.support}, confidence {rule.confidence:.2f})"
 
 
@@ -298,19 +403,7 @@ def _cmd_rules(args: argparse.Namespace) -> int:
     )
     found = rules.generate_rules(result, args.min_confidence)
     if args.format == "machine":
-        payload = _mine_payload(result, db, label)
-        payload["command"] = "rules"
-        payload["min_confidence"] = args.min_confidence
-        payload["rules"] = [
-            {
-                "antecedent": list(db.tokens_of(rule.antecedent)),
-                "consequent": list(db.tokens_of(rule.consequent)),
-                "support": rule.support,
-                "confidence": rule.confidence,
-            }
-            for rule in found
-        ]
-        _emit_json(payload)
+        _emit_rules_machine(result, found, args.min_confidence, db, label)
         return EXIT_OK
     lines = [
         f"dataset: {label} ({len(db)} transactions, {db.num_items} items)",
@@ -320,7 +413,7 @@ def _cmd_rules(args: argparse.Namespace) -> int:
         ),
         f"{len(found)} rules",
     ]
-    lines.extend(_rule_line(rule, db) for rule in found)
+    lines.extend(_rule_line(rule, db.tokens) for rule in found)
     _emit("".join(line + "\n" for line in lines))
     return EXIT_OK
 
@@ -371,9 +464,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         _compare_on(db, label, min_support, strategy, args.reps)
         for db, label in sources
     ]
-    time_rates = [r.reduction_rate_percent for r in reports]
+    # A rate is None when its classic run took no measurable time or did no
+    # scans; the means cover the rates that exist.
+    time_rates = [
+        r.reduction_rate_percent for r in reports if r.reduction_rate_percent is not None
+    ]
     scan_rates = [r.scan_reduction_percent for r in reports if r.scan_reduction_percent is not None]
-    mean_time = metrics.mean_rate(time_rates)
+    mean_time = metrics.mean_rate(time_rates) if time_rates else None
     mean_scan = metrics.mean_rate(scan_rates) if scan_rates else None
     if args.format == "machine":
         payload = {
@@ -400,15 +497,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         + f"{'reduction (%)':>15}",
     ]
     for report in reports:
+        rate = report.reduction_rate_percent
         lines.append(
             f"{report.dataset:<{width}}"
             + "".join(f"{run.wall_seconds:>14.6f}" for run in report.runs)
-            + f"{round_percent(report.reduction_rate_percent):>15.2f}"
+            + f"{'n/a' if rate is None else f'{round_percent(rate):.2f}':>15}"
         )
     lines.append("")
-    lines.append(f"mean reduction rate: {round_percent(mean_time):.2f}%")
+    lines.append(f"mean reduction rate: {format_percent(mean_time)}")
     if mean_scan is not None:
-        lines.append(f"mean scan reduction rate: {round_percent(mean_scan):.2f}%")
+        lines.append(f"mean scan reduction rate: {format_percent(mean_scan)}")
     _emit("".join(line + "\n" for line in lines))
     return EXIT_OK
 

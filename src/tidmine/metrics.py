@@ -166,7 +166,8 @@ def format_min_support(value: int | float) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _percent_cell(value: float | None) -> str:
+def format_percent(value: float | None) -> str:
+    """Display form of a rate: two decimals and a percent sign, or n/a."""
     return "n/a" if value is None else f"{round_percent(value):.2f}%"
 
 
@@ -201,14 +202,14 @@ def _render_human(report: ComparisonReport) -> str:
         )
     lines.append(f"{'sum':<14}" + "".join(f"{run.ledger.total:>12}" for run in report.runs))
     lines.append("")
-    lines.append(f"scan reduction rate: {_percent_cell(report.scan_reduction_percent)}")
+    lines.append(f"scan reduction rate: {format_percent(report.scan_reduction_percent)}")
     if any(run.wall_seconds is None for run in report.runs):
         lines.append("wall seconds: not measured")
     else:
         walls = ", ".join(f"{run.variant} {run.wall_seconds:.6f}" for run in report.runs)
         lines.append(f"wall seconds: {walls}")
         lines.append(
-            f"time reduction rate: {_percent_cell(report.reduction_rate_percent)}"
+            f"time reduction rate: {format_percent(report.reduction_rate_percent)}"
         )
     return "".join(line + "\n" for line in lines)
 

@@ -8,7 +8,7 @@ from .errors import ConfigurationError, ContractViolationError
 from .mining import Itemset, MiningResult
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AssociationRule:
     """Rule antecedent -> consequent with the support of their union.
 
@@ -23,7 +23,7 @@ class AssociationRule:
     def __post_init__(self):
         if not self.antecedent or not self.consequent:
             raise ContractViolationError("rule sides must be non-empty")
-        if set(self.antecedent) & set(self.consequent):
+        if not set(self.antecedent).isdisjoint(self.consequent):
             raise ContractViolationError("rule sides must be disjoint")
         if not 0.0 <= self.confidence <= 1.0:
             raise ContractViolationError(
@@ -46,7 +46,8 @@ def generate_rules(
     support(F) / support(A) >= min_confidence. The threshold is read as the
     decimal it prints as (0.1 is exactly 1/10) and compared by integer
     cross-multiplication, so boundary confidences never misclassify from
-    float rounding. Output is sorted by (itemset size, itemset, antecedent).
+    float rounding. Output is sorted by (itemset size, itemset, antecedent),
+    since `result.levels` holds each level in canonical order.
     """
     if not 0.0 < min_confidence <= 1.0:
         raise ConfigurationError(
@@ -58,22 +59,38 @@ def generate_rules(
     for size in sorted(result.levels):
         if size < 2:
             continue
+        # Sizes, itemsets and antecedent positions are each visited in
+        # canonical order, so rules come out in (size, itemset, antecedent)
+        # order without a sort.
+        splits = [
+            (a_pos, c_pos, result.levels[len(a_pos)])
+            for a_pos, c_pos in _split_positions(size)
+        ]
         for itemset, support in result.levels[size].items():
-            for a_size in range(1, size):
-                for antecedent in itertools.combinations(itemset, a_size):
-                    a_support = result.support_of(antecedent)
-                    if a_support is None:
-                        raise ContractViolationError(
-                            f"support of antecedent {antecedent} missing from the "
-                            "mining result; downward closure violated"
+            at = itemset.__getitem__
+            for a_pos, c_pos, a_level in splits:
+                antecedent = tuple(map(at, a_pos))
+                try:
+                    a_support = a_level[antecedent]
+                except KeyError:
+                    raise ContractViolationError(
+                        f"support of antecedent {antecedent} missing from the "
+                        "mining result; downward closure violated"
+                    ) from None
+                if support * den >= num * a_support:
+                    out.append(
+                        AssociationRule(
+                            antecedent, tuple(map(at, c_pos)), support, support / a_support
                         )
-                    if support * den >= num * a_support:
-                        members = set(antecedent)
-                        consequent = tuple(i for i in itemset if i not in members)
-                        out.append(
-                            AssociationRule(
-                                antecedent, consequent, support, support / a_support
-                            )
-                        )
-    out.sort(key=lambda rule: (len(rule.itemset), rule.itemset, rule.antecedent))
+                    )
     return out
+
+
+def _split_positions(size: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(antecedent, consequent) positions of every split of a `size`-itemset
+    into two non-empty parts, antecedents in lexicographic order."""
+    every = range(size)
+    antecedents = sorted(
+        a_pos for a_size in range(1, size) for a_pos in itertools.combinations(every, a_size)
+    )
+    return [(a_pos, tuple(i for i in every if i not in a_pos)) for a_pos in antecedents]

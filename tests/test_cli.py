@@ -330,6 +330,52 @@ def test_bench_human_table(capsys):
     assert len(row) == len(header)
 
 
+def test_bench_untimeable_rates_are_null(golden_path, capsys, monkeypatch):
+    # A classic median of 0.0 s leaves the time reduction rate undefined.
+    monkeypatch.setattr(cli.metrics, "median_seconds", lambda fn, reps: (fn(), 0.0))
+    argv = [
+        "bench",
+        "--input", str(golden_path),
+        "--input", str(golden_path),
+        "--min-support", "3",
+        "--candidates", "combinations",
+        "--reps", "1",
+    ]
+    code, out, err = run_cli(capsys, *argv, "--format", "machine")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert [row["reduction_rate_percent"] for row in payload["datasets"]] == [None, None]
+    assert payload["mean_reduction_rate_percent"] is None
+    assert payload["mean_scan_reduction_percent"] == pytest.approx(37.78, abs=0.01)
+
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    header, row = lines[2:4]
+    assert row.endswith(" n/a") and len(row) == len(header)
+    assert "mean reduction rate: n/a" in lines
+    assert "mean scan reduction rate: 37.78%" in lines
+
+
+def test_bench_mean_skips_missing_rates(golden_path, capsys, monkeypatch):
+    # Only the first dataset's classic run is measurable, so the mean is its rate.
+    laps = iter([0.004, 0.001, 0.0, 0.0])
+    monkeypatch.setattr(cli.metrics, "median_seconds", lambda fn, reps: (fn(), next(laps)))
+    code, out, _ = run_cli(
+        capsys,
+        "bench",
+        "--input", str(golden_path),
+        "--input", str(golden_path),
+        "--min-support", "3",
+        "--reps", "1",
+        "--format", "machine",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert [row["reduction_rate_percent"] for row in payload["datasets"]] == [75.0, None]
+    assert payload["mean_reduction_rate_percent"] == 75.0
+
+
 def test_bench_rejects_mixed_sources(golden_path, capsys):
     code, _, _ = run_cli(
         capsys,

@@ -15,7 +15,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_compare_records_every_hooked_layer(golden_path, tmp_path):
+def _traced_job(tmp_path, *cli_args):
+    """Run one CLI job through the tracer; return the process and its spans."""
     spans_path = tmp_path / "spans.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -24,22 +25,27 @@ def test_traced_compare_records_every_hooked_layer(golden_path, tmp_path):
     proc = subprocess.run(
         [
             sys.executable, str(ROOT / "perfbench" / "traced_job.py"),
-            str(spans_path), "job-0", "--",
-            "compare",
-            "--input", str(golden_path),
-            "--min-support", "3",
-            "--candidates", "combinations",
-            "--reps", "0",
-            "--format", "machine",
+            str(spans_path), "job-0", "--", *cli_args,
         ],
         capture_output=True,
-        text=True,
         env=env,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+    return proc, json.loads(spans_path.read_text())
+
+
+def test_traced_compare_records_every_hooked_layer(golden_path, tmp_path):
+    proc, spans = _traced_job(
+        tmp_path,
+        "compare",
+        "--input", str(golden_path),
+        "--min-support", "3",
+        "--candidates", "combinations",
+        "--reps", "0",
+        "--format", "machine",
+    )
     assert json.loads(proc.stdout)["command"] == "compare"
-    spans = json.loads(spans_path.read_text())
     names = Counter(span["name"] for span in spans)
     assert names["mining.run_apriori"] == 2
     assert names["metrics.render_report"] == 1
@@ -47,3 +53,21 @@ def test_traced_compare_records_every_hooked_layer(golden_path, tmp_path):
         span["attrs"]["variant"] for span in spans if span["name"] == "mining.count_support"
     }
     assert counted == {"classic", "improved"}
+
+
+def test_traced_rules_records_every_hooked_layer(golden_path, tmp_path):
+    proc, spans = _traced_job(
+        tmp_path,
+        "rules",
+        "--input", str(golden_path),
+        "--min-support", "2",
+        "--min-confidence", "0.5",
+        "--format", "machine",
+    )
+    assert json.loads(proc.stdout)["command"] == "rules"
+    names = Counter(span["name"] for span in spans)
+    assert names["dataset.load_transactions"] == 1
+    assert names["mining.run_apriori"] == 1
+    assert names["rules.generate_rules"] == 1
+    (main_span,) = [span for span in spans if span["name"] == "cli.main"]
+    assert main_span["attrs"]["out_bytes"] == len(proc.stdout)

@@ -4,13 +4,19 @@ Hypothesis drives the `random.Random` that `oracle.random_db` draws from, so
 a failing corpus shrinks toward a small one.
 """
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import bruteforce_frequent, bruteforce_support, random_db
+from tidmine import cli, metrics
+from tidmine.dataset import TransactionDb
 from tidmine.mining import (
     CANDIDATE_STRATEGIES,
     VARIANTS,
@@ -112,3 +118,124 @@ def test_rules_match_oracle(rng, min_confidence, data):
     expected = _bruteforce_rules(bruteforce_frequent(db, min_support), min_confidence)
     got = [(r.antecedent, r.consequent, r.support, r.confidence) for r in found]
     assert got == expected
+
+
+def _reference_payload(result, db, label, command="mine"):
+    """The `mine` report as a dict, the way it was built before the streaming
+    writer; `json.dumps` of it is the reference for the writer's bytes."""
+    return {
+        "schema_version": metrics.REPORT_SCHEMA_VERSION,
+        "command": command,
+        "dataset": label,
+        "num_transactions": len(db),
+        "num_items": db.num_items,
+        "min_support": result.min_support,
+        "min_support_count": result.min_support_count,
+        "variant": result.variant,
+        "candidate_strategy": result.candidate_strategy,
+        "levels": [
+            {
+                "k": k,
+                "itemsets": [
+                    {"items": list(db.tokens_of(itemset)), "support": support}
+                    for itemset, support in result.levels[k].items()
+                ],
+            }
+            for k in sorted(result.levels)
+        ],
+        "per_level_scans": {str(k): v for k, v in result.ledger.per_level.items()},
+        "total_scans": result.ledger.total,
+        "total_frequent_itemsets": result.total_frequent,
+    }
+
+
+def _reference_rules_payload(result, found, min_confidence, db, label):
+    payload = _reference_payload(result, db, label, command="rules")
+    payload["min_confidence"] = min_confidence
+    payload["rules"] = [
+        {
+            "antecedent": list(db.tokens_of(rule.antecedent)),
+            "consequent": list(db.tokens_of(rule.consequent)),
+            "support": rule.support,
+            "confidence": rule.confidence,
+        }
+        for rule in found
+    ]
+    return payload
+
+
+def _reference_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _captured(write, *args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        write(*args)
+    return out.getvalue()
+
+
+# Tokens that JSON must escape: a quote, a backslash, non-ASCII and an emoji
+# outside the Basic Multilingual Plane (written as a surrogate pair).
+ESCAPED_TOKEN_FORMS = ('q"{}', "b\\{}", "\u00e9{}", "\U0001f600{}", "plain{}")
+
+
+def _escaped_tokens(db):
+    """`db` with every token replaced by one that needs JSON escaping."""
+    tokens = [
+        ESCAPED_TOKEN_FORMS[i % len(ESCAPED_TOKEN_FORMS)].format(i) for i in range(db.num_items)
+    ]
+    return TransactionDb(db.transactions, tokens)
+
+
+def _machine_reports(db, min_support, min_confidence, variant, label="corpus \"1\""):
+    """(writer, reference) text pairs of the `mine` and `rules` reports."""
+    result = run_apriori(db, min_support, variant=variant)
+    found = generate_rules(result, min_confidence)
+    mine = (
+        _captured(cli._emit_mine_machine, result, db, label),
+        _reference_text(_reference_payload(result, db, label)),
+    )
+    rules = (
+        _captured(cli._emit_rules_machine, result, found, min_confidence, db, label),
+        _reference_text(_reference_rules_payload(result, found, min_confidence, db, label)),
+    )
+    return mine, rules
+
+
+@PROPERTY_SETTINGS
+@given(
+    rng=st.randoms(use_true_random=False),
+    variant=st.sampled_from(VARIANTS),
+    min_confidence=st.sampled_from([0.1, 0.5, 2 / 3, 1.0]),
+    data=st.data(),
+)
+def test_machine_writer_matches_json_dumps(rng, variant, min_confidence, data):
+    db = _escaped_tokens(random_db(rng, max_items=8))
+    # One past the row count leaves no frequent itemset at all.
+    min_support = data.draw(st.integers(1, len(db) + 1), label="min_support")
+    for got, want in _machine_reports(db, min_support, min_confidence, variant):
+        assert got == want
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize(
+    "min_support, min_confidence, shows",
+    [
+        (10, 0.5, ['"levels": []', '"rules": []', '"per_level_scans": {\n    "1": 45\n  }']),
+        (6, 0.5, ['"rules": []']),
+        (3, 1.0, ['"confidence": 1.0,']),
+        (2, 0.1, ['"\\ud83d\\ude00', '"\\u00e9', '"q\\"', '"b\\\\']),
+    ],
+)
+def test_machine_writer_edge_cases(
+    golden_db, monkeypatch, variant, min_support, min_confidence, shows
+):
+    # Two chunks per write, so every report takes several batches.
+    monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", 2)
+    db = _escaped_tokens(golden_db)
+    mine, rules = _machine_reports(db, min_support, min_confidence, variant)
+    assert mine[0] == mine[1]
+    assert rules[0] == rules[1]
+    for fragment in shows:
+        assert fragment in rules[0]

@@ -7,7 +7,8 @@ import pytest
 from oracle import bruteforce_support, iset, random_db
 from tidmine.dataset import load_transactions
 from tidmine.errors import ConfigurationError, ContractViolationError
-from tidmine.mining import run_apriori
+from tidmine.metrics import ScanLedger
+from tidmine.mining import MiningResult, run_apriori
 from tidmine.rules import AssociationRule, generate_rules
 
 EPSILON = 1e-12
@@ -150,3 +151,17 @@ def test_rule_invariants_enforced():
         AssociationRule((0,), (0, 1), 3, 1.0)
     with pytest.raises(ContractViolationError):
         AssociationRule((0,), (1,), 3, 1.5)
+
+
+def test_missing_antecedent_violates_contract():
+    # {0, 1} is frequent but its subset {1} is not: downward closure is broken.
+    result = MiningResult(
+        levels={1: {(0,): 3}, 2: {(0, 1): 2}},
+        ledger=ScanLedger(),
+        min_support=2,
+        min_support_count=2,
+        variant="improved",
+        candidate_strategy="join",
+    )
+    with pytest.raises(ContractViolationError, match=r"antecedent \(1,\) missing"):
+        generate_rules(result, EPSILON)
