@@ -11,7 +11,7 @@ import functools
 import itertools
 import json
 import sys
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import metrics, rules
 from .dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
@@ -23,16 +23,16 @@ from .metrics import (
     format_percent,
     round_percent,
 )
-from .mining import VARIANTS, MiningResult, run_apriori
+from .mining import CANDIDATE_STRATEGIES, VARIANTS, MiningResult, run_apriori
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-# Chunks joined per write: large enough that writes stay few, small enough
-# that a big report is never held as one string. A chunk is a few bytes from
-# the JSON encoder, or one itemset or rule entry (about 200 bytes) from the
-# mine/rules writer.
+# Chunks joined per write, for every report: large enough that writes stay
+# few, small enough that a big report is never held as one string. A chunk is
+# one human-format line, one machine-format itemset or rule entry (about 200
+# bytes), or a whole small report such as `compare` or `bench`.
 JSON_BATCH_CHUNKS = 4_096
 
 # Item separators inside the `items` lists of `levels[].itemsets[]` entries
@@ -48,13 +48,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed its message
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.handler(args)
+        # Each handler does all its work before returning the report's chunks,
+        # so a failed run writes nothing to standard output.
+        _write(args.handler(args))
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IngestionError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    return EXIT_OK
+
+
+def _write(chunks: Iterable[str]) -> None:
+    """Write `chunks` to standard output, joined in batches of JSON_BATCH_CHUNKS."""
+    chunks = iter(chunks)
+    while batch := "".join(itertools.islice(chunks, JSON_BATCH_CHUNKS)):
+        sys.stdout.write(batch)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,7 +145,7 @@ def _add_common(parser: argparse.ArgumentParser, multi_input: bool = False) -> N
     )
     parser.add_argument(
         "--candidates",
-        choices=["join", "join-unpruned", "combinations"],
+        choices=[strategy.replace("_", "-") for strategy in CANDIDATE_STRATEGIES],
         default="join",
         help="candidate generation strategy (default: join)",
     )
@@ -152,7 +162,7 @@ def _add_common(parser: argparse.ArgumentParser, multi_input: bool = False) -> N
 
 def _add_variant(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--variant", choices=["classic", "improved"], default="improved",
+        "--variant", choices=VARIANTS, default="improved",
         help="counting variant (default: improved)",
     )
 
@@ -213,46 +223,26 @@ def _load_many(args: argparse.Namespace) -> list[tuple[TransactionDb, str]]:
     return out
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-
-
-def _emit_chunks(chunks: Iterator[str]) -> None:
-    """Write `chunks` joined in batches of JSON_BATCH_CHUNKS."""
-    while batch := "".join(itertools.islice(chunks, JSON_BATCH_CHUNKS)):
-        sys.stdout.write(batch)
-
-
-def _emit_json(payload: dict) -> None:
-    """Write `payload` as indented, key-sorted JSON plus a newline, in batches."""
-    _emit_chunks(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
-    sys.stdout.write("\n")
-
-
-def _emit_report(fields: dict, streamed: dict[str, Iterator[str]]) -> None:
-    """Write one key-sorted, indent-2 JSON object plus a newline, in batches.
+def _report_json(fields: dict, streamed: dict[str, Iterator[str]]) -> Iterator[str]:
+    """Chunks of one key-sorted, indent-2 JSON object plus a newline.
 
     `fields` holds members encoded by `json`; each value of `streamed` yields
-    the rendered text of one top-level list member. The bytes equal
+    the rendered text of one top-level list member. The text equals
     `json.dumps(payload, indent=2, sort_keys=True) + "\n"` for the payload
     holding both, which `json` itself would encode in pure Python only, as
     its C encoder never runs when `indent` is set.
     """
-
-    def chunks() -> Iterator[str]:
-        opening = "{\n"
-        for key in sorted([*fields, *streamed]):
-            yield f"{opening}  {json.dumps(key)}: "
-            if key in streamed:
-                yield from streamed[key]
-            else:
-                # JSON strings hold no raw newline, so this re-indents the
-                # value by one level exactly as a nested encoding would.
-                yield json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  ")
-            opening = ",\n"
-        yield "\n}\n"
-
-    _emit_chunks(chunks())
+    opening = "{\n"
+    for key in sorted([*fields, *streamed]):
+        yield f"{opening}  {json.dumps(key)}: "
+        if key in streamed:
+            yield from streamed[key]
+        else:
+            # JSON strings hold no raw newline, so this re-indents the value
+            # by one level exactly as a nested encoding would.
+            yield json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        opening = ",\n"
+    yield "\n}\n"
 
 
 def _levels_json(result: MiningResult, json_tokens: Sequence[str]) -> Iterator[str]:
@@ -304,11 +294,18 @@ def _scan_summary(result: MiningResult) -> str:
     return ", ".join(parts)
 
 
-def _report_fields(result: MiningResult, db: TransactionDb, label: str, command: str) -> dict:
-    """The `mine`/`rules` machine members other than the streamed lists."""
-    return {
+def _machine_report(
+    result: MiningResult,
+    db: TransactionDb,
+    label: str,
+    found: list[rules.AssociationRule] | None = None,
+    min_confidence: float | None = None,
+) -> Iterator[str]:
+    """The `mine` machine report, or the `rules` one when `found` is given."""
+    json_tokens = [json.dumps(token) for token in db.tokens]
+    fields = {
         "schema_version": metrics.REPORT_SCHEMA_VERSION,
-        "command": command,
+        "command": "mine" if found is None else "rules",
         "dataset": label,
         "num_transactions": len(db),
         "num_items": db.num_items,
@@ -316,63 +313,56 @@ def _report_fields(result: MiningResult, db: TransactionDb, label: str, command:
         "min_support_count": result.min_support_count,
         "variant": result.variant,
         "candidate_strategy": result.candidate_strategy,
-        "per_level_scans": {str(k): v for k, v in result.ledger.per_level.items()},
-        "total_scans": result.ledger.total,
+        **metrics.ledger_payload(result.ledger),
         "total_frequent_itemsets": result.total_frequent,
     }
+    streamed = {"levels": _levels_json(result, json_tokens)}
+    if found is not None:
+        fields["min_confidence"] = min_confidence
+        streamed["rules"] = _rules_json(found, json_tokens)
+    return _report_json(fields, streamed)
 
 
-def _emit_mine_machine(result: MiningResult, db: TransactionDb, label: str) -> None:
-    json_tokens = [json.dumps(token) for token in db.tokens]
-    _emit_report(
-        _report_fields(result, db, label, "mine"),
-        {"levels": _levels_json(result, json_tokens)},
+def _mine_text(result: MiningResult, db: TransactionDb, label: str) -> Iterator[str]:
+    yield f"dataset: {label} ({len(db)} transactions, {db.num_items} items)\n"
+    yield (
+        f"min_support: {format_min_support(result.min_support)} "
+        f"(count {result.min_support_count})  variant: {result.variant}  "
+        f"candidates: {result.candidate_strategy}\n\n"
     )
+    token = db.tokens.__getitem__
+    for k in sorted(result.levels):
+        level = result.levels[k]
+        yield f"L{k}: {len(level)} itemsets\n"
+        for itemset, support in level.items():
+            yield f"  {', '.join(map(token, itemset))}  (support {support})\n"
+    if result.levels:
+        yield "\n"
+    yield f"{result.total_frequent} frequent itemsets\n"
+    yield f"transactions scanned: {_scan_summary(result)}\n"
 
 
-def _emit_rules_machine(
+def _rules_text(
     result: MiningResult,
     found: list[rules.AssociationRule],
     min_confidence: float,
     db: TransactionDb,
     label: str,
-) -> None:
-    json_tokens = [json.dumps(token) for token in db.tokens]
-    fields = _report_fields(result, db, label, "rules")
-    fields["min_confidence"] = min_confidence
-    _emit_report(
-        fields,
-        {
-            "levels": _levels_json(result, json_tokens),
-            "rules": _rules_json(found, json_tokens),
-        },
+) -> Iterator[str]:
+    yield f"dataset: {label} ({len(db)} transactions, {db.num_items} items)\n"
+    yield (
+        f"min_support: {format_min_support(result.min_support)} "
+        f"(count {result.min_support_count})  min_confidence: {min_confidence:g}\n"
     )
-
-
-def _mine_text(result: MiningResult, db: TransactionDb, label: str) -> str:
-    lines = [
-        f"dataset: {label} ({len(db)} transactions, {db.num_items} items)",
-        (
-            f"min_support: {format_min_support(result.min_support)} "
-            f"(count {result.min_support_count})  variant: {result.variant}  "
-            f"candidates: {result.candidate_strategy}"
-        ),
-        "",
-    ]
+    yield f"{len(found)} rules\n"
     token = db.tokens.__getitem__
-    for k in sorted(result.levels):
-        level = result.levels[k]
-        lines.append(f"L{k}: {len(level)} itemsets")
-        for itemset, support in level.items():
-            lines.append(f"  {', '.join(map(token, itemset))}  (support {support})")
-    if result.levels:
-        lines.append("")
-    lines.append(f"{result.total_frequent} frequent itemsets")
-    lines.append(f"transactions scanned: {_scan_summary(result)}")
-    return "".join(line + "\n" for line in lines)
+    for rule in found:
+        left = ", ".join(map(token, rule.antecedent))
+        right = ", ".join(map(token, rule.consequent))
+        yield f"{left} => {right} (support {rule.support}, confidence {rule.confidence:.2f})\n"
 
 
-def _cmd_mine(args: argparse.Namespace) -> int:
+def _mine(args: argparse.Namespace) -> tuple[TransactionDb, str, MiningResult]:
     db, label = _load_single(args)
     result = run_apriori(
         db,
@@ -380,42 +370,22 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         variant=args.variant,
         candidate_strategy=_strategy(args.candidates),
     )
+    return db, label, result
+
+
+def _cmd_mine(args: argparse.Namespace) -> Iterable[str]:
+    db, label, result = _mine(args)
     if args.format == "machine":
-        _emit_mine_machine(result, db, label)
-    else:
-        _emit(_mine_text(result, db, label))
-    return EXIT_OK
+        return _machine_report(result, db, label)
+    return _mine_text(result, db, label)
 
 
-def _rule_line(rule: rules.AssociationRule, tokens: Sequence[str]) -> str:
-    left = ", ".join(map(tokens.__getitem__, rule.antecedent))
-    right = ", ".join(map(tokens.__getitem__, rule.consequent))
-    return f"{left} => {right} (support {rule.support}, confidence {rule.confidence:.2f})"
-
-
-def _cmd_rules(args: argparse.Namespace) -> int:
-    db, label = _load_single(args)
-    result = run_apriori(
-        db,
-        _parse_min_support(args.min_support),
-        variant=args.variant,
-        candidate_strategy=_strategy(args.candidates),
-    )
+def _cmd_rules(args: argparse.Namespace) -> Iterable[str]:
+    db, label, result = _mine(args)
     found = rules.generate_rules(result, args.min_confidence)
     if args.format == "machine":
-        _emit_rules_machine(result, found, args.min_confidence, db, label)
-        return EXIT_OK
-    lines = [
-        f"dataset: {label} ({len(db)} transactions, {db.num_items} items)",
-        (
-            f"min_support: {format_min_support(result.min_support)} "
-            f"(count {result.min_support_count})  min_confidence: {args.min_confidence:g}"
-        ),
-        f"{len(found)} rules",
-    ]
-    lines.extend(_rule_line(rule, db.tokens) for rule in found)
-    _emit("".join(line + "\n" for line in lines))
-    return EXIT_OK
+        return _machine_report(result, db, label, found, args.min_confidence)
+    return _rules_text(result, found, args.min_confidence, db, label)
 
 
 def _compare_on(
@@ -439,7 +409,7 @@ def _compare_on(
     )
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> Iterable[str]:
     if args.reps < 0:
         raise ConfigurationError("--reps must be non-negative")
     db, label = _load_single(args)
@@ -450,11 +420,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         _strategy(args.candidates),
         args.reps,
     )
-    _emit(metrics.render_report(report, args.format))
-    return EXIT_OK
+    return [metrics.render_report(report, args.format)]
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> Iterable[str]:
     if args.reps < 1:
         raise ConfigurationError("--reps must be at least 1 for bench")
     sources = _load_many(args)
@@ -483,8 +452,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             "mean_reduction_rate_percent": mean_time,
             "mean_scan_reduction_percent": mean_scan,
         }
-        _emit_json(payload)
-        return EXIT_OK
+        return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
     width = max(len("dataset"), max(len(r.dataset) for r in reports)) + 2
     lines = [
         (
@@ -507,8 +475,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     lines.append(f"mean reduction rate: {format_percent(mean_time)}")
     if mean_scan is not None:
         lines.append(f"mean scan reduction rate: {format_percent(mean_scan)}")
-    _emit("".join(line + "\n" for line in lines))
-    return EXIT_OK
+    return (line + "\n" for line in lines)
 
 
 if __name__ == "__main__":

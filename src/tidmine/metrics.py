@@ -233,12 +233,19 @@ def report_payload(report: ComparisonReport) -> dict:
         "variants": [
             {
                 "variant": run.variant,
-                "per_level_scans": {str(k): v for k, v in run.ledger.per_level.items()},
-                "total_scans": run.ledger.total,
+                **ledger_payload(run.ledger),
                 "wall_seconds": run.wall_seconds,
             }
             for run in report.runs
         ],
         "reduction_rate_percent": report.reduction_rate_percent,
         "scan_reduction_percent": report.scan_reduction_percent,
+    }
+
+
+def ledger_payload(ledger: ScanLedger) -> dict:
+    """The machine form of a ledger: `per_level_scans` and `total_scans`."""
+    return {
+        "per_level_scans": {str(k): v for k, v in ledger.per_level.items()},
+        "total_scans": ledger.total,
     }

@@ -66,10 +66,6 @@ class L1Index:
         except KeyError:
             raise ContractViolationError(f"item {item} is not in the L1 index") from None
 
-    def entries(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        """Item id -> (support, tid list), ascending by item."""
-        return {item: (len(tids), tids) for item, tids in self._tids.items()}
-
     def __repr__(self) -> str:
         return f"L1Index({len(self._tids)} items)"
 

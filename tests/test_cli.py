@@ -14,19 +14,28 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_mine_golden_human(golden_path, capsys):
-    code, out, err = run_cli(
-        capsys,
-        "mine",
-        "--input", str(golden_path),
-        "--min-support", "3",
-        "--variant", "improved",
-        "--candidates", "combinations",
-    )
-    assert code == 0
-    assert "8 frequent itemsets" in out
-    assert "I1, I2  (support 4)" in out
-    assert "1-itemset 45, 2-itemset 25, 3-itemset 14, total 84" in out
+# The default batch, and one chunk (one line) per write.
+BATCH_SIZES = (cli.JSON_BATCH_CHUNKS, 1)
+
+
+def test_mine_golden_human(golden_path, capsys, monkeypatch):
+    outputs = []
+    for batch in BATCH_SIZES:
+        monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", batch)
+        code, out, err = run_cli(
+            capsys,
+            "mine",
+            "--input", str(golden_path),
+            "--min-support", "3",
+            "--variant", "improved",
+            "--candidates", "combinations",
+        )
+        assert code == 0
+        assert "8 frequent itemsets" in out
+        assert "I1, I2  (support 4)" in out
+        assert "1-itemset 45, 2-itemset 25, 3-itemset 14, total 84" in out
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_mine_golden_machine(golden_path, capsys):
@@ -124,17 +133,22 @@ def test_generate_source(capsys):
     assert payload["dataset"] == "generated(n=200,items=20,avg_len=5,seed=3)"
 
 
-def test_rules_golden(golden_path, capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "rules",
-        "--input", str(golden_path),
-        "--min-support", "3",
-        "--min-confidence", "0.6",
-    )
-    assert code == 0
-    assert "I4 => I2 (support 3, confidence 1.00)" in out
-    assert "5 rules" in out
+def test_rules_golden(golden_path, capsys, monkeypatch):
+    outputs = []
+    for batch in BATCH_SIZES:
+        monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", batch)
+        code, out, _ = run_cli(
+            capsys,
+            "rules",
+            "--input", str(golden_path),
+            "--min-support", "3",
+            "--min-confidence", "0.6",
+        )
+        assert code == 0
+        assert "I4 => I2 (support 3, confidence 1.00)" in out
+        assert "5 rules" in out
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_rules_machine(golden_path, capsys):
@@ -228,15 +242,6 @@ def test_machine_output_deterministic_across_runs(golden_path, capsys):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_emit_json_batches_match_one_shot_dump(capsys):
-    # More encoder chunks than one batch holds, so several writes happen.
-    payload = {"rows": [{"id": i, "name": f"r{i}", "tags": ["a", "b"]} for i in range(6000)]}
-    cli._emit_json(payload)
-    out = capsys.readouterr().out
-    assert sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload)) > cli.JSON_BATCH_CHUNKS
-    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def test_combinations_budget_exits_1(golden_path, capsys, monkeypatch):
     # The golden L1 holds 4 items, so level 2 alone has C(4, 2) = 6 candidates.
     monkeypatch.setattr(mining, "MAX_CANDIDATES", 5)
@@ -250,6 +255,21 @@ def test_combinations_budget_exits_1(golden_path, capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "C(4, 2) = 6" in err and "budget of 5" in err
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_failed_write_exits_1(golden_path, capsys, monkeypatch, fmt):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(
+        ["rules", "--input", str(golden_path), "--min-support", "3",
+         "--min-confidence", "0.6", "--format", fmt]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_bench_two_datasets(capsys):
@@ -314,20 +334,24 @@ def test_bench_ledgers_independent_of_reps(capsys):
     assert ledgers("1") == ledgers("3")
 
 
-def test_bench_human_table(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "bench",
-        "--generate", "60,12,4",
-        "--min-support", "0.2",
-        "--reps", "1",
-    )
-    assert code == 0
-    assert "mean reduction rate:" in out
-    header, row = out.splitlines()[2:4]
-    assert header.split() == ["dataset", "classic", "(s)", "improved", "(s)", "reduction", "(%)"]
-    assert header.endswith("classic (s)  improved (s)  reduction (%)")
-    assert len(row) == len(header)
+def test_bench_human_table(capsys, monkeypatch):
+    for batch in BATCH_SIZES:
+        monkeypatch.setattr(cli, "JSON_BATCH_CHUNKS", batch)
+        code, out, _ = run_cli(
+            capsys,
+            "bench",
+            "--generate", "60,12,4",
+            "--min-support", "0.2",
+            "--reps", "1",
+        )
+        assert code == 0
+        assert "mean reduction rate:" in out
+        header, row = out.splitlines()[2:4]
+        assert header.split() == [
+            "dataset", "classic", "(s)", "improved", "(s)", "reduction", "(%)"
+        ]
+        assert header.endswith("classic (s)  improved (s)  reduction (%)")
+        assert len(row) == len(header)
 
 
 def test_bench_untimeable_rates_are_null(golden_path, capsys, monkeypatch):

@@ -168,10 +168,10 @@ def _reference_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _captured(write, *args):
+def _captured(chunks):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        write(*args)
+        cli._write(chunks)
     return out.getvalue()
 
 
@@ -193,11 +193,11 @@ def _machine_reports(db, min_support, min_confidence, variant, label="corpus \"1
     result = run_apriori(db, min_support, variant=variant)
     found = generate_rules(result, min_confidence)
     mine = (
-        _captured(cli._emit_mine_machine, result, db, label),
+        _captured(cli._machine_report(result, db, label)),
         _reference_text(_reference_payload(result, db, label)),
     )
     rules = (
-        _captured(cli._emit_rules_machine, result, found, min_confidence, db, label),
+        _captured(cli._machine_report(result, db, label, found, min_confidence)),
         _reference_text(_reference_rules_payload(result, found, min_confidence, db, label)),
     )
     return mine, rules
