@@ -172,26 +172,24 @@ def generate_candidates_join(
     are dropped (no such subset could be frequent, so neither can the
     candidate).
     """
-    prev_list = sorted(set(map(tuple, prev)))
-    if not prev_list:
+    prev_set = set(map(tuple, prev))
+    if not prev_set:
         return CandidateSet(2, ())
-    size = len(prev_list[0])
-    if any(len(p) != size for p in prev_list):
+    size = len(next(iter(prev_set)))
+    if any(len(p) != size for p in prev_set):
         raise ContractViolationError("itemsets to join must all have the same size")
     if size < 1:
         raise ContractViolationError("cannot join empty itemsets")
-    prev_set = set(prev_list)
     out = []
-    for i, left in enumerate(prev_list):
-        for right in prev_list[i + 1 :]:
-            if left[:-1] != right[:-1]:
-                break  # sorted order: itemsets sharing the prefix are contiguous
-            cand = left + (right[-1],)
-            if prune and any(
-                sub not in prev_set for sub in itertools.combinations(cand, size)
+    for _, group in itertools.groupby(sorted(prev_set), key=lambda p: p[:-1]):
+        for left, right in itertools.combinations(group, 2):
+            cand = left + right[-1:]
+            # Dropping either of the last two items leaves a parent, in prev
+            # by construction; only the other size-1 subsets need a lookup.
+            if not prune or all(
+                cand[:i] + cand[i + 1 :] in prev_set for i in range(size - 1)
             ):
-                continue
-            out.append(cand)
+                out.append(cand)
     return CandidateSet(size + 1, tuple(out))
 
 
@@ -223,17 +221,6 @@ def min_support_item(candidate: Sequence[int], l1: L1Index) -> int:
     return min(cand, key=lambda item: (l1.support(item), item))
 
 
-def _candidate_list(candidates: CandidateSet | Iterable[Itemset]) -> tuple[Itemset, ...]:
-    if isinstance(candidates, CandidateSet):
-        return candidates.candidates
-    cands = tuple(map(tuple, candidates))
-    if cands:
-        size = len(cands[0])
-        if any(len(c) != size for c in cands):
-            raise ContractViolationError("candidates must all have the same size")
-    return cands
-
-
 def count_support_full(
     candidates: CandidateSet | Iterable[Itemset],
     db: TransactionDb,
@@ -245,7 +232,9 @@ def count_support_full(
     its item set, so the level gains len(candidates) * len(db) ledger
     examinations.
     """
-    cands = _candidate_list(candidates)
+    cands = tuple(map(tuple, candidates))
+    if any(len(c) != len(cands[0]) for c in cands):
+        raise ContractViolationError("candidates must all have the same size")
     txn_sets = db.transaction_sets
     counts = {cand: sum(map(frozenset(cand).issubset, txn_sets)) for cand in cands}
     if ledger is not None and cands:

@@ -1,4 +1,6 @@
 import io
+import os
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +30,13 @@ def golden_path(tmp_path):
     path = tmp_path / "baskets.txt"
     path.write_text(GOLDEN_TEXT, encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def src_env():
+    """This process's environment with the checkout's src/ first on
+    PYTHONPATH, so child interpreters import the code under test."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env

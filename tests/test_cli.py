@@ -472,7 +472,7 @@ def test_compare_min_support_sweep(capsys):
     assert totals["0.2"] >= totals["0.3"] >= totals["0.5"]
 
 
-def test_module_entry_point(golden_path):
+def test_module_entry_point(golden_path, src_env):
     proc = subprocess.run(
         [
             sys.executable, "-m", "tidmine",
@@ -483,12 +483,13 @@ def test_module_entry_point(golden_path):
         ],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 0
     assert "8 frequent itemsets" in proc.stdout
 
 
-def test_input_jobs_never_import_numpy(golden_path):
+def test_input_jobs_never_import_numpy(golden_path, src_env):
     # numpy is only for --generate; file jobs should not pay for importing it.
     script = (
         "import runpy, sys\n"
@@ -503,6 +504,7 @@ def test_input_jobs_never_import_numpy(golden_path):
         [sys.executable, "-c", script, str(golden_path)],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "8 frequent itemsets" in proc.stdout

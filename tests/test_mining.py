@@ -115,8 +115,9 @@ def test_join_from_singletons_gives_all_pairs():
 
 
 def test_join_rejects_mixed_sizes():
-    with pytest.raises(ContractViolationError):
-        generate_candidates_join([(0, 1), (2,)])
+    for prev in ([(0, 1), (2,)], [()]):
+        with pytest.raises(ContractViolationError):
+            generate_candidates_join(prev)
 
 
 def test_combinations_level3_golden(golden_db):

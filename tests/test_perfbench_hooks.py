@@ -6,7 +6,6 @@ their time unattributed without failing any other test.
 """
 
 import json
-import os
 import subprocess
 import sys
 from collections import Counter
@@ -15,13 +14,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _traced_job(tmp_path, *cli_args):
+def _traced_job(tmp_path, env, *cli_args):
     """Run one CLI job through the tracer; return the process and its spans."""
     spans_path = tmp_path / "spans.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
         [
             sys.executable, str(ROOT / "perfbench" / "traced_job.py"),
@@ -35,9 +30,10 @@ def _traced_job(tmp_path, *cli_args):
     return proc, json.loads(spans_path.read_text())
 
 
-def test_traced_compare_records_every_hooked_layer(golden_path, tmp_path):
+def test_traced_compare_records_every_hooked_layer(golden_path, tmp_path, src_env):
     proc, spans = _traced_job(
         tmp_path,
+        src_env,
         "compare",
         "--input", str(golden_path),
         "--min-support", "3",
@@ -55,9 +51,10 @@ def test_traced_compare_records_every_hooked_layer(golden_path, tmp_path):
     assert counted == {"classic", "improved"}
 
 
-def test_traced_rules_records_every_hooked_layer(golden_path, tmp_path):
+def test_traced_rules_records_every_hooked_layer(golden_path, tmp_path, src_env):
     proc, spans = _traced_job(
         tmp_path,
+        src_env,
         "rules",
         "--input", str(golden_path),
         "--min-support", "2",

@@ -23,6 +23,7 @@ from tidmine.mining import (
     compute_l1,
     count_support_full,
     count_support_restricted,
+    generate_candidates_join,
     run_apriori,
 )
 from tidmine.rules import generate_rules
@@ -89,6 +90,21 @@ def test_run_matches_oracle_and_ledger(rng, variant, strategy, data):
             # The min-support member's TID list is as long as its support.
             ledger[k] = sum(min(single[item] for item in cand) for cand in cands)
     assert result.ledger.per_level == ledger
+
+
+@PROPERTY_SETTINGS
+@given(size=st.integers(1, 7), prune=st.booleans(), data=st.data())
+def test_join_matches_definition(size, prune, data):
+    # Arbitrary levels, not downward-closed, passed shuffled and twice over.
+    pool = list(combinations(range(8), size))
+    prev = data.draw(st.lists(st.sampled_from(pool), min_size=1), label="prev")
+    shuffled = data.draw(st.permutations(prev * 2), label="shuffled")
+    got = generate_candidates_join(shuffled, prune=prune)
+    strategy = "join" if prune else "join_unpruned"
+    assert got.candidates == tuple(
+        _expected_candidates(strategy, {s: 1 for s in prev}, size + 1)
+    )
+    assert got.level == size + 1
 
 
 @PROPERTY_SETTINGS
