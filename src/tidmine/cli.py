@@ -16,13 +16,7 @@ from typing import Iterable, Iterator, Sequence
 from . import metrics, rules
 from .dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
 from .errors import ConfigurationError, IngestionError, ResourceLimitError
-from .metrics import (
-    ComparisonReport,
-    VariantRun,
-    format_min_support,
-    format_percent,
-    round_percent,
-)
+from .metrics import ComparisonReport, VariantRun, format_percent, format_threshold, json_report
 from .mining import CANDIDATE_STRATEGIES, VARIANTS, MiningResult, run_apriori
 
 EXIT_OK = 0
@@ -32,7 +26,7 @@ EXIT_USAGE = 2
 # Chunks joined per write, for every report: large enough that writes stay
 # few, small enough that a big report is never held as one string. A chunk is
 # one human-format line, one machine-format itemset or rule entry (about 200
-# bytes), or a whole small report such as `compare` or `bench`.
+# bytes), one top-level member of a `bench` report, or a whole `compare` report.
 JSON_BATCH_CHUNKS = 4_096
 
 # Item separators inside the `items` lists of `levels[].itemsets[]` entries
@@ -93,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rules_p.set_defaults(handler=_cmd_rules)
 
     compare = sub.add_parser(
-        "compare", help="run both counting variants on one dataset and compare"
+        "compare", help="run every counting variant on one dataset and compare"
     )
     _add_common(compare)
     compare.add_argument(
@@ -107,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(handler=_cmd_compare)
 
     bench = sub.add_parser(
-        "bench", help="time both variants across several datasets"
+        "bench", help="time every counting variant across several datasets"
     )
     _add_common(bench, multi_input=True)
     bench.add_argument(
@@ -223,28 +217,6 @@ def _load_many(args: argparse.Namespace) -> list[tuple[TransactionDb, str]]:
     return out
 
 
-def _report_json(fields: dict, streamed: dict[str, Iterator[str]]) -> Iterator[str]:
-    """Chunks of one key-sorted, indent-2 JSON object plus a newline.
-
-    `fields` holds members encoded by `json`; each value of `streamed` yields
-    the rendered text of one top-level list member. The text equals
-    `json.dumps(payload, indent=2, sort_keys=True) + "\n"` for the payload
-    holding both, which `json` itself would encode in pure Python only, as
-    its C encoder never runs when `indent` is set.
-    """
-    opening = "{\n"
-    for key in sorted([*fields, *streamed]):
-        yield f"{opening}  {json.dumps(key)}: "
-        if key in streamed:
-            yield from streamed[key]
-        else:
-            # JSON strings hold no raw newline, so this re-indents the value
-            # by one level exactly as a nested encoding would.
-            yield json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  ")
-        opening = ",\n"
-    yield "\n}\n"
-
-
 def _levels_json(result: MiningResult, json_tokens: Sequence[str]) -> Iterator[str]:
     """The `levels` member: one entry per level, holding `itemsets[]`."""
     if not result.levels:
@@ -288,12 +260,6 @@ def _rules_json(
     yield "\n  ]"
 
 
-def _scan_summary(result: MiningResult) -> str:
-    parts = [f"{k}-itemset {v}" for k, v in result.ledger.per_level.items()]
-    parts.append(f"total {result.ledger.total}")
-    return ", ".join(parts)
-
-
 def _machine_report(
     result: MiningResult,
     db: TransactionDb,
@@ -304,8 +270,6 @@ def _machine_report(
     """The `mine` machine report, or the `rules` one when `found` is given."""
     json_tokens = [json.dumps(token) for token in db.tokens]
     fields = {
-        "schema_version": metrics.REPORT_SCHEMA_VERSION,
-        "command": "mine" if found is None else "rules",
         "dataset": label,
         "num_transactions": len(db),
         "num_items": db.num_items,
@@ -316,20 +280,27 @@ def _machine_report(
         **metrics.ledger_payload(result.ledger),
         "total_frequent_itemsets": result.total_frequent,
     }
-    streamed = {"levels": _levels_json(result, json_tokens)}
-    if found is not None:
-        fields["min_confidence"] = min_confidence
-        streamed["rules"] = _rules_json(found, json_tokens)
-    return _report_json(fields, streamed)
+    levels = _levels_json(result, json_tokens)
+    if found is None:
+        return json_report("mine", fields, levels=levels)
+    fields["min_confidence"] = min_confidence
+    return json_report("rules", fields, levels=levels, rules=_rules_json(found, json_tokens))
+
+
+def _header(result: MiningResult, db: TransactionDb, label: str, settings: str) -> str:
+    """The `dataset:` and `min_support:` lines of a human report; `settings` ends the second."""
+    return (
+        f"dataset: {label} ({len(db)} transactions, {db.num_items} items)\n"
+        f"min_support: {format_threshold(result.min_support)} "
+        f"(count {result.min_support_count})  {settings}\n"
+    )
 
 
 def _mine_text(result: MiningResult, db: TransactionDb, label: str) -> Iterator[str]:
-    yield f"dataset: {label} ({len(db)} transactions, {db.num_items} items)\n"
-    yield (
-        f"min_support: {format_min_support(result.min_support)} "
-        f"(count {result.min_support_count})  variant: {result.variant}  "
-        f"candidates: {result.candidate_strategy}\n\n"
+    yield _header(
+        result, db, label, f"variant: {result.variant}  candidates: {result.candidate_strategy}"
     )
+    yield "\n"
     token = db.tokens.__getitem__
     for k in sorted(result.levels):
         level = result.levels[k]
@@ -339,7 +310,8 @@ def _mine_text(result: MiningResult, db: TransactionDb, label: str) -> Iterator[
     if result.levels:
         yield "\n"
     yield f"{result.total_frequent} frequent itemsets\n"
-    yield f"transactions scanned: {_scan_summary(result)}\n"
+    scans = "".join(f"{k}-itemset {v}, " for k, v in result.ledger.per_level.items())
+    yield f"transactions scanned: {scans}total {result.ledger.total}\n"
 
 
 def _rules_text(
@@ -349,11 +321,7 @@ def _rules_text(
     db: TransactionDb,
     label: str,
 ) -> Iterator[str]:
-    yield f"dataset: {label} ({len(db)} transactions, {db.num_items} items)\n"
-    yield (
-        f"min_support: {format_min_support(result.min_support)} "
-        f"(count {result.min_support_count})  min_confidence: {min_confidence:g}\n"
-    )
+    yield _header(result, db, label, f"min_confidence: {format_threshold(min_confidence)}")
     yield f"{len(found)} rules\n"
     token = db.tokens.__getitem__
     for rule in found:
@@ -442,21 +410,21 @@ def _cmd_bench(args: argparse.Namespace) -> Iterable[str]:
     mean_time = metrics.mean_rate(time_rates) if time_rates else None
     mean_scan = metrics.mean_rate(scan_rates) if scan_rates else None
     if args.format == "machine":
-        payload = {
-            "schema_version": metrics.REPORT_SCHEMA_VERSION,
-            "command": "bench",
-            "min_support": min_support,
-            "candidate_strategy": strategy,
-            "repetitions": args.reps,
-            "datasets": [metrics.report_payload(report) for report in reports],
-            "mean_reduction_rate_percent": mean_time,
-            "mean_scan_reduction_percent": mean_scan,
-        }
-        return [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
+        return json_report(
+            "bench",
+            {
+                "min_support": min_support,
+                "candidate_strategy": strategy,
+                "repetitions": args.reps,
+                "datasets": [metrics.report_payload(report) for report in reports],
+                "mean_reduction_rate_percent": mean_time,
+                "mean_scan_reduction_percent": mean_scan,
+            },
+        )
     width = max(len("dataset"), max(len(r.dataset) for r in reports)) + 2
     lines = [
         (
-            f"min_support: {format_min_support(min_support)}  candidates: {strategy}  "
+            f"min_support: {format_threshold(min_support)}  candidates: {strategy}  "
             f"reps: {args.reps}"
         ),
         "",
@@ -465,11 +433,11 @@ def _cmd_bench(args: argparse.Namespace) -> Iterable[str]:
         + f"{'reduction (%)':>15}",
     ]
     for report in reports:
-        rate = report.reduction_rate_percent
+        rate = format_percent(report.reduction_rate_percent).removesuffix("%")
         lines.append(
             f"{report.dataset:<{width}}"
             + "".join(f"{run.wall_seconds:>14.6f}" for run in report.runs)
-            + f"{'n/a' if rate is None else f'{round_percent(rate):.2f}':>15}"
+            + f"{rate:>15}"
         )
     lines.append("")
     lines.append(f"mean reduction rate: {format_percent(mean_time)}")

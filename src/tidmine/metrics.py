@@ -1,4 +1,4 @@
-"""Scan accounting, run timing, reduction-rate arithmetic, and report rendering.
+"""Scan accounting, run timing, reduction-rate arithmetic, and report writing.
 
 The scan ledger counts transaction examinations: for every candidate itemset,
 each transaction inspected while counting that candidate adds one examination
@@ -11,7 +11,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
 
@@ -161,8 +161,8 @@ class ComparisonReport:
         return sorted({k for run in self.runs for k in run.ledger.per_level})
 
 
-def format_min_support(value: int | float) -> str:
-    """Display form of a min_support: floats by repr, counts as integers."""
+def format_threshold(value: int | float) -> str:
+    """Display form of a threshold: floats by repr, counts as integers."""
     return repr(value) if isinstance(value, float) else str(value)
 
 
@@ -179,7 +179,7 @@ def render_report(report: ComparisonReport, format: str = "human") -> str:
     byte-stable for identical reports.
     """
     if format == "machine":
-        return _render_machine(report)
+        return "".join(json_report("compare", report_payload(report)))
     if format != "human":
         raise ConfigurationError(f"unknown report format: {format!r}")
     return _render_human(report)
@@ -189,7 +189,7 @@ def _render_human(report: ComparisonReport) -> str:
     lines = [
         f"comparison: {report.dataset}",
         (
-            f"min_support: {format_min_support(report.min_support)} "
+            f"min_support: {format_threshold(report.min_support)} "
             f"(count {report.min_support_count})  candidates: {report.candidate_strategy}"
         ),
         "",
@@ -212,15 +212,6 @@ def _render_human(report: ComparisonReport) -> str:
             f"time reduction rate: {format_percent(report.reduction_rate_percent)}"
         )
     return "".join(line + "\n" for line in lines)
-
-
-def _render_machine(report: ComparisonReport) -> str:
-    payload = {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "command": "compare",
-        **report_payload(report),
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def report_payload(report: ComparisonReport) -> dict:
@@ -249,3 +240,27 @@ def ledger_payload(ledger: ScanLedger) -> dict:
         "per_level_scans": {str(k): v for k, v in ledger.per_level.items()},
         "total_scans": ledger.total,
     }
+
+
+def json_report(command: str, fields: dict, **lists: Iterable[str]) -> Iterator[str]:
+    """Chunks of one machine report: a key-sorted, indent-2 JSON object plus a newline.
+
+    The report holds `schema_version`, the `command` tag, the members in
+    `fields`, encoded by `json`, and one top-level list member per keyword in
+    `lists`, each yielding that list's rendered text. The text equals
+    `json.dumps(payload, indent=2, sort_keys=True) + "\\n"` for the payload
+    holding them all, which `json` itself would encode in pure Python only, as
+    its C encoder never runs when `indent` is set.
+    """
+    fields = {"schema_version": REPORT_SCHEMA_VERSION, "command": command, **fields}
+    opening = "{\n"
+    for key in sorted([*fields, *lists]):
+        yield f"{opening}  {json.dumps(key)}: "
+        if key in lists:
+            yield from lists[key]
+        else:
+            # JSON strings hold no raw newline, so this re-indents the value
+            # by one level exactly as a nested encoding would.
+            yield json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        opening = ",\n"
+    yield "\n}\n"

@@ -151,6 +151,18 @@ def test_rules_golden(golden_path, capsys, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
+def test_rules_header_prints_exact_min_confidence(golden_path, capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "rules",
+        "--input", str(golden_path),
+        "--min-support", "3",
+        "--min-confidence", "0.66666666",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "min_support: 3 (count 3)  min_confidence: 0.66666666"
+
+
 def test_rules_machine(golden_path, capsys):
     code, out, _ = run_cli(
         capsys,
@@ -205,6 +217,7 @@ def test_compare_machine_untimed(golden_path, capsys):
         "--reps", "0",
     )
     assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     payload = json.loads(out)
     classic, improved = payload["variants"]
     assert classic["total_scans"] == 135
@@ -284,6 +297,7 @@ def test_bench_two_datasets(capsys):
         "--format", "machine",
     )
     assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     payload = json.loads(out)
     assert payload["command"] == "bench"
     assert len(payload["datasets"]) == 2
