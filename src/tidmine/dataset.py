@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, IngestionError, UnknownItemError
+from .lanes import LanePages
 
 DELIMITER_POLICIES = ("whitespace", "comma")
 
@@ -28,7 +29,7 @@ class TransactionDb:
     original token interned as item id `i`.
     """
 
-    __slots__ = ("transactions", "tokens", "_id_of", "_transaction_sets")
+    __slots__ = ("transactions", "tokens", "_id_of", "_lane_pages")
 
     def __init__(self, transactions: Iterable[Sequence[int]], tokens: Iterable[str]):
         self.tokens: tuple[str, ...] = tuple(tokens)
@@ -36,7 +37,7 @@ class TransactionDb:
             tuple(txn) for txn in transactions
         )
         self._id_of: dict[str, int] = {}
-        self._transaction_sets: tuple[frozenset[int], ...] | None = None
+        self._lane_pages: LanePages | None = None
         for item_id, token in enumerate(self.tokens):
             if token in self._id_of:
                 raise ConfigurationError(f"duplicate token in intern table: {token!r}")
@@ -61,13 +62,12 @@ class TransactionDb:
         return len(self.tokens)
 
     @property
-    def transaction_sets(self) -> tuple[frozenset[int], ...]:
-        """One frozenset of item ids per transaction, indexed like
-        `transactions`; built on first use and cached, since the database
-        never changes."""
-        if self._transaction_sets is None:
-            self._transaction_sets = tuple(map(frozenset, self.transactions))
-        return self._transaction_sets
+    def lane_pages(self) -> LanePages:
+        """Every transaction's subset-test lanes (see `tidmine.lanes`); built
+        on first use and cached, since the database never changes."""
+        if self._lane_pages is None:
+            self._lane_pages = LanePages(self.transactions, self.num_items)
+        return self._lane_pages
 
     def item_id(self, token: str) -> int:
         """Intern-table id of `token`."""

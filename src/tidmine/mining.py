@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dataset import TransactionDb
 from .errors import ConfigurationError, ContractViolationError, ResourceLimitError
+from .lanes import LaneBlock, LanePages
 from .metrics import ScanLedger
 
 Itemset = tuple[int, ...]
@@ -34,7 +35,7 @@ MAX_CANDIDATES = 1_000_000
 class L1Index:
     """Support count plus sorted transaction-id list for frequent single items."""
 
-    __slots__ = ("_tids",)
+    __slots__ = ("_tids", "_rank", "_pages", "_projections")
 
     def __init__(self, tids_by_item: Mapping[int, Sequence[int]]):
         self._tids: dict[int, tuple[int, ...]] = {}
@@ -45,6 +46,11 @@ class L1Index:
                     f"TID list for item {item} is not strictly increasing"
                 )
             self._tids[item] = tids
+        # Rank by (support, id), so the smallest rank is the min-support item.
+        by_support = sorted(self._tids, key=lambda item: (len(self._tids[item]), item))
+        self._rank = {item: rank for rank, item in enumerate(by_support)}
+        self._pages: LanePages | None = None
+        self._projections: dict[int, LaneBlock] = {}
 
     @property
     def items(self) -> tuple[int, ...]:
@@ -65,6 +71,18 @@ class L1Index:
             return self._tids[item]
         except KeyError:
             raise ContractViolationError(f"item {item} is not in the L1 index") from None
+
+    def projection(self, item: int, pages: LanePages) -> LaneBlock:
+        """The lanes of `item`'s transactions, gathered from `pages` once per
+        page and kept with this index. The first call with a `pages` (another
+        one starts afresh) prepares the pages of every item of the index."""
+        if pages is not self._pages:
+            self._pages, self._projections = pages, {}
+            pages.prepare(self._tids)
+        block = self._projections.get(item)
+        if block is None:
+            block = self._projections[item] = LaneBlock(pages, self.tids(item))
+        return block
 
     def __repr__(self) -> str:
         return f"L1Index({len(self._tids)} items)"
@@ -218,7 +236,10 @@ def min_support_item(candidate: Sequence[int], l1: L1Index) -> int:
     cand = tuple(candidate)
     if not cand:
         raise ContractViolationError("candidate must be non-empty")
-    return min(cand, key=lambda item: (l1.support(item), item))
+    try:
+        return min(cand, key=l1._rank.__getitem__)
+    except KeyError as exc:
+        raise ContractViolationError(f"item {exc.args[0]} is not in the L1 index") from None
 
 
 def count_support_full(
@@ -228,15 +249,17 @@ def count_support_full(
 ) -> dict[Itemset, int]:
     """Support of every candidate by scanning the whole database.
 
-    Every candidate examines every transaction with one subset test against
-    its item set, so the level gains len(candidates) * len(db) ledger
+    Every candidate examines every transaction with one subset test, in the
+    transaction's lane, so the level gains len(candidates) * len(db) ledger
     examinations.
     """
     cands = tuple(map(tuple, candidates))
     if any(len(c) != len(cands[0]) for c in cands):
         raise ContractViolationError("candidates must all have the same size")
-    txn_sets = db.transaction_sets
-    counts = {cand: sum(map(frozenset(cand).issubset, txn_sets)) for cand in cands}
+    pages = db.lane_pages
+    pages.prepare({item for cand in cands for item in cand})
+    count = pages.full.count
+    counts = {cand: count(cand) for cand in cands}
     if ledger is not None and cands:
         ledger.add(len(cands[0]), len(cands) * len(db))
     return counts
@@ -253,15 +276,13 @@ def count_support_restricted(
     A transaction containing the whole candidate necessarily contains that
     member, so it appears in the member's TID list and the restricted count
     equals the full-database support. Each TID in the restricted list gets
-    one subset test and one ledger examination.
+    one subset test, in its transaction's lane, and one ledger examination.
     """
     cand = tuple(candidate)
-    tids = l1.tids(min_support_item(cand, l1))
-    txn_sets = db.transaction_sets
-    count = sum(map(frozenset(cand).issubset, map(txn_sets.__getitem__, tids)))
+    block = l1.projection(min_support_item(cand, l1), db.lane_pages)
     if ledger is not None:
-        ledger.add(len(cand), len(tids))
-    return count
+        ledger.add(len(cand), block.size)
+    return block.count(cand)
 
 
 def resolve_min_support(min_support: int | float, num_transactions: int) -> int:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracle import random_db
+from tidmine import dataset
 from tidmine.dataset import (
     GeneratorConfig,
     TransactionDb,
@@ -11,6 +12,8 @@ from tidmine.dataset import (
     load_transactions,
 )
 from tidmine.errors import ConfigurationError, IngestionError, UnknownItemError
+from tidmine.lanes import LanePages
+from tidmine.mining import VARIANTS, run_apriori
 
 
 def test_golden_file_loads_nine_transactions_five_items(golden_db):
@@ -105,10 +108,46 @@ def test_items_strictly_increasing(golden_db):
         assert all(a < b for a, b in zip(txn, txn[1:]))
 
 
-def test_transaction_sets_match_transactions_and_are_cached(golden_db):
-    sets = golden_db.transaction_sets
-    assert sets == tuple(frozenset(txn) for txn in golden_db.transactions)
-    assert golden_db.transaction_sets is sets
+def test_lane_pages_are_cached_and_decode_to_transactions(monkeypatch):
+    # 140 interned items over three pages of 63; the last five are in no
+    # transaction, so they rank last and every lane marks them as missing.
+    rng = random.Random(5)
+    txns = [tuple(sorted(rng.sample(range(135), rng.randint(1, 70)))) for _ in range(40)]
+    db = TransactionDb(txns, [f"T{i}" for i in range(140)])
+    built, built_pages = [], []
+
+    def counting_pages(*args):
+        built.append(args)
+        return LanePages(*args)
+
+    build = LanePages._build
+
+    def counting_build(self, pages):
+        built_pages.extend(pages)
+        build(self, pages)
+
+    monkeypatch.setattr(dataset, "LanePages", counting_pages)
+    monkeypatch.setattr(LanePages, "_build", counting_build)
+    for variant in (*VARIANTS, *VARIANTS):
+        run_apriori(db, 8, variant=variant)
+    pages = db.lane_pages
+    assert db.lane_pages is pages
+    assert len(built) == 1
+
+    support = [sum(item in txn for txn in txns) for item in range(140)]
+    by_rank = sorted(range(140), key=lambda item: (-support[item], item))
+    assert pages.pages == 3
+    held = [set() for _ in txns]
+    for page in range(pages.pages):
+        assert pages.words(page) is pages.words(page)
+        for tid, lane in enumerate(pages.words(page)):
+            assert not lane >> 63  # guard bit
+            for bit in range(63):
+                rank = 63 * page + bit
+                if not lane >> bit & 1:
+                    held[tid].add(by_rank[rank])  # raises past the last item
+    assert held == [set(txn) for txn in txns]
+    assert sorted(built_pages) == [0, 1, 2]  # each page once, then reused
 
 
 def test_constructor_rejects_bad_transactions():

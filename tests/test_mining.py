@@ -6,8 +6,9 @@ import pytest
 
 from oracle import bruteforce_frequent, bruteforce_support, iset, random_db, tids
 from tidmine import mining
-from tidmine.dataset import load_transactions
+from tidmine.dataset import TransactionDb, load_transactions
 from tidmine.errors import ConfigurationError, ContractViolationError, ResourceLimitError
+from tidmine.lanes import LanePages
 from tidmine.metrics import ScanLedger
 from tidmine.mining import (
     CandidateSet,
@@ -292,6 +293,64 @@ def test_restricted_equals_full_randomized():
             full = count_support_full([cand], db)[cand]
             assert count_support_restricted(cand, db, l1) == full
             assert full == bruteforce_support(db, cand)
+
+
+def test_lane_caches_stay_with_their_database():
+    # Each database and index keeps its own lanes: counting alternates
+    # between two live databases, then runs on fresh ones built after the
+    # old ones are dropped, which may reuse their id() values.
+    rng = random.Random(11)
+
+    def check(db, l1):
+        for _ in range(10):
+            cand = tuple(sorted(rng.sample(l1.items, rng.randint(1, min(3, len(l1))))))
+            want = bruteforce_support(db, cand)
+            assert count_support_full([cand], db) == {cand: want}
+            assert count_support_restricted(cand, db, l1) == want
+
+    live = [random_db(rng) for _ in range(2)]
+    indexes = [compute_l1(db, 1) for db in live]
+    for db, l1 in [*zip(live, indexes), *zip(live, indexes)]:
+        check(db, l1)
+    del live, indexes, db, l1
+    for _ in range(5):
+        db = random_db(rng)
+        l1 = compute_l1(db, 1)
+        check(db, l1)
+        del db, l1
+
+    # One index shared by two databases gathers each one's own lanes.
+    shared = L1Index({0: (0, 1, 2), 1: (0, 1, 2)})
+    for rows, want in (([(0, 1), (0,), (0, 1)], 2), ([(0,), (0, 1), (0,)], 1)):
+        db = TransactionDb(rows, ["A", "B"])
+        assert count_support_restricted((0, 1), db, shared) == want
+
+
+def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
+    # 70 common items and 330 that each occur once: seven lane pages, but
+    # every candidate holds frequent items only, which rank first.
+    rng = random.Random(3)
+    rare = iter(range(70, 400))
+    rows = [rng.sample(range(70), 6) for _ in range(330)]
+    for row in rows:
+        row.append(next(rare))
+    db = TransactionDb([sorted(row) for row in rows], [f"R{i}" for i in range(400)])
+    built = []
+    build = LanePages._build
+
+    def counting_build(self, pages):
+        built.append(pages)
+        build(self, pages)
+
+    monkeypatch.setattr(LanePages, "_build", counting_build)
+
+    assert count_support_full([], db) == {}
+    assert built == []
+    for variant in mining.VARIANTS:
+        result = mining.run_apriori(db, 10, variant=variant)
+        assert 63 < len(result.levels[1]) <= 70 and result.ledger.per_level[2]
+    assert db.lane_pages.pages == 7
+    assert built == [[0, 1]]  # in one pass, then reused
 
 
 def test_restricted_over_any_member_matches_full(golden_db):

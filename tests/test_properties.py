@@ -7,6 +7,7 @@ a failing corpus shrinks toward a small one.
 import contextlib
 import io
 import json
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -117,6 +118,44 @@ def test_counting_kernels_match_bruteforce(rng):
         want = bruteforce_support(db, cand)
         assert count_support_full([cand], db) == {cand: want}
         assert count_support_restricted(cand, db, l1) == want
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32),
+    num_items=st.sampled_from((63, 126, 189)) | st.integers(64, 200),
+    unused=st.integers(0, 3),
+)
+def test_counting_kernels_across_lane_pages(seed, num_items, unused):
+    # Up to four lane pages of 63 items, ranked by descending support with
+    # ties toward the smaller id; `unused` interned ids are in no transaction.
+    # Sizes that fill their last page exactly are drawn often.
+    # A seeded Random draws the thousands of values a corpus this wide needs
+    # much faster than a Hypothesis-driven one.
+    rng = random.Random(seed)
+    density = rng.uniform(0.3, 0.95)
+    txns = []
+    for _ in range(rng.randint(1, 40)):
+        txn = tuple(item for item in range(num_items) if rng.random() < density)
+        txns.append(txn or (rng.randrange(num_items),))
+    db = TransactionDb(txns, [f"X{i}" for i in range(num_items + unused)])
+    l1 = compute_l1(db, 1)
+    support = {item: bruteforce_support(db, (item,)) for item in range(db.num_items)}
+    by_rank = sorted(support, key=lambda item: (-support[item], item))
+    pages = [by_rank[start : start + 63] for start in range(0, len(by_rank), 63)]
+    cands = [tuple(sorted(by_rank[62:65]))]
+    for _ in range(10):
+        chosen = set()
+        for page in rng.sample(pages, rng.randint(1, len(pages))):
+            chosen.update(rng.sample(page, rng.randint(1, min(2, len(page)))))
+        cands.append(tuple(sorted(chosen)))
+    for cand in cands:
+        want = bruteforce_support(db, cand)
+        assert count_support_full([cand], db) == {cand: want}
+        if all(item in l1 for item in cand):
+            assert count_support_restricted(cand, db, l1) == want
+    for item in range(num_items, db.num_items + 2):
+        assert count_support_full([(item,)], db) == {(item,): 0}
 
 
 @PROPERTY_SETTINGS
