@@ -1,11 +1,12 @@
 """Bit-parallel subset tests: one 64-bit lane per examined transaction.
 
-Items are ranked by descending support over the whole database, ties broken
-toward the smaller id, and cut into pages of LANE_ITEMS ranks, so the frequent
-items at any support threshold fill the first pages. On a page, a
-transaction's lane holds the complement of its items there: bit r % LANE_ITEMS
-is set when the transaction lacks the item ranked r. Bit 63 of every lane, the
-guard, is always clear.
+An item gets a lane slot when it is first counted: `LanePages.prepare` gives
+each item it has not laid out yet the next slot, in the order asked, on new
+pages of LANE_ITEMS items. `run_apriori` lays out its frequent items by
+descending support before it counts, so the items a candidate holds share few
+pages. On a page, a transaction's lane holds the complement of its items
+there: bit b is set when the transaction lacks the item in slot b. Bit 63 of
+every lane, the guard, is always clear.
 
 A block packs the lanes of a sequence of transactions into one int per page,
 lane i in bits 64*i to 64*i + 63. To test a candidate, its bits on a page are
@@ -29,70 +30,48 @@ LANE_LOW = (1 << LANE_ITEMS) - 1
 class LanePages:
     """The lanes of every transaction of one database, one word array per page.
 
-    `words(p)` is page p's lanes, one native-order word per transaction
-    (`words(p)[tid]`), built from the transactions on first use and kept.
-    The counting kernels `prepare` the pages of the items they are about to
-    count, so the pages in use are built together, in one pass. Candidates
-    hold frequent items, which rank first, so the pages of infrequent items
-    are never built, and memory grows with the frequent items rather than
-    with every distinct item of the database.
+    Page p's lanes are `_words[p]`, one native-order word per transaction.
+    Only the items counted are laid out, so the slot table and lane memory
+    follow the counted items rather than every distinct item of the database.
     """
 
-    __slots__ = ("size", "full", "_transactions", "_order", "_slot", "_words")
+    __slots__ = ("size", "full", "_transactions", "_num_items", "_slot", "_words")
 
     def __init__(self, transactions: Sequence[Sequence[int]], num_items: int):
-        support = [0] * num_items
-        for txn in transactions:
-            for item in txn:
-                support[item] += 1
-        self._order = sorted(range(num_items), key=lambda item: (-support[item], item))
-        bits = [1 << bit for bit in range(LANE_ITEMS)]
-        self._slot: dict[int, tuple[int, int]] = {
-            item: (rank // LANE_ITEMS, bits[rank % LANE_ITEMS])
-            for rank, item in enumerate(self._order)
-        }
         self._transactions = transactions
-        self._words: list[array | None] = [None] * -(-num_items // LANE_ITEMS)
+        self._num_items = num_items
+        self._slot: dict[int, tuple[int, int]] = {}
+        self._words: list[array] = []
         self.size = len(transactions)
         self.full = LaneBlock(self, None)
 
-    @property
-    def pages(self) -> int:
-        return len(self._words)
-
-    def words(self, page: int) -> array:
-        """Page `page`'s lanes, built on first use unless `prepare` built it."""
-        if self._words[page] is None:
-            self._build([page])
-        return self._words[page]
-
     def prepare(self, items: Iterable[int]) -> None:
-        """Build every page that holds one of `items` and is not built yet,
-        all in one pass over the transactions."""
-        slot = self._slot
-        pages = {slot[item][0] for item in items if item in slot}
-        missing = sorted(page for page in pages if self._words[page] is None)
-        if missing:
-            self._build(missing)
+        """Give each of `items` not laid out yet the next slot, in order, on
+        new pages, and build those pages in one pass over the transactions.
+        An id that no transaction holds (or outside the database) counts 0."""
+        new = [item for item in items if item not in self._slot]
+        if new:
+            self._build(new)
 
-    def _build(self, pages: list[int]) -> None:
-        # The pages side by side in one int per transaction, the i-th in bits
-        # 64*i to 64*i + 63, written out as little-endian words.
-        wide = [0] * len(self._order)
-        for i, page in enumerate(pages):
-            start = page * LANE_ITEMS
-            for bit, item in enumerate(self._order[start : start + LANE_ITEMS]):
-                wide[item] = 1 << (64 * i + bit)
-        fill = sum(LANE_LOW << 64 * i for i in range(len(pages)))
-        width = 8 * len(pages)
+    def _build(self, items: list[int]) -> None:
+        # The new pages side by side in one int per transaction, the i-th in
+        # bits 64*i to 64*i + 63, written out as little-endian words.
+        first, count = len(self._words), -(-len(items) // LANE_ITEMS)
+        wide = [0] * self._num_items
+        for i, item in enumerate(items):
+            page, bit = divmod(i, LANE_ITEMS)
+            self._slot[item] = (first + page, 1 << bit)
+            if 0 <= item < self._num_items:
+                wide[item] = 1 << (64 * page + bit)
+        fill = sum(LANE_LOW << 64 * i for i in range(count))
+        width = 8 * count
         rows = array("Q")
         append = rows.frombytes
         for txn in self._transactions:
             append((fill ^ sum(map(wide.__getitem__, txn))).to_bytes(width, "little"))
         if sys.byteorder == "big":
             rows.byteswap()
-        for i, page in enumerate(pages):
-            self._words[page] = rows[i :: len(pages)]
+        self._words.extend(rows[i::count] for i in range(count))
 
 
 class LaneBlock:
@@ -111,7 +90,7 @@ class LaneBlock:
         self._guards = self._ones << LANE_ITEMS
 
     def _page(self, page: int) -> int:
-        words = self._source.words(page)
+        words = self._source._words[page]
         if self._tids is not None:
             words = array("Q", map(words.__getitem__, self._tids))
         lanes = self._pages[page] = int.from_bytes(words, sys.byteorder)
@@ -119,14 +98,11 @@ class LaneBlock:
 
     def count(self, itemset: Iterable[int]) -> int:
         """How many of the block's transactions hold every item of `itemset`;
-        0 when an item is not an id of the database."""
+        every item must be laid out (`LanePages.prepare`)."""
         slot = self._source._slot
         masks: dict[int, int] = {}
         for item in itemset:
-            where = slot.get(item)
-            if where is None:
-                return 0
-            page, bit = where
+            page, bit = slot[item]
             masks[page] = masks.get(page, 0) | bit
         passed = guards = self._guards
         ones, packed = self._ones, self._pages

@@ -45,8 +45,11 @@ class L1Index:
                 raise ContractViolationError(
                     f"TID list for item {item} is not strictly increasing"
                 )
+            if tids and tids[0] < 0:
+                raise ContractViolationError(f"TID list for item {item} has a negative TID")
             self._tids[item] = tids
-        # Rank by (support, id), so the smallest rank is the min-support item.
+        # Rank by (support, id), so the smallest rank is the min-support item;
+        # `lay_out` reads the ranking backwards.
         by_support = sorted(self._tids, key=lambda item: (len(self._tids[item]), item))
         self._rank = {item: rank for rank, item in enumerate(by_support)}
         self._pages: LanePages | None = None
@@ -72,16 +75,25 @@ class L1Index:
         except KeyError:
             raise ContractViolationError(f"item {item} is not in the L1 index") from None
 
+    def lay_out(self, pages: LanePages) -> None:
+        """Give the indexed items lane slots in `pages`, by descending support."""
+        pages.prepare(reversed(self._rank))
+
     def projection(self, item: int, pages: LanePages) -> LaneBlock:
         """The lanes of `item`'s transactions, gathered from `pages` once per
         page and kept with this index. The first call with a `pages` (another
-        one starts afresh) prepares the pages of every item of the index."""
+        one starts afresh) lays out every item of the index."""
         if pages is not self._pages:
             self._pages, self._projections = pages, {}
-            pages.prepare(self._tids)
+            self.lay_out(pages)
         block = self._projections.get(item)
         if block is None:
-            block = self._projections[item] = LaneBlock(pages, self.tids(item))
+            tids = self.tids(item)
+            if tids and tids[-1] >= pages.size:
+                raise ContractViolationError(
+                    f"TID {tids[-1]} of item {item} is past the last transaction"
+                )
+            block = self._projections[item] = LaneBlock(pages, tids)
         return block
 
     def __repr__(self) -> str:
@@ -338,6 +350,8 @@ def run_apriori(
     levels: dict[int, dict[Itemset, int]] = {}
     if len(l1):
         levels[1] = {(item,): l1.support(item) for item in l1.items}
+    if len(l1) > 1:  # only then is a level-2 candidate counted
+        l1.lay_out(db.lane_pages)
     k = 2
     while levels.get(k - 1):
         if candidate_strategy == "combinations":

@@ -109,12 +109,12 @@ def test_items_strictly_increasing(golden_db):
 
 
 def test_lane_pages_are_cached_and_decode_to_transactions(monkeypatch):
-    # 140 interned items over three pages of 63; the last five are in no
-    # transaction, so they rank last and every lane marks them as missing.
+    # 140 interned items, the last five in no transaction. Two runs of each
+    # variant share one LanePages, which lays out the items counted once.
     rng = random.Random(5)
     txns = [tuple(sorted(rng.sample(range(135), rng.randint(1, 70)))) for _ in range(40)]
     db = TransactionDb(txns, [f"T{i}" for i in range(140)])
-    built, built_pages = [], []
+    built, builds = [], []
 
     def counting_pages(*args):
         built.append(args)
@@ -122,9 +122,9 @@ def test_lane_pages_are_cached_and_decode_to_transactions(monkeypatch):
 
     build = LanePages._build
 
-    def counting_build(self, pages):
-        built_pages.extend(pages)
-        build(self, pages)
+    def counting_build(self, items):
+        builds.append(list(items))
+        build(self, items)
 
     monkeypatch.setattr(dataset, "LanePages", counting_pages)
     monkeypatch.setattr(LanePages, "_build", counting_build)
@@ -133,21 +133,17 @@ def test_lane_pages_are_cached_and_decode_to_transactions(monkeypatch):
     pages = db.lane_pages
     assert db.lane_pages is pages
     assert len(built) == 1
+    assert len(builds) == 1  # laid out once, then reused
 
-    support = [sum(item in txn for txn in txns) for item in range(140)]
-    by_rank = sorted(range(140), key=lambda item: (-support[item], item))
-    assert pages.pages == 3
+    laid_out = pages._slot
+    assert len(pages._words) == -(-len(laid_out) // 63) >= 2
     held = [set() for _ in txns]
-    for page in range(pages.pages):
-        assert pages.words(page) is pages.words(page)
-        for tid, lane in enumerate(pages.words(page)):
-            assert not lane >> 63  # guard bit
-            for bit in range(63):
-                rank = 63 * page + bit
-                if not lane >> bit & 1:
-                    held[tid].add(by_rank[rank])  # raises past the last item
-    assert held == [set(txn) for txn in txns]
-    assert sorted(built_pages) == [0, 1, 2]  # each page once, then reused
+    for item, (page, bit) in laid_out.items():
+        for tid, lane in enumerate(pages._words[page]):
+            if not lane & bit:
+                held[tid].add(item)
+    assert held == [set(txn) & set(laid_out) for txn in txns]
+    assert not any(lane >> 63 for words in pages._words for lane in words)  # guard
 
 
 def test_constructor_rejects_bad_transactions():

@@ -213,6 +213,21 @@ def test_min_item_tie_breaks_to_smaller_id():
     assert min_support_item((5, 3), l1) == 3
 
 
+def test_l1_index_rejects_negative_tids():
+    with pytest.raises(ContractViolationError):
+        L1Index({0: (-1, 0), 1: (-1, 0, 1, 2)})
+
+
+def test_projection_rejects_tids_past_the_database():
+    db = TransactionDb([(0,), (0, 1), (1,)], ["A", "B"])
+    l1 = L1Index({0: (0, 1), 1: (1, 2, 3)})
+    with pytest.raises(ContractViolationError):
+        l1.projection(1, db.lane_pages)
+    assert count_support_restricted((0, 1), db, l1) == 1  # item 0's list fits
+    with pytest.raises(ContractViolationError):
+        count_support_restricted((1,), db, l1)
+
+
 def test_min_item_missing_from_l1(golden_db):
     l1 = compute_l1(golden_db, 3)
     with pytest.raises(ContractViolationError):
@@ -327,8 +342,8 @@ def test_lane_caches_stay_with_their_database():
 
 
 def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
-    # 70 common items and 330 that each occur once: seven lane pages, but
-    # every candidate holds frequent items only, which rank first.
+    # 70 common items and 330 that each occur once: every candidate holds
+    # frequent items only, so only those are laid out, by descending support.
     rng = random.Random(3)
     rare = iter(range(70, 400))
     rows = [rng.sample(range(70), 6) for _ in range(330)]
@@ -338,9 +353,9 @@ def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
     built = []
     build = LanePages._build
 
-    def counting_build(self, pages):
-        built.append(pages)
-        build(self, pages)
+    def counting_build(self, items):
+        built.append(list(items))
+        build(self, items)
 
     monkeypatch.setattr(LanePages, "_build", counting_build)
 
@@ -349,8 +364,13 @@ def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
     for variant in mining.VARIANTS:
         result = mining.run_apriori(db, 10, variant=variant)
         assert 63 < len(result.levels[1]) <= 70 and result.ledger.per_level[2]
-    assert db.lane_pages.pages == 7
-    assert built == [[0, 1]]  # in one pass, then reused
+    slot = db.lane_pages._slot
+    support = {item: n for (item,), n in result.levels[1].items()}
+    assert set(slot) == set(support)
+    assert [support[item] for item in slot] == sorted(support.values(), reverse=True)
+    assert [page for page, _ in slot.values()] == [0] * 63 + [1] * (len(slot) - 63)
+    assert len(db.lane_pages._words) == 2
+    assert built == [list(slot)]  # in one pass, then reused
 
 
 def test_restricted_over_any_member_matches_full(golden_db):

@@ -127,8 +127,8 @@ def test_counting_kernels_match_bruteforce(rng):
     unused=st.integers(0, 3),
 )
 def test_counting_kernels_across_lane_pages(seed, num_items, unused):
-    # Up to four lane pages of 63 items, ranked by descending support with
-    # ties toward the smaller id; `unused` interned ids are in no transaction.
+    # Up to four lane pages of 63 items, laid out in a shuffled order before
+    # anything is counted; `unused` interned ids are in no transaction.
     # Sizes that fill their last page exactly are drawn often.
     # A seeded Random draws the thousands of values a corpus this wide needs
     # much faster than a Hypothesis-driven one.
@@ -140,10 +140,11 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         txns.append(txn or (rng.randrange(num_items),))
     db = TransactionDb(txns, [f"X{i}" for i in range(num_items + unused)])
     l1 = compute_l1(db, 1)
-    support = {item: bruteforce_support(db, (item,)) for item in range(db.num_items)}
-    by_rank = sorted(support, key=lambda item: (-support[item], item))
-    pages = [by_rank[start : start + 63] for start in range(0, len(by_rank), 63)]
-    cands = [tuple(sorted(by_rank[62:65]))]
+    order = list(range(db.num_items))
+    rng.shuffle(order)
+    db.lane_pages.prepare(order)
+    pages = [order[start : start + 63] for start in range(0, len(order), 63)]
+    cands = [tuple(sorted(order[62:65]))]
     for _ in range(10):
         chosen = set()
         for page in rng.sample(pages, rng.randint(1, len(pages))):
@@ -154,7 +155,7 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         assert count_support_full([cand], db) == {cand: want}
         if all(item in l1 for item in cand):
             assert count_support_restricted(cand, db, l1) == want
-    for item in range(num_items, db.num_items + 2):
+    for item in (-1, *range(num_items, db.num_items + 2)):
         assert count_support_full([(item,)], db) == {(item,): 0}
 
 
