@@ -36,7 +36,7 @@ _RULE_ITEM_SEP = ",\n        "
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _make_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message
@@ -61,7 +61,7 @@ def _write(chunks: Iterable[str]) -> None:
         sys.stdout.write(batch)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tidmine",
         description="Frequent-itemset and association-rule mining with "
@@ -101,9 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(handler=_cmd_compare)
 
     bench = sub.add_parser(
-        "bench", help="time every counting variant across several datasets"
+        "bench",
+        help="time every counting variant across several datasets",
+        description="Time every counting variant on each dataset: repeat --input "
+        "or --generate, one kind only.",
     )
-    _add_common(bench, multi_input=True)
+    _add_common(bench)
     bench.add_argument(
         "--reps",
         type=int,
@@ -115,21 +118,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_common(parser: argparse.ArgumentParser, multi_input: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("input (exactly one source kind)")
-    extra = {"action": "append"} if multi_input else {}
     group.add_argument(
         "--input",
+        action="append",
         metavar="PATH",
-        help="transaction file, one transaction per line" + (" (repeatable)" if multi_input else ""),
-        **extra,
+        help="transaction file, one transaction per line",
     )
     group.add_argument(
         "--generate",
+        action="append",
         metavar="N,ITEMS,AVGLEN",
-        help="synthetic dataset: transactions, universe size, mean length"
-        + (" (repeatable)" if multi_input else ""),
-        **extra,
+        help="synthetic dataset: transactions, universe size, mean length",
     )
     parser.add_argument(
         "--min-support",
@@ -194,27 +195,20 @@ def _generate_label(config: GeneratorConfig) -> str:
     )
 
 
-def _load_single(args: argparse.Namespace) -> tuple[TransactionDb, str]:
-    if (args.input is None) == (args.generate is None):
+def _load(args: argparse.Namespace, several: bool = False) -> list[tuple[TransactionDb, str]]:
+    """Every `--input` file or `--generate` config, with its label: exactly one
+    source, or with `several` any number of one kind."""
+    if several:
+        if (args.input is None) == (args.generate is None):
+            raise ConfigurationError(
+                "exactly one source kind is required: --input files or --generate configs"
+            )
+    elif len(args.input or ()) + len(args.generate or ()) != 1:
         raise ConfigurationError("exactly one of --input or --generate is required")
     if args.input is not None:
-        return load_transactions(args.input, args.delimiter), args.input
-    config = _parse_generate(args.generate, args.seed)
-    return generate_synthetic(config), _generate_label(config)
-
-
-def _load_many(args: argparse.Namespace) -> list[tuple[TransactionDb, str]]:
-    if (args.input is None) == (args.generate is None):
-        raise ConfigurationError(
-            "exactly one source kind is required: --input files or --generate configs"
-        )
-    if args.input is not None:
         return [(load_transactions(path, args.delimiter), path) for path in args.input]
-    out = []
-    for value in args.generate:
-        config = _parse_generate(value, args.seed)
-        out.append((generate_synthetic(config), _generate_label(config)))
-    return out
+    configs = [_parse_generate(value, args.seed) for value in args.generate]
+    return [(generate_synthetic(config), _generate_label(config)) for config in configs]
 
 
 def _levels_json(result: MiningResult, json_tokens: Sequence[str]) -> Iterator[str]:
@@ -331,7 +325,7 @@ def _rules_text(
 
 
 def _mine(args: argparse.Namespace) -> tuple[TransactionDb, str, MiningResult]:
-    db, label = _load_single(args)
+    [(db, label)] = _load(args)
     result = run_apriori(
         db,
         _parse_min_support(args.min_support),
@@ -380,7 +374,7 @@ def _compare_on(
 def _cmd_compare(args: argparse.Namespace) -> Iterable[str]:
     if args.reps < 0:
         raise ConfigurationError("--reps must be non-negative")
-    db, label = _load_single(args)
+    [(db, label)] = _load(args)
     report = _compare_on(
         db,
         label,
@@ -394,7 +388,7 @@ def _cmd_compare(args: argparse.Namespace) -> Iterable[str]:
 def _cmd_bench(args: argparse.Namespace) -> Iterable[str]:
     if args.reps < 1:
         raise ConfigurationError("--reps must be at least 1 for bench")
-    sources = _load_many(args)
+    sources = _load(args, several=True)
     min_support = _parse_min_support(args.min_support)
     strategy = _strategy(args.candidates)
     reports = [

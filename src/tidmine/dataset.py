@@ -26,7 +26,10 @@ class TransactionDb:
     Immutable after construction; safe for concurrent readers. `transactions`
     holds tuples of item ids sorted strictly ascending, indexed by a dense
     0-based transaction id that equals input line order. `tokens[i]` is the
-    original token interned as item id `i`.
+    original token interned as item id `i`. The lane-page memo behind
+    `lane_pages` keeps that promise: pages never change once built, and new
+    ones replace the kept ones in one assignment, so a reader that holds
+    pages can still use them while another reader swaps in its own.
     """
 
     __slots__ = ("transactions", "tokens", "_id_of", "_lane_pages")
@@ -61,13 +64,15 @@ class TransactionDb:
     def num_items(self) -> int:
         return len(self.tokens)
 
-    @property
-    def lane_pages(self) -> LanePages:
-        """Every transaction's subset-test lanes (see `tidmine.lanes`); built
-        on first use and cached, since the database never changes."""
-        if self._lane_pages is None:
-            self._lane_pages = LanePages(self.transactions, self.num_items)
-        return self._lane_pages
+    def lane_pages(self, items: Iterable[int]) -> LanePages:
+        """Every transaction's subset-test lanes for `items` (see
+        `tidmine.lanes`): the kept pages when they hold every item asked for,
+        else new pages laid out in the order given, which are kept instead."""
+        items = tuple(items)
+        pages = self._lane_pages
+        if pages is None or not all(map(pages.__contains__, items)):
+            pages = self._lane_pages = LanePages(self.transactions, self.num_items, items)
+        return pages
 
     def item_id(self, token: str) -> int:
         """Intern-table id of `token`."""

@@ -1,10 +1,9 @@
 """Bit-parallel subset tests: one 64-bit lane per examined transaction.
 
-An item gets a lane slot when it is first counted: `LanePages.prepare` gives
-each item it has not laid out yet the next slot, in the order asked, on new
-pages of LANE_ITEMS items. `run_apriori` lays out its frequent items by
-descending support before it counts, so the items a candidate holds share few
-pages. On a page, a transaction's lane holds the complement of its items
+`LanePages` lays out the items it is given, in that order, on pages of
+LANE_ITEMS items, and never changes after it is built. `run_apriori` lays out
+its frequent items by descending support, so the items a candidate holds share
+few pages. On a page, a transaction's lane holds the complement of its items
 there: bit b is set when the transaction lacks the item in slot b. Bit 63 of
 every lane, the guard, is always clear.
 
@@ -31,47 +30,41 @@ class LanePages:
     """The lanes of every transaction of one database, one word array per page.
 
     Page p's lanes are `_words[p]`, one native-order word per transaction.
-    Only the items counted are laid out, so the slot table and lane memory
+    Only the items given are laid out, so the slot table and lane memory
     follow the counted items rather than every distinct item of the database.
+    An id that no transaction holds (or outside the database) counts 0.
     """
 
-    __slots__ = ("size", "full", "_transactions", "_num_items", "_slot", "_words")
+    __slots__ = ("size", "full", "_slot", "_words")
 
-    def __init__(self, transactions: Sequence[Sequence[int]], num_items: int):
-        self._transactions = transactions
-        self._num_items = num_items
+    def __init__(
+        self, transactions: Sequence[Sequence[int]], num_items: int, items: Iterable[int]
+    ):
+        # All pages side by side in one int per transaction, the i-th in bits
+        # 64*i to 64*i + 63, built in one pass, written out as little-endian
+        # words.
         self._slot: dict[int, tuple[int, int]] = {}
-        self._words: list[array] = []
-        self.size = len(transactions)
-        self.full = LaneBlock(self, None)
-
-    def prepare(self, items: Iterable[int]) -> None:
-        """Give each of `items` not laid out yet the next slot, in order, on
-        new pages, and build those pages in one pass over the transactions.
-        An id that no transaction holds (or outside the database) counts 0."""
-        new = [item for item in items if item not in self._slot]
-        if new:
-            self._build(new)
-
-    def _build(self, items: list[int]) -> None:
-        # The new pages side by side in one int per transaction, the i-th in
-        # bits 64*i to 64*i + 63, written out as little-endian words.
-        first, count = len(self._words), -(-len(items) // LANE_ITEMS)
-        wide = [0] * self._num_items
-        for i, item in enumerate(items):
+        wide = [0] * num_items
+        for i, item in enumerate(dict.fromkeys(items)):
             page, bit = divmod(i, LANE_ITEMS)
-            self._slot[item] = (first + page, 1 << bit)
-            if 0 <= item < self._num_items:
+            self._slot[item] = (page, 1 << bit)
+            if 0 <= item < num_items:
                 wide[item] = 1 << (64 * page + bit)
+        count = -(-len(self._slot) // LANE_ITEMS)
         fill = sum(LANE_LOW << 64 * i for i in range(count))
         width = 8 * count
         rows = array("Q")
         append = rows.frombytes
-        for txn in self._transactions:
+        for txn in transactions:
             append((fill ^ sum(map(wide.__getitem__, txn))).to_bytes(width, "little"))
         if sys.byteorder == "big":
             rows.byteswap()
-        self._words.extend(rows[i::count] for i in range(count))
+        self._words = [rows[i::count] for i in range(count)]
+        self.size = len(transactions)
+        self.full = LaneBlock(self, None)
+
+    def __contains__(self, item: int) -> bool:
+        return item in self._slot
 
 
 class LaneBlock:
@@ -98,7 +91,7 @@ class LaneBlock:
 
     def count(self, itemset: Iterable[int]) -> int:
         """How many of the block's transactions hold every item of `itemset`;
-        every item must be laid out (`LanePages.prepare`)."""
+        every item must be laid out in the block's `LanePages`."""
         slot = self._source._slot
         masks: dict[int, int] = {}
         for item in itemset:

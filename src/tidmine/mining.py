@@ -35,7 +35,7 @@ MAX_CANDIDATES = 1_000_000
 class L1Index:
     """Support count plus sorted transaction-id list for frequent single items."""
 
-    __slots__ = ("_tids", "_rank", "_pages", "_projections")
+    __slots__ = ("_tids", "_rank", "_db", "_pages", "_projections")
 
     def __init__(self, tids_by_item: Mapping[int, Sequence[int]]):
         self._tids: dict[int, tuple[int, ...]] = {}
@@ -49,9 +49,10 @@ class L1Index:
                 raise ContractViolationError(f"TID list for item {item} has a negative TID")
             self._tids[item] = tids
         # Rank by (support, id), so the smallest rank is the min-support item;
-        # `lay_out` reads the ranking backwards.
+        # `lanes` reads the ranking backwards.
         by_support = sorted(self._tids, key=lambda item: (len(self._tids[item]), item))
         self._rank = {item: rank for rank, item in enumerate(by_support)}
+        self._db: TransactionDb | None = None
         self._pages: LanePages | None = None
         self._projections: dict[int, LaneBlock] = {}
 
@@ -75,17 +76,18 @@ class L1Index:
         except KeyError:
             raise ContractViolationError(f"item {item} is not in the L1 index") from None
 
-    def lay_out(self, pages: LanePages) -> None:
-        """Give the indexed items lane slots in `pages`, by descending support."""
-        pages.prepare(reversed(self._rank))
+    def lanes(self, db: TransactionDb) -> LanePages:
+        """`db`'s lane pages for the indexed items, by descending support;
+        asked for once per database (another one starts afresh) and kept."""
+        if db is not self._db:
+            self._db, self._projections = db, {}
+            self._pages = db.lane_pages(reversed(self._rank))
+        return self._pages
 
-    def projection(self, item: int, pages: LanePages) -> LaneBlock:
-        """The lanes of `item`'s transactions, gathered from `pages` once per
-        page and kept with this index. The first call with a `pages` (another
-        one starts afresh) lays out every item of the index."""
-        if pages is not self._pages:
-            self._pages, self._projections = pages, {}
-            self.lay_out(pages)
+    def projection(self, item: int, db: TransactionDb) -> LaneBlock:
+        """The lanes of `item`'s transactions, gathered from `lanes(db)` once
+        per page and kept with this index."""
+        pages = self.lanes(db)
         block = self._projections.get(item)
         if block is None:
             tids = self.tids(item)
@@ -266,13 +268,13 @@ def count_support_full(
     examinations.
     """
     cands = tuple(map(tuple, candidates))
+    if not cands:
+        return {}
     if any(len(c) != len(cands[0]) for c in cands):
         raise ContractViolationError("candidates must all have the same size")
-    pages = db.lane_pages
-    pages.prepare({item for cand in cands for item in cand})
-    count = pages.full.count
+    count = db.lane_pages({item for cand in cands for item in cand}).full.count
     counts = {cand: count(cand) for cand in cands}
-    if ledger is not None and cands:
+    if ledger is not None:
         ledger.add(len(cands[0]), len(cands) * len(db))
     return counts
 
@@ -291,7 +293,7 @@ def count_support_restricted(
     one subset test, in its transaction's lane, and one ledger examination.
     """
     cand = tuple(candidate)
-    block = l1.projection(min_support_item(cand, l1), db.lane_pages)
+    block = l1.projection(min_support_item(cand, l1), db)
     if ledger is not None:
         ledger.add(len(cand), block.size)
     return block.count(cand)
@@ -351,7 +353,7 @@ def run_apriori(
     if len(l1):
         levels[1] = {(item,): l1.support(item) for item in l1.items}
     if len(l1) > 1:  # only then is a level-2 candidate counted
-        l1.lay_out(db.lane_pages)
+        l1.lanes(db)
     k = 2
     while levels.get(k - 1):
         if candidate_strategy == "combinations":

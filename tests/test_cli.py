@@ -100,6 +100,20 @@ def test_mine_requires_exactly_one_source(golden_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["mine", "rules", "compare"])
+@pytest.mark.parametrize("flag, value", [("--input", None), ("--generate", "10,5,2")])
+def test_single_source_commands_reject_a_second_source(
+    command, flag, value, golden_path, capsys
+):
+    value = value or str(golden_path)
+    extra = ["--min-confidence", "0.5"] if command == "rules" else []
+    code, out, err = run_cli(
+        capsys, command, flag, value, flag, value, "--min-support", "2", *extra
+    )
+    assert (code, out) == (2, "")
+    assert "exactly one of --input or --generate is required" in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run_cli(capsys, "mine", "--bogus")[0] == 2
 

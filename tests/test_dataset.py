@@ -110,30 +110,22 @@ def test_items_strictly_increasing(golden_db):
 
 def test_lane_pages_are_cached_and_decode_to_transactions(monkeypatch):
     # 140 interned items, the last five in no transaction. Two runs of each
-    # variant share one LanePages, which lays out the items counted once.
+    # variant share one LanePages, built in one pass over the items counted.
     rng = random.Random(5)
     txns = [tuple(sorted(rng.sample(range(135), rng.randint(1, 70)))) for _ in range(40)]
     db = TransactionDb(txns, [f"T{i}" for i in range(140)])
-    built, builds = [], []
+    built = []
 
     def counting_pages(*args):
         built.append(args)
         return LanePages(*args)
 
-    build = LanePages._build
-
-    def counting_build(self, items):
-        builds.append(list(items))
-        build(self, items)
-
     monkeypatch.setattr(dataset, "LanePages", counting_pages)
-    monkeypatch.setattr(LanePages, "_build", counting_build)
     for variant in (*VARIANTS, *VARIANTS):
         run_apriori(db, 8, variant=variant)
-    pages = db.lane_pages
-    assert db.lane_pages is pages
-    assert len(built) == 1
-    assert len(builds) == 1  # laid out once, then reused
+    assert len(built) == 1  # laid out once, then reused
+    pages = db.lane_pages(built[0][2])
+    assert db.lane_pages(()) is pages and len(built) == 1
 
     laid_out = pages._slot
     assert len(pages._words) == -(-len(laid_out) // 63) >= 2

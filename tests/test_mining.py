@@ -1,14 +1,13 @@
 import io
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
 from oracle import bruteforce_frequent, bruteforce_support, iset, random_db, tids
-from tidmine import mining
-from tidmine.dataset import TransactionDb, load_transactions
+from tidmine import dataset, mining
+from tidmine.dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
 from tidmine.errors import ConfigurationError, ContractViolationError, ResourceLimitError
-from tidmine.lanes import LanePages
 from tidmine.metrics import ScanLedger
 from tidmine.mining import (
     CandidateSet,
@@ -222,7 +221,7 @@ def test_projection_rejects_tids_past_the_database():
     db = TransactionDb([(0,), (0, 1), (1,)], ["A", "B"])
     l1 = L1Index({0: (0, 1), 1: (1, 2, 3)})
     with pytest.raises(ContractViolationError):
-        l1.projection(1, db.lane_pages)
+        l1.projection(1, db)
     assert count_support_restricted((0, 1), db, l1) == 1  # item 0's list fits
     with pytest.raises(ContractViolationError):
         count_support_restricted((1,), db, l1)
@@ -351,26 +350,63 @@ def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
         row.append(next(rare))
     db = TransactionDb([sorted(row) for row in rows], [f"R{i}" for i in range(400)])
     built = []
-    build = LanePages._build
+    pages_of = dataset.LanePages
 
-    def counting_build(self, items):
+    def counting_pages(transactions, num_items, items):
         built.append(list(items))
-        build(self, items)
+        return pages_of(transactions, num_items, items)
 
-    monkeypatch.setattr(LanePages, "_build", counting_build)
+    monkeypatch.setattr(dataset, "LanePages", counting_pages)
 
     assert count_support_full([], db) == {}
     assert built == []
     for variant in mining.VARIANTS:
         result = mining.run_apriori(db, 10, variant=variant)
         assert 63 < len(result.levels[1]) <= 70 and result.ledger.per_level[2]
-    slot = db.lane_pages._slot
     support = {item: n for (item,), n in result.levels[1].items()}
-    assert set(slot) == set(support)
-    assert [support[item] for item in slot] == sorted(support.values(), reverse=True)
-    assert [page for page, _ in slot.values()] == [0] * 63 + [1] * (len(slot) - 63)
-    assert len(db.lane_pages._words) == 2
-    assert built == [list(slot)]  # in one pass, then reused
+    assert len(built) == 1  # in one pass, then reused
+    pages = db.lane_pages(built[0])
+    assert list(pages._slot) == built[0] and set(built[0]) == set(support)
+    assert [support[item] for item in built[0]] == sorted(support.values(), reverse=True)
+    assert [page for page, _ in pages._slot.values()] == [0] * 63 + [1] * (len(support) - 63)
+    assert len(pages._words) == 2 and len(built) == 1
+
+
+def test_single_item_counts_keep_one_page():
+    # Each call asks for one item the kept pages lack, so it builds pages for
+    # that item alone; they replace the kept ones instead of adding a page.
+    db = generate_synthetic(GeneratorConfig(1500, 50, 8, seed=1))
+    for item in range(db.num_items):
+        assert count_support_full([(item,)], db) == {(item,): bruteforce_support(db, (item,))}
+    assert db.num_items == 50
+    assert len(db._lane_pages._words) == 1
+
+
+@pytest.mark.parametrize("variant", mining.VARIANTS)
+def test_a_run_started_during_the_lane_pass_leaves_both_results_exact(variant):
+    # The rows' second full pass is the outer run's lane build; halfway
+    # through it, a run at a lower support, with more frequent items, mines
+    # the same database. Neither run may see the other's lanes half built.
+    db = generate_synthetic(GeneratorConfig(400, 100, 6, seed=1))
+    alone = TransactionDb(db.transactions, db.tokens)
+    want = {n: run_apriori(alone, n, variant).levels for n in (20, 8)}
+    passes, inner = [], []
+
+    class Rows(tuple):
+        def __iter__(self):
+            passes.append(None)
+            rows = super().__iter__()
+            if len(passes) == 2:
+                yield from islice(rows, len(self) // 2)
+                inner.append(run_apriori(db, 8, variant))
+            yield from rows
+
+    db.transactions = Rows(db.transactions)
+    outer = run_apriori(db, 20, variant)
+    assert len(inner) == 1 and len(passes) == 4
+    assert len(outer.levels[1]) < len(inner[0].levels[1])
+    assert outer.levels == want[20]
+    assert inner[0].levels == want[8]
 
 
 def test_restricted_over_any_member_matches_full(golden_db):

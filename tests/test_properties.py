@@ -142,7 +142,7 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
     l1 = compute_l1(db, 1)
     order = list(range(db.num_items))
     rng.shuffle(order)
-    db.lane_pages.prepare(order)
+    laid_out = db.lane_pages(order)
     pages = [order[start : start + 63] for start in range(0, len(order), 63)]
     cands = [tuple(sorted(order[62:65]))]
     for _ in range(10):
@@ -155,6 +155,7 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         assert count_support_full([cand], db) == {cand: want}
         if all(item in l1 for item in cand):
             assert count_support_restricted(cand, db, l1) == want
+    assert db.lane_pages(()) is laid_out  # so each count above used that order
     for item in (-1, *range(num_items, db.num_items + 2)):
         assert count_support_full([(item,)], db) == {(item,): 0}
 
