@@ -15,6 +15,7 @@ from .errors import (
     TidmineError,
     UnknownItemError,
 )
+from .lanes import LanePages
 from .metrics import (
     ComparisonReport,
     ScanLedger,
@@ -54,6 +55,7 @@ __all__ = [
     "IngestionError",
     "Itemset",
     "L1Index",
+    "LanePages",
     "MiningResult",
     "ResourceLimitError",
     "ScanLedger",

@@ -48,8 +48,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (IngestionError, ResourceLimitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IngestionError, ResourceLimitError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 

@@ -11,7 +11,6 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, IngestionError, UnknownItemError
-from .lanes import LanePages
 
 DELIMITER_POLICIES = ("whitespace", "comma")
 
@@ -26,13 +25,10 @@ class TransactionDb:
     Immutable after construction; safe for concurrent readers. `transactions`
     holds tuples of item ids sorted strictly ascending, indexed by a dense
     0-based transaction id that equals input line order. `tokens[i]` is the
-    original token interned as item id `i`. The lane-page memo behind
-    `lane_pages` keeps that promise: pages never change once built, and new
-    ones replace the kept ones in one assignment, so a reader that holds
-    pages can still use them while another reader swaps in its own.
+    original token interned as item id `i`.
     """
 
-    __slots__ = ("transactions", "tokens", "_id_of", "_lane_pages")
+    __slots__ = ("transactions", "tokens", "_id_of")
 
     def __init__(self, transactions: Iterable[Sequence[int]], tokens: Iterable[str]):
         self.tokens: tuple[str, ...] = tuple(tokens)
@@ -40,7 +36,6 @@ class TransactionDb:
             tuple(txn) for txn in transactions
         )
         self._id_of: dict[str, int] = {}
-        self._lane_pages: LanePages | None = None
         for item_id, token in enumerate(self.tokens):
             if token in self._id_of:
                 raise ConfigurationError(f"duplicate token in intern table: {token!r}")
@@ -63,16 +58,6 @@ class TransactionDb:
     @property
     def num_items(self) -> int:
         return len(self.tokens)
-
-    def lane_pages(self, items: Iterable[int]) -> LanePages:
-        """Every transaction's subset-test lanes for `items` (see
-        `tidmine.lanes`): the kept pages when they hold every item asked for,
-        else new pages laid out in the order given, which are kept instead."""
-        items = tuple(items)
-        pages = self._lane_pages
-        if pages is None or not all(map(pages.__contains__, items)):
-            pages = self._lane_pages = LanePages(self.transactions, self.num_items, items)
-        return pages
 
     def item_id(self, token: str) -> int:
         """Intern-table id of `token`."""
@@ -179,7 +164,8 @@ def load_transactions(
 
     One transaction per non-blank line; within-line duplicate tokens collapse
     to a single occurrence; blank lines (after trimming) are skipped. LF and
-    CRLF line endings are both accepted.
+    CRLF line endings are both accepted, and a path's UTF-8 byte-order mark
+    is skipped.
     """
     if delimiter not in DELIMITER_POLICIES:
         raise ConfigurationError(
@@ -187,7 +173,7 @@ def load_transactions(
         )
     if isinstance(source, (str, Path)):
         try:
-            handle = open(source, encoding="utf-8", newline=None)
+            handle = open(source, encoding="utf-8-sig", newline=None)
         except OSError as exc:
             raise IngestionError(f"cannot open {source}: {exc}") from exc
         with handle:

@@ -1,11 +1,12 @@
 """Bit-parallel subset tests: one 64-bit lane per examined transaction.
 
 `LanePages` lays out the items it is given, in that order, on pages of
-LANE_ITEMS items, and never changes after it is built. `run_apriori` lays out
-its frequent items by descending support, so the items a candidate holds share
-few pages. On a page, a transaction's lane holds the complement of its items
-there: bit b is set when the transaction lacks the item in slot b. Bit 63 of
-every lane, the guard, is always clear.
+LANE_ITEMS items, and its pages never change after it is built. `run_apriori`
+builds one per run and passes it to its counting kernel at every level; it
+lays out its frequent items by descending support, so the items a candidate
+holds share few pages. On a page, a transaction's lane holds the complement of
+its items there: bit b is set when the transaction lacks the item in slot b.
+Bit 63 of every lane, the guard, is always clear.
 
 A block packs the lanes of a sequence of transactions into one int per page,
 lane i in bits 64*i to 64*i + 63. To test a candidate, its bits on a page are
@@ -22,12 +23,15 @@ import sys
 from array import array
 from typing import Iterable, Sequence
 
+from .dataset import TransactionDb
+from .errors import ContractViolationError
+
 LANE_ITEMS = 63
 LANE_LOW = (1 << LANE_ITEMS) - 1
 
 
 class LanePages:
-    """The lanes of every transaction of one database, one word array per page.
+    """The lanes of every transaction of `db`, one word array per page.
 
     Page p's lanes are `_words[p]`, one native-order word per transaction.
     Only the items given are laid out, so the slot table and lane memory
@@ -35,11 +39,10 @@ class LanePages:
     An id that no transaction holds (or outside the database) counts 0.
     """
 
-    __slots__ = ("size", "full", "_slot", "_words")
+    __slots__ = ("size", "full", "_slot", "_words", "_projections")
 
-    def __init__(
-        self, transactions: Sequence[Sequence[int]], num_items: int, items: Iterable[int]
-    ):
+    def __init__(self, db: TransactionDb, items: Iterable[int]):
+        transactions, num_items = db.transactions, db.num_items
         # All pages side by side in one int per transaction, the i-th in bits
         # 64*i to 64*i + 63, built in one pass, written out as little-endian
         # words.
@@ -62,9 +65,20 @@ class LanePages:
         self._words = [rows[i::count] for i in range(count)]
         self.size = len(transactions)
         self.full = LaneBlock(self, None)
+        self._projections: dict[int, LaneBlock] = {}
 
-    def __contains__(self, item: int) -> bool:
-        return item in self._slot
+    def projection(self, item: int, tids: Sequence[int]) -> "LaneBlock":
+        """The lanes of the transactions `tids` names, ascending: `item`'s TID
+        list. The block is gathered once per page and kept under `item` while
+        it is asked for with the same list object."""
+        block = self._projections.get(item)
+        if block is None or block._tids is not tids:
+            if tids and (tids[0] < 0 or tids[-1] >= self.size):
+                raise ContractViolationError(
+                    f"TID list of item {item} names a transaction outside the database"
+                )
+            block = self._projections[item] = LaneBlock(self, tids)
+        return block
 
 
 class LaneBlock:
@@ -94,9 +108,12 @@ class LaneBlock:
         every item must be laid out in the block's `LanePages`."""
         slot = self._source._slot
         masks: dict[int, int] = {}
-        for item in itemset:
-            page, bit = slot[item]
-            masks[page] = masks.get(page, 0) | bit
+        try:
+            for item in itemset:
+                page, bit = slot[item]
+                masks[page] = masks.get(page, 0) | bit
+        except KeyError:
+            raise ContractViolationError(f"item {item} has no lane slot") from None
         passed = guards = self._guards
         ones, packed = self._ones, self._pages
         for page, bits in masks.items():

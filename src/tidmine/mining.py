@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dataset import TransactionDb
 from .errors import ConfigurationError, ContractViolationError, ResourceLimitError
-from .lanes import LaneBlock, LanePages
+from .lanes import LanePages
 from .metrics import ScanLedger
 
 Itemset = tuple[int, ...]
@@ -35,7 +35,7 @@ MAX_CANDIDATES = 1_000_000
 class L1Index:
     """Support count plus sorted transaction-id list for frequent single items."""
 
-    __slots__ = ("_tids", "_rank", "_db", "_pages", "_projections")
+    __slots__ = ("_tids", "_rank")
 
     def __init__(self, tids_by_item: Mapping[int, Sequence[int]]):
         self._tids: dict[int, tuple[int, ...]] = {}
@@ -49,12 +49,9 @@ class L1Index:
                 raise ContractViolationError(f"TID list for item {item} has a negative TID")
             self._tids[item] = tids
         # Rank by (support, id), so the smallest rank is the min-support item;
-        # `lanes` reads the ranking backwards.
+        # `run_apriori` lays out its lanes in the reverse order.
         by_support = sorted(self._tids, key=lambda item: (len(self._tids[item]), item))
         self._rank = {item: rank for rank, item in enumerate(by_support)}
-        self._db: TransactionDb | None = None
-        self._pages: LanePages | None = None
-        self._projections: dict[int, LaneBlock] = {}
 
     @property
     def items(self) -> tuple[int, ...]:
@@ -75,28 +72,6 @@ class L1Index:
             return self._tids[item]
         except KeyError:
             raise ContractViolationError(f"item {item} is not in the L1 index") from None
-
-    def lanes(self, db: TransactionDb) -> LanePages:
-        """`db`'s lane pages for the indexed items, by descending support;
-        asked for once per database (another one starts afresh) and kept."""
-        if db is not self._db:
-            self._db, self._projections = db, {}
-            self._pages = db.lane_pages(reversed(self._rank))
-        return self._pages
-
-    def projection(self, item: int, db: TransactionDb) -> LaneBlock:
-        """The lanes of `item`'s transactions, gathered from `lanes(db)` once
-        per page and kept with this index."""
-        pages = self.lanes(db)
-        block = self._projections.get(item)
-        if block is None:
-            tids = self.tids(item)
-            if tids and tids[-1] >= pages.size:
-                raise ContractViolationError(
-                    f"TID {tids[-1]} of item {item} is past the last transaction"
-                )
-            block = self._projections[item] = LaneBlock(pages, tids)
-        return block
 
     def __repr__(self) -> str:
         return f"L1Index({len(self._tids)} items)"
@@ -258,30 +233,30 @@ def min_support_item(candidate: Sequence[int], l1: L1Index) -> int:
 
 def count_support_full(
     candidates: CandidateSet | Iterable[Itemset],
-    db: TransactionDb,
+    lanes: LanePages,
     ledger: ScanLedger | None = None,
 ) -> dict[Itemset, int]:
     """Support of every candidate by scanning the whole database.
 
     Every candidate examines every transaction with one subset test, in the
-    transaction's lane, so the level gains len(candidates) * len(db) ledger
-    examinations.
+    transaction's lane, so the level gains len(candidates) * lanes.size
+    ledger examinations. Every candidate item must be laid out in `lanes`.
     """
     cands = tuple(map(tuple, candidates))
     if not cands:
         return {}
     if any(len(c) != len(cands[0]) for c in cands):
         raise ContractViolationError("candidates must all have the same size")
-    count = db.lane_pages({item for cand in cands for item in cand}).full.count
+    count = lanes.full.count
     counts = {cand: count(cand) for cand in cands}
     if ledger is not None:
-        ledger.add(len(cands[0]), len(cands) * len(db))
+        ledger.add(len(cands[0]), len(cands) * lanes.size)
     return counts
 
 
 def count_support_restricted(
     candidate: Sequence[int],
-    db: TransactionDb,
+    lanes: LanePages,
     l1: L1Index,
     ledger: ScanLedger | None = None,
 ) -> int:
@@ -291,9 +266,11 @@ def count_support_restricted(
     member, so it appears in the member's TID list and the restricted count
     equals the full-database support. Each TID in the restricted list gets
     one subset test, in its transaction's lane, and one ledger examination.
+    The lanes of that list are gathered from `lanes` once per item and page.
     """
     cand = tuple(candidate)
-    block = l1.projection(min_support_item(cand, l1), db)
+    item = min_support_item(cand, l1)
+    block = lanes.projection(item, l1.tids(item))
     if ledger is not None:
         ledger.add(len(cand), block.size)
     return block.count(cand)
@@ -352,8 +329,9 @@ def run_apriori(
     levels: dict[int, dict[Itemset, int]] = {}
     if len(l1):
         levels[1] = {(item,): l1.support(item) for item in l1.items}
-    if len(l1) > 1:  # only then is a level-2 candidate counted
-        l1.lanes(db)
+    # Only with two frequent items is a candidate counted; both kernels then
+    # test on these lanes, the L1 items laid out by descending support.
+    lanes = LanePages(db, reversed(l1._rank)) if len(l1) > 1 else None
     k = 2
     while levels.get(k - 1):
         if candidate_strategy == "combinations":
@@ -363,9 +341,9 @@ def run_apriori(
                 levels[k - 1], prune=candidate_strategy == "join"
             )
         if variant == "classic":
-            counts = count_support_full(candidates, db, ledger)
+            counts = count_support_full(candidates, lanes, ledger)
         else:
-            counts = {c: count_support_restricted(c, db, l1, ledger) for c in candidates}
+            counts = {c: count_support_restricted(c, lanes, l1, ledger) for c in candidates}
         frequent = {c: n for c, n in counts.items() if n >= support_floor}
         if frequent:
             levels[k] = frequent

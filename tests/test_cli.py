@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -284,6 +286,17 @@ def test_combinations_budget_exits_1(golden_path, capsys, monkeypatch):
     assert "C(4, 2) = 6" in err and "budget of 5" in err
 
 
+def test_impossible_generate_size_exits_1(capsys):
+    # 10**16 items ask numpy for a 71 PiB array, past any 47-bit address
+    # space, so the request is refused before anything is allocated.
+    code, out, err = run_cli(
+        capsys, "mine", "--generate", "10,10000000000000000,8", "--min-support", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("fmt", ["human", "machine"])
 def test_failed_write_exits_1(golden_path, capsys, monkeypatch, fmt):
     class ClosedPipe:
@@ -537,3 +550,23 @@ def test_input_jobs_never_import_numpy(golden_path, src_env):
     assert proc.returncode == 0, proc.stderr
     assert "8 frequent itemsets" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_print_what_the_readme_shows(tmp_path, capsys, monkeypatch):
+    # Every `$ tidmine ...` block that shows its output, run on the README's
+    # own baskets.txt, must print exactly that output.
+    text = README.read_text(encoding="utf-8")
+    baskets = re.search(r"cat > baskets.txt <<'EOF'\n(.*?\n)EOF\n", text, re.S).group(1)
+    (tmp_path / "baskets.txt").write_text(baskets, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    examples = []
+    for block in re.findall(r"```sh\n\$ tidmine (.*?)```", text, re.S):
+        command, _, shown = block.partition("\n")
+        if not command.endswith("\\"):  # a continued command shows no output
+            examples.append((command.split(), shown))
+    assert [argv[0] for argv, _ in examples] == ["mine", "rules", "compare"]
+    for argv, shown in examples:
+        assert run_cli(capsys, *argv) == (0, shown, "")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracle import random_db
-from tidmine import dataset
+from tidmine import mining
 from tidmine.dataset import (
     GeneratorConfig,
     TransactionDb,
@@ -109,33 +109,46 @@ def test_items_strictly_increasing(golden_db):
 
 
 def test_lane_pages_are_cached_and_decode_to_transactions(monkeypatch):
-    # 140 interned items, the last five in no transaction. Two runs of each
-    # variant share one LanePages, built in one pass over the items counted.
+    # 140 interned items, the last five in no transaction. Each run builds
+    # its own LanePages, in one pass over the items counted, and both
+    # kernels of that run test on it.
     rng = random.Random(5)
     txns = [tuple(sorted(rng.sample(range(135), rng.randint(1, 70)))) for _ in range(40)]
     db = TransactionDb(txns, [f"T{i}" for i in range(140)])
     built = []
 
     def counting_pages(*args):
-        built.append(args)
-        return LanePages(*args)
+        built.append(LanePages(*args))
+        return built[-1]
 
-    monkeypatch.setattr(dataset, "LanePages", counting_pages)
+    monkeypatch.setattr(mining, "LanePages", counting_pages)
     for variant in (*VARIANTS, *VARIANTS):
         run_apriori(db, 8, variant=variant)
-    assert len(built) == 1  # laid out once, then reused
-    pages = db.lane_pages(built[0][2])
-    assert db.lane_pages(()) is pages and len(built) == 1
+    assert len(built) == 4  # one per run
 
-    laid_out = pages._slot
-    assert len(pages._words) == -(-len(laid_out) // 63) >= 2
-    held = [set() for _ in txns]
-    for item, (page, bit) in laid_out.items():
-        for tid, lane in enumerate(pages._words[page]):
-            if not lane & bit:
-                held[tid].add(item)
-    assert held == [set(txn) & set(laid_out) for txn in txns]
-    assert not any(lane >> 63 for words in pages._words for lane in words)  # guard
+    for pages in built:
+        laid_out = pages._slot
+        assert list(laid_out) == list(built[0]._slot)
+        assert len(pages._words) == -(-len(laid_out) // 63) >= 2
+        held = [set() for _ in txns]
+        for item, (page, bit) in laid_out.items():
+            for tid, lane in enumerate(pages._words[page]):
+                if not lane & bit:
+                    held[tid].add(item)
+        assert held == [set(txn) & set(laid_out) for txn in txns]
+        assert not any(lane >> 63 for words in pages._words for lane in words)  # guard
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    text = "I1 I2\nI1 I3\nI1 I2\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    db = load_transactions(marked)
+    assert db == load_transactions(plain)
+    assert db.tokens == ("I1", "I2", "I3")
+    result = run_apriori(db, 2)
+    assert result.levels == {1: {(0,): 3, (1,): 2}, 2: {(0, 1): 2}}
 
 
 def test_constructor_rejects_bad_transactions():

@@ -5,9 +5,10 @@ from itertools import combinations, islice
 import pytest
 
 from oracle import bruteforce_frequent, bruteforce_support, iset, random_db, tids
-from tidmine import dataset, mining
+from tidmine import mining
 from tidmine.dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
 from tidmine.errors import ConfigurationError, ContractViolationError, ResourceLimitError
+from tidmine.lanes import LanePages
 from tidmine.metrics import ScanLedger
 from tidmine.mining import (
     CandidateSet,
@@ -220,11 +221,24 @@ def test_l1_index_rejects_negative_tids():
 def test_projection_rejects_tids_past_the_database():
     db = TransactionDb([(0,), (0, 1), (1,)], ["A", "B"])
     l1 = L1Index({0: (0, 1), 1: (1, 2, 3)})
+    lanes = LanePages(db, l1.items)
     with pytest.raises(ContractViolationError):
-        l1.projection(1, db)
-    assert count_support_restricted((0, 1), db, l1) == 1  # item 0's list fits
+        count_support_restricted((1,), lanes, l1)
+    assert count_support_restricted((0, 1), lanes, l1) == 1  # item 0's list fits
+    with pytest.raises(ContractViolationError):  # the refused list was not kept
+        count_support_restricted((1,), lanes, l1)
+
+
+def test_kernels_reject_items_without_a_lane_slot():
+    db = TransactionDb([(0, 1), (1, 2)], ["A", "B", "C"])
+    lanes = LanePages(db, (0, 1))
+    l1 = L1Index({0: (0,), 1: (0, 1), 2: (1,)})
     with pytest.raises(ContractViolationError):
-        count_support_restricted((1,), db, l1)
+        count_support_full([(1, 2)], lanes)
+    with pytest.raises(ContractViolationError):
+        count_support_restricted((1, 2), lanes, l1)  # over item 2's list
+    with pytest.raises(ContractViolationError):
+        lanes.projection(0, (-1, 0))
 
 
 def test_min_item_missing_from_l1(golden_db):
@@ -261,7 +275,8 @@ LEVEL3_SUPPORTS = {
 def test_full_count_level2_golden(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    counts = count_support_full(generate_candidates_combinations(l1, 2), golden_db, ledger)
+    lanes = LanePages(golden_db, l1.items)
+    counts = count_support_full(generate_candidates_combinations(l1, 2), lanes, ledger)
     assert counts == {iset(golden_db, k): v for k, v in LEVEL2_SUPPORTS.items()}
     assert ledger.per_level == {2: 54}  # 6 candidates x 9 transactions
 
@@ -269,21 +284,23 @@ def test_full_count_level2_golden(golden_db):
 def test_full_count_level3_golden(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    counts = count_support_full(generate_candidates_combinations(l1, 3), golden_db, ledger)
+    lanes = LanePages(golden_db, l1.items)
+    counts = count_support_full(generate_candidates_combinations(l1, 3), lanes, ledger)
     assert counts == {iset(golden_db, k): v for k, v in LEVEL3_SUPPORTS.items()}
     assert ledger.per_level == {3: 36}  # 4 candidates x 9 transactions
 
 
 def test_full_count_empty_candidates(golden_db):
     ledger = ScanLedger()
-    assert count_support_full([], golden_db, ledger) == {}
+    assert count_support_full([], LanePages(golden_db, ()), ledger) == {}
     assert ledger.total == 0
 
 
 def test_restricted_count_scans_min_item_tids(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    support = count_support_restricted(iset(golden_db, "I1 I2"), golden_db, l1, ledger)
+    lanes = LanePages(golden_db, l1.items)
+    support = count_support_restricted(iset(golden_db, "I1 I2"), lanes, l1, ledger)
     assert support == 4
     assert ledger.per_level == {2: 6}  # I1's six transactions only
 
@@ -291,7 +308,8 @@ def test_restricted_count_scans_min_item_tids(golden_db):
 def test_restricted_count_zero_support_row(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    support = count_support_restricted(iset(golden_db, "I3 I4"), golden_db, l1, ledger)
+    lanes = LanePages(golden_db, l1.items)
+    support = count_support_restricted(iset(golden_db, "I3 I4"), lanes, l1, ledger)
     assert support == 0
     assert ledger.per_level == {2: 3}  # I4's three transactions only
 
@@ -301,43 +319,62 @@ def test_restricted_equals_full_randomized():
     for _ in range(30):
         db = random_db(rng)
         l1 = compute_l1(db, 1)
+        lanes = LanePages(db, range(db.num_items))
         for _ in range(10):
             size = rng.randint(1, min(3, db.num_items))
             cand = tuple(sorted(rng.sample(range(db.num_items), size)))
-            full = count_support_full([cand], db)[cand]
-            assert count_support_restricted(cand, db, l1) == full
+            full = count_support_full([cand], lanes)[cand]
+            assert count_support_restricted(cand, lanes, l1) == full
             assert full == bruteforce_support(db, cand)
 
 
 def test_lane_caches_stay_with_their_database():
-    # Each database and index keeps its own lanes: counting alternates
+    # Each database's lanes keep their own projections: counting alternates
     # between two live databases, then runs on fresh ones built after the
     # old ones are dropped, which may reuse their id() values.
     rng = random.Random(11)
 
-    def check(db, l1):
+    def check(db, l1, lanes):
         for _ in range(10):
             cand = tuple(sorted(rng.sample(l1.items, rng.randint(1, min(3, len(l1))))))
             want = bruteforce_support(db, cand)
-            assert count_support_full([cand], db) == {cand: want}
-            assert count_support_restricted(cand, db, l1) == want
+            assert count_support_full([cand], lanes) == {cand: want}
+            assert count_support_restricted(cand, lanes, l1) == want
 
     live = [random_db(rng) for _ in range(2)]
     indexes = [compute_l1(db, 1) for db in live]
-    for db, l1 in [*zip(live, indexes), *zip(live, indexes)]:
-        check(db, l1)
-    del live, indexes, db, l1
+    pages = [LanePages(db, l1.items) for db, l1 in zip(live, indexes)]
+    for db, l1, lanes in [*zip(live, indexes, pages)] * 2:
+        check(db, l1, lanes)
+    del live, indexes, pages, db, l1, lanes
     for _ in range(5):
         db = random_db(rng)
         l1 = compute_l1(db, 1)
-        check(db, l1)
+        check(db, l1, LanePages(db, l1.items))
         del db, l1
 
     # One index shared by two databases gathers each one's own lanes.
     shared = L1Index({0: (0, 1, 2), 1: (0, 1, 2)})
-    for rows, want in (([(0, 1), (0,), (0, 1)], 2), ([(0,), (0, 1), (0,)], 1)):
-        db = TransactionDb(rows, ["A", "B"])
-        assert count_support_restricted((0, 1), db, shared) == want
+    cases = [
+        (LanePages(TransactionDb(rows, ["A", "B"]), shared.items), want)
+        for rows, want in (([(0, 1), (0,), (0, 1)], 2), ([(0,), (0, 1), (0,)], 1))
+    ]
+    for lanes, want in cases * 2:
+        assert count_support_restricted((0, 1), lanes, shared) == want
+
+
+def test_indexes_with_different_lists_for_one_item_count_apart():
+    # Two indexes give item 0 different TID lists; on one LanePages each
+    # count must use its own list, however the calls alternate.
+    db = TransactionDb([(0, 1), (0, 1), (0,), (1,)], ["A", "B"])
+    lanes = LanePages(db, (0, 1))
+    whole = L1Index({0: (0, 1, 2), 1: (0, 1, 3)})
+    part = L1Index({0: (2,), 1: (0, 1, 3)})
+    for _ in range(2):
+        ledger = ScanLedger()
+        assert count_support_restricted((0, 1), lanes, whole, ledger) == 2
+        assert count_support_restricted((0, 1), lanes, part, ledger) == 0
+        assert ledger.per_level == {2: 3 + 1}
 
 
 def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
@@ -350,36 +387,43 @@ def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
         row.append(next(rare))
     db = TransactionDb([sorted(row) for row in rows], [f"R{i}" for i in range(400)])
     built = []
-    pages_of = dataset.LanePages
 
-    def counting_pages(transactions, num_items, items):
-        built.append(list(items))
-        return pages_of(transactions, num_items, items)
+    def counting_pages(*args):
+        built.append(LanePages(*args))
+        return built[-1]
 
-    monkeypatch.setattr(dataset, "LanePages", counting_pages)
-
-    assert count_support_full([], db) == {}
-    assert built == []
+    monkeypatch.setattr(mining, "LanePages", counting_pages)
     for variant in mining.VARIANTS:
         result = mining.run_apriori(db, 10, variant=variant)
         assert 63 < len(result.levels[1]) <= 70 and result.ledger.per_level[2]
     support = {item: n for (item,), n in result.levels[1].items()}
-    assert len(built) == 1  # in one pass, then reused
-    pages = db.lane_pages(built[0])
-    assert list(pages._slot) == built[0] and set(built[0]) == set(support)
-    assert [support[item] for item in built[0]] == sorted(support.values(), reverse=True)
-    assert [page for page, _ in pages._slot.values()] == [0] * 63 + [1] * (len(support) - 63)
-    assert len(pages._words) == 2 and len(built) == 1
+    assert len(built) == len(mining.VARIANTS)  # one per run
+    for pages in built:
+        laid_out = list(pages._slot)
+        assert set(laid_out) == set(support)
+        assert [support[item] for item in laid_out] == sorted(support.values(), reverse=True)
+        assert [page for page, _ in pages._slot.values()] == [0] * 63 + [1] * (len(support) - 63)
+        assert len(pages._words) == 2
 
 
-def test_single_item_counts_keep_one_page():
-    # Each call asks for one item the kept pages lack, so it builds pages for
-    # that item alone; they replace the kept ones instead of adding a page.
-    db = generate_synthetic(GeneratorConfig(1500, 50, 8, seed=1))
-    for item in range(db.num_items):
-        assert count_support_full([(item,)], db) == {(item,): bruteforce_support(db, (item,))}
-    assert db.num_items == 50
-    assert len(db._lane_pages._words) == 1
+def test_a_run_builds_lanes_only_to_count_candidates(monkeypatch):
+    # |L1| = 1 counts no candidate and builds no lanes; |L1| = 2 builds one
+    # LanePages per run, whatever the variant and strategy.
+    db = TransactionDb([(0, 1), (0, 2), (0, 1), (2,)], ["A", "B", "C"])
+    built = []
+
+    def counting_pages(*args):
+        built.append(args)
+        return LanePages(*args)
+
+    monkeypatch.setattr(mining, "LanePages", counting_pages)
+    for variant in mining.VARIANTS:
+        for strategy in mining.CANDIDATE_STRATEGIES:
+            assert run_apriori(db, 3, variant, strategy).max_level == 1  # L1 = {A}
+            assert built == []
+            result = run_apriori(db, 2, variant, strategy)  # L1 = {A, B, C}
+            assert result.levels[2] == {(0, 1): 2} and len(built) == 1
+            built.clear()
 
 
 @pytest.mark.parametrize("variant", mining.VARIANTS)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracle import bruteforce_frequent, bruteforce_support, random_db
 from tidmine import cli, metrics
 from tidmine.dataset import TransactionDb
+from tidmine.lanes import LanePages
 from tidmine.mining import (
     CANDIDATE_STRATEGIES,
     VARIANTS,
@@ -113,11 +114,12 @@ def test_join_matches_definition(size, prune, data):
 def test_counting_kernels_match_bruteforce(rng):
     db = random_db(rng)
     l1 = compute_l1(db, 1)
+    lanes = LanePages(db, range(db.num_items))
     for _ in range(10):
         cand = tuple(sorted(rng.sample(range(db.num_items), rng.randint(1, db.num_items))))
         want = bruteforce_support(db, cand)
-        assert count_support_full([cand], db) == {cand: want}
-        assert count_support_restricted(cand, db, l1) == want
+        assert count_support_full([cand], lanes) == {cand: want}
+        assert count_support_restricted(cand, lanes, l1) == want
 
 
 @PROPERTY_SETTINGS
@@ -142,7 +144,7 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
     l1 = compute_l1(db, 1)
     order = list(range(db.num_items))
     rng.shuffle(order)
-    laid_out = db.lane_pages(order)
+    laid_out = LanePages(db, order)
     pages = [order[start : start + 63] for start in range(0, len(order), 63)]
     cands = [tuple(sorted(order[62:65]))]
     for _ in range(10):
@@ -152,12 +154,11 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         cands.append(tuple(sorted(chosen)))
     for cand in cands:
         want = bruteforce_support(db, cand)
-        assert count_support_full([cand], db) == {cand: want}
+        assert count_support_full([cand], laid_out) == {cand: want}
         if all(item in l1 for item in cand):
-            assert count_support_restricted(cand, db, l1) == want
-    assert db.lane_pages(()) is laid_out  # so each count above used that order
+            assert count_support_restricted(cand, laid_out, l1) == want
     for item in (-1, *range(num_items, db.num_items + 2)):
-        assert count_support_full([(item,)], db) == {(item,): 0}
+        assert count_support_full([(item,)], LanePages(db, [item])) == {(item,): 0}
 
 
 @PROPERTY_SETTINGS
