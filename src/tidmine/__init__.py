@@ -18,7 +18,6 @@ from .errors import (
 from .lanes import LanePages
 from .metrics import (
     ComparisonReport,
-    ScanLedger,
     VariantRun,
     mean_rate,
     median_seconds,
@@ -31,6 +30,7 @@ from .mining import (
     Itemset,
     L1Index,
     MiningResult,
+    ScanLedger,
     compute_l1,
     count_support_full,
     count_support_restricted,

@@ -1,9 +1,8 @@
-"""Scan accounting, run timing, reduction-rate arithmetic, and report writing.
+"""Run timing, reduction-rate arithmetic, and the layout of every report.
 
-The scan ledger counts transaction examinations: for every candidate itemset,
-each transaction inspected while counting that candidate adds one examination
-to the candidate's level. Level 1 is a full pass, so it always records
-`num_transactions * num_distinct_items` regardless of the counting variant.
+Each report kind has one entry, which takes a `format` from FORMATS. The
+`mine`, `rules` and `bench` entries are generators of text chunks, so they
+check the format when first iterated; `render_report` returns one string.
 """
 
 import json
@@ -11,54 +10,23 @@ import statistics
 import time
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
+from .dataset import TransactionDb
 from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
+from .mining import MiningResult, ScanLedger
+from .rules import AssociationRule
 
 REPORT_SCHEMA_VERSION = 2
 
 T = TypeVar("T")
 
+FORMATS = ("human", "machine")
 
-class ScanLedger:
-    """Per-level tally of transaction examinations during a mining run.
-
-    Entries only increase; totals are the sum over levels.
-    """
-
-    __slots__ = ("_per_level",)
-
-    def __init__(self, per_level: Mapping[int, int] | None = None):
-        self._per_level: dict[int, int] = {}
-        if per_level:
-            for level, scanned in per_level.items():
-                self.add(level, scanned)
-
-    def add(self, level: int, scanned: int) -> None:
-        if level < 1:
-            raise ConfigurationError(f"ledger level must be >= 1, got {level}")
-        if scanned < 0:
-            raise ConfigurationError("ledger entries only increase")
-        self._per_level[level] = self._per_level.get(level, 0) + scanned
-
-    def level(self, k: int) -> int:
-        return self._per_level.get(k, 0)
-
-    @property
-    def per_level(self) -> dict[int, int]:
-        return dict(sorted(self._per_level.items()))
-
-    @property
-    def total(self) -> int:
-        return sum(self._per_level.values())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScanLedger):
-            return NotImplemented
-        return self._per_level == other._per_level
-
-    def __repr__(self) -> str:
-        return f"ScanLedger({self.per_level}, total={self.total})"
+# Item separators inside the `items` lists of `levels[].itemsets[]` entries
+# and the `antecedent`/`consequent` lists of `rules[]` entries.
+_ITEMSET_ITEM_SEP = ",\n            "
+_RULE_ITEM_SEP = ",\n        "
 
 
 def reduction_rate(original: float, improved: float) -> float:
@@ -171,6 +139,20 @@ def format_percent(value: float | None) -> str:
     return "n/a" if value is None else f"{round_percent(value):.2f}%"
 
 
+def _is_machine(format: str) -> bool:
+    if format not in FORMATS:
+        raise ConfigurationError(f"unknown report format: {format!r}")
+    return format == "machine"
+
+
+def _min_support_line(source: MiningResult | ComparisonReport, settings: str) -> str:
+    """The `min_support:` line of a `mine`, `rules` or `compare` report; `settings` ends it."""
+    return (
+        f"min_support: {format_threshold(source.min_support)} "
+        f"(count {source.min_support_count})  {settings}"
+    )
+
+
 def render_report(report: ComparisonReport, format: str = "human") -> str:
     """Serialize a ComparisonReport; ends with a newline in both formats.
 
@@ -178,20 +160,11 @@ def render_report(report: ComparisonReport, format: str = "human") -> str:
     lines. Machine format is versioned JSON (see README for the schema) and is
     byte-stable for identical reports.
     """
-    if format == "machine":
+    if _is_machine(format):
         return "".join(json_report("compare", report_payload(report)))
-    if format != "human":
-        raise ConfigurationError(f"unknown report format: {format!r}")
-    return _render_human(report)
-
-
-def _render_human(report: ComparisonReport) -> str:
     lines = [
         f"comparison: {report.dataset}",
-        (
-            f"min_support: {format_threshold(report.min_support)} "
-            f"(count {report.min_support_count})  candidates: {report.candidate_strategy}"
-        ),
+        _min_support_line(report, f"candidates: {report.candidate_strategy}"),
         "",
         f"{'level':<14}" + "".join(f"{run.variant:>12}" for run in report.runs),
     ]
@@ -212,6 +185,176 @@ def _render_human(report: ComparisonReport) -> str:
             f"time reduction rate: {format_percent(report.reduction_rate_percent)}"
         )
     return "".join(line + "\n" for line in lines)
+
+
+def mine_report(
+    db: TransactionDb, label: str, result: MiningResult, format: str = "human"
+) -> Iterator[str]:
+    """Chunks of the `mine` report of `result`, mined from `db` named `label`."""
+    if _is_machine(format):
+        json_tokens = [json.dumps(token) for token in db.tokens]
+        yield from json_report(
+            "mine", _mining_fields(db, label, result), levels=_levels_json(result, json_tokens)
+        )
+        return
+    yield _header(
+        db, label, result, f"variant: {result.variant}  candidates: {result.candidate_strategy}"
+    )
+    yield "\n"
+    token = db.tokens.__getitem__
+    for k in sorted(result.levels):
+        level = result.levels[k]
+        yield f"L{k}: {len(level)} itemsets\n"
+        for itemset, support in level.items():
+            yield f"  {', '.join(map(token, itemset))}  (support {support})\n"
+    if result.levels:
+        yield "\n"
+    yield f"{result.total_frequent} frequent itemsets\n"
+    scans = "".join(f"{k}-itemset {v}, " for k, v in result.ledger.per_level.items())
+    yield f"transactions scanned: {scans}total {result.ledger.total}\n"
+
+
+def rules_report(
+    db: TransactionDb,
+    label: str,
+    result: MiningResult,
+    found: list[AssociationRule],
+    min_confidence: float,
+    format: str = "human",
+) -> Iterator[str]:
+    """Chunks of the `rules` report: the rules `found` in `result` at `min_confidence`."""
+    if _is_machine(format):
+        json_tokens = [json.dumps(token) for token in db.tokens]
+        yield from json_report(
+            "rules",
+            {**_mining_fields(db, label, result), "min_confidence": min_confidence},
+            levels=_levels_json(result, json_tokens),
+            rules=_rules_json(found, json_tokens),
+        )
+        return
+    yield _header(db, label, result, f"min_confidence: {format_threshold(min_confidence)}")
+    yield f"{len(found)} rules\n"
+    token = db.tokens.__getitem__
+    for rule in found:
+        left = ", ".join(map(token, rule.antecedent))
+        right = ", ".join(map(token, rule.consequent))
+        yield f"{left} => {right} (support {rule.support}, confidence {rule.confidence:.2f})\n"
+
+
+def bench_report(
+    reports: Sequence[ComparisonReport], repetitions: int, format: str = "human"
+) -> Iterator[str]:
+    """Chunks of the `bench` report: one row per `compare` report, and the means.
+
+    The reports share one min_support and candidate strategy. A rate is None
+    when its classic run took no measurable time or did no scans; each mean
+    covers the rates that exist, and is None when none does.
+    """
+    first = reports[0]
+    mean_time = _mean_or_none([r.reduction_rate_percent for r in reports])
+    mean_scan = _mean_or_none([r.scan_reduction_percent for r in reports])
+    if _is_machine(format):
+        yield from json_report(
+            "bench",
+            {
+                "min_support": first.min_support,
+                "candidate_strategy": first.candidate_strategy,
+                "repetitions": repetitions,
+                "datasets": [report_payload(report) for report in reports],
+                "mean_reduction_rate_percent": mean_time,
+                "mean_scan_reduction_percent": mean_scan,
+            },
+        )
+        return
+    width = max(len("dataset"), max(len(r.dataset) for r in reports)) + 2
+    yield (
+        f"min_support: {format_threshold(first.min_support)}  "
+        f"candidates: {first.candidate_strategy}  reps: {repetitions}\n\n"
+    )
+    yield (
+        f"{'dataset':<{width}}"
+        + "".join(f"{run.variant + ' (s)':>14}" for run in first.runs)
+        + f"{'reduction (%)':>15}\n"
+    )
+    for report in reports:
+        rate = format_percent(report.reduction_rate_percent).removesuffix("%")
+        yield (
+            f"{report.dataset:<{width}}"
+            + "".join(f"{run.wall_seconds:>14.6f}" for run in report.runs)
+            + f"{rate:>15}\n"
+        )
+    yield f"\nmean reduction rate: {format_percent(mean_time)}\n"
+    if mean_scan is not None:
+        yield f"mean scan reduction rate: {format_percent(mean_scan)}\n"
+
+
+def _mean_or_none(rates: list[float | None]) -> float | None:
+    present = [rate for rate in rates if rate is not None]
+    return mean_rate(present) if present else None
+
+
+def _header(db: TransactionDb, label: str, result: MiningResult, settings: str) -> str:
+    """The `dataset:` and `min_support:` lines of a human `mine` or `rules` report."""
+    return (
+        f"dataset: {label} ({len(db)} transactions, {db.num_items} items)\n"
+        f"{_min_support_line(result, settings)}\n"
+    )
+
+
+def _mining_fields(db: TransactionDb, label: str, result: MiningResult) -> dict:
+    """The members a machine `mine` or `rules` report holds besides its lists."""
+    return {
+        "dataset": label,
+        "num_transactions": len(db),
+        "num_items": db.num_items,
+        "min_support": result.min_support,
+        "min_support_count": result.min_support_count,
+        "variant": result.variant,
+        "candidate_strategy": result.candidate_strategy,
+        **ledger_payload(result.ledger),
+        "total_frequent_itemsets": result.total_frequent,
+    }
+
+
+def _levels_json(result: MiningResult, json_tokens: Sequence[str]) -> Iterator[str]:
+    """The `levels` member: one entry per level, holding `itemsets[]`."""
+    if not result.levels:
+        yield "[]"
+        return
+    token = json_tokens.__getitem__
+    opening = "[\n"
+    for k in sorted(result.levels):
+        yield f'{opening}    {{\n      "itemsets": [\n'
+        separator = ""
+        for itemset, support in result.levels[k].items():
+            yield (
+                f'{separator}        {{\n          "items": [\n            '
+                f"{_ITEMSET_ITEM_SEP.join(map(token, itemset))}\n          ],\n"
+                f'          "support": {support!r}\n        }}'
+            )
+            separator = ",\n"
+        yield f'\n      ],\n      "k": {k!r}\n    }}'
+        opening = ",\n"
+    yield "\n  ]"
+
+
+def _rules_json(found: list[AssociationRule], json_tokens: Sequence[str]) -> Iterator[str]:
+    """The `rules` member: antecedent, confidence, consequent, support."""
+    if not found:
+        yield "[]"
+        return
+    token = json_tokens.__getitem__
+    opening = "[\n"
+    for rule in found:
+        yield (
+            f'{opening}    {{\n      "antecedent": [\n        '
+            f"{_RULE_ITEM_SEP.join(map(token, rule.antecedent))}\n      ],\n"
+            f'      "confidence": {rule.confidence!r},\n      "consequent": [\n        '
+            f"{_RULE_ITEM_SEP.join(map(token, rule.consequent))}\n      ],\n"
+            f'      "support": {rule.support!r}\n    }}'
+        )
+        opening = ",\n"
+    yield "\n  ]"
 
 
 def report_payload(report: ComparisonReport) -> dict:

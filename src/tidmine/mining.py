@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .dataset import TransactionDb
 from .errors import ConfigurationError, ContractViolationError, ResourceLimitError
 from .lanes import LanePages
-from .metrics import ScanLedger
 
 Itemset = tuple[int, ...]
 
@@ -30,6 +29,51 @@ CANDIDATE_STRATEGIES = ("join", "join_unpruned", "combinations")
 # Largest level `generate_candidates_combinations` builds. C(|L1|, k) grows
 # so fast that an unbounded level would exhaust time or memory, not fail.
 MAX_CANDIDATES = 1_000_000
+
+
+class ScanLedger:
+    """Per-level tally of transaction examinations during a mining run.
+
+    For every candidate itemset, each transaction inspected while counting
+    that candidate adds one examination to the candidate's level. Level 1 is a
+    full pass, so it always records `num_transactions * num_distinct_items`
+    regardless of the counting variant. Entries only increase; totals are the
+    sum over levels.
+    """
+
+    __slots__ = ("_per_level",)
+
+    def __init__(self, per_level: Mapping[int, int] | None = None):
+        self._per_level: dict[int, int] = {}
+        if per_level:
+            for level, scanned in per_level.items():
+                self.add(level, scanned)
+
+    def add(self, level: int, scanned: int) -> None:
+        if level < 1:
+            raise ConfigurationError(f"ledger level must be >= 1, got {level}")
+        if scanned < 0:
+            raise ConfigurationError("ledger entries only increase")
+        self._per_level[level] = self._per_level.get(level, 0) + scanned
+
+    def level(self, k: int) -> int:
+        return self._per_level.get(k, 0)
+
+    @property
+    def per_level(self) -> dict[int, int]:
+        return dict(sorted(self._per_level.items()))
+
+    @property
+    def total(self) -> int:
+        return sum(self._per_level.values())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScanLedger):
+            return NotImplemented
+        return self._per_level == other._per_level
+
+    def __repr__(self) -> str:
+        return f"ScanLedger({self.per_level}, total={self.total})"
 
 
 class L1Index:

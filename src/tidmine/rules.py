@@ -36,6 +36,13 @@ class AssociationRule:
         return tuple(sorted(self.antecedent + self.consequent))
 
 
+def check_min_confidence(min_confidence: float) -> float:
+    """`min_confidence` itself, once it is known to lie in (0, 1]."""
+    if not 0.0 < min_confidence <= 1.0:
+        raise ConfigurationError(f"min_confidence must lie in (0, 1], got {min_confidence}")
+    return min_confidence
+
+
 def generate_rules(
     result: MiningResult, min_confidence: float
 ) -> list[AssociationRule]:
@@ -49,11 +56,7 @@ def generate_rules(
     float rounding. Output is sorted by (itemset size, itemset, antecedent),
     since `result.levels` holds each level in canonical order.
     """
-    if not 0.0 < min_confidence <= 1.0:
-        raise ConfigurationError(
-            f"min_confidence must lie in (0, 1], got {min_confidence}"
-        )
-    threshold = Fraction(str(min_confidence))
+    threshold = Fraction(str(check_min_confidence(min_confidence)))
     num, den = threshold.numerator, threshold.denominator
     out = []
     for size in sorted(result.levels):

@@ -116,6 +116,34 @@ def test_single_source_commands_reject_a_second_source(
     assert "exactly one of --input or --generate is required" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mine", "--generate", "20000,50,8", "--min-support", "abc"],
+        ["mine", "--generate", "20000,50,8", "--min-support", "1.5"],
+        ["rules", "--generate", "20000,50,8", "--min-support", "0.05", "--min-confidence", "2"],
+        ["rules", "--generate", "20000,50,8", "--min-support", "0.05", "--min-confidence", "x"],
+        ["compare", "--generate", "20000,50,8", "--min-support", "0.05", "--reps", "-1"],
+        [
+            "bench", "--generate", "20000,50,8", "--generate", "20000,50,8",
+            "--min-support", "x",
+        ],
+        ["bench", "--generate", "20000,50,8", "--min-support", "0.05", "--reps", "0"],
+        ["bench", "--generate", "20000,50,8", "--generate", "20000,50", "--min-support", "0.05"],
+        ["mine", "--input", "/nonexistent", "--min-support", "abc"],
+    ],
+)
+def test_bad_flags_stop_the_run_before_any_input(argv, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("input was read before every flag was checked")
+
+    monkeypatch.setattr(cli, "load_transactions", never)
+    monkeypatch.setattr(cli, "generate_synthetic", never)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error: argument --" in err
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run_cli(capsys, "mine", "--bogus")[0] == 2
 
@@ -550,6 +578,35 @@ def test_input_jobs_never_import_numpy(golden_path, src_env):
     assert proc.returncode == 0, proc.stderr
     assert "8 frequent itemsets" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+# Each module imports only modules before it here; errors sits below them all.
+LAYERS = ("dataset", "lanes", "mining", "rules", "metrics", "cli")
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_modules_import_no_later_layer(module, src_env):
+    # The package's __init__ re-exports every layer, so the module is imported
+    # under a bare package object to see its own imports only.
+    script = (
+        "import importlib, importlib.util, sys, types\n"
+        "package = types.ModuleType('tidmine')\n"
+        "package.__path__ = importlib.util.find_spec('tidmine').submodule_search_locations\n"
+        "sys.modules['tidmine'] = package\n"
+        "importlib.import_module('tidmine.' + sys.argv[1])\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, module],
+        capture_output=True,
+        text=True,
+        env=src_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert f"tidmine.{module}" in loaded
+    later = LAYERS[LAYERS.index(module) + 1 :]
+    assert loaded.isdisjoint(f"tidmine.{name}" for name in later)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

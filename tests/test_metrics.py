@@ -8,12 +8,16 @@ from tidmine.metrics import (
     ComparisonReport,
     ScanLedger,
     VariantRun,
+    bench_report,
     mean_rate,
     median_seconds,
+    mine_report,
     reduction_rate,
     render_report,
     round_percent,
+    rules_report,
 )
+from tidmine.mining import run_apriori
 
 # Frozen reference timings and their reduction rates: one sweep over
 # transaction counts, one over support thresholds.
@@ -222,9 +226,17 @@ def test_machine_report_untimed_is_null():
     )
 
 
-def test_render_rejects_unknown_format():
+def test_render_rejects_unknown_format(golden_db):
     with pytest.raises(ConfigurationError):
         render_report(_golden_report(), "yaml")
+    result = run_apriori(golden_db, 3)
+    for chunks in (
+        mine_report(golden_db, "golden", result, "yaml"),
+        rules_report(golden_db, "golden", result, [], 0.5, "yaml"),
+        bench_report([_golden_report(1.0, 0.5)], 1, "yaml"),
+    ):
+        with pytest.raises(ConfigurationError):
+            next(chunks)
 
 
 def test_report_renders_every_run_and_rates_by_name():

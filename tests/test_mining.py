@@ -9,10 +9,10 @@ from tidmine import mining
 from tidmine.dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
 from tidmine.errors import ConfigurationError, ContractViolationError, ResourceLimitError
 from tidmine.lanes import LanePages
-from tidmine.metrics import ScanLedger
 from tidmine.mining import (
     CandidateSet,
     L1Index,
+    ScanLedger,
     compute_l1,
     count_support_full,
     count_support_restricted,

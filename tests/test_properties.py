@@ -251,11 +251,11 @@ def _machine_reports(db, min_support, min_confidence, variant, label="corpus \"1
     result = run_apriori(db, min_support, variant=variant)
     found = generate_rules(result, min_confidence)
     mine = (
-        _captured(cli._machine_report(result, db, label)),
+        _captured(metrics.mine_report(db, label, result, "machine")),
         _reference_text(_reference_payload(result, db, label)),
     )
     rules = (
-        _captured(cli._machine_report(result, db, label, found, min_confidence)),
+        _captured(metrics.rules_report(db, label, result, found, min_confidence, "machine")),
         _reference_text(_reference_rules_payload(result, found, min_confidence, db, label)),
     )
     return mine, rules
