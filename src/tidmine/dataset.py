@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
-from .errors import ConfigurationError, IngestionError, UnknownItemError
+from .errors import ConfigurationError, IngestionError, ResourceLimitError, UnknownItemError
 
 DELIMITER_POLICIES = ("whitespace", "comma")
 
@@ -188,9 +188,22 @@ def generate_synthetic(config: GeneratorConfig) -> TransactionDb:
     `avg_transaction_len`, clamped to [1, num_items]. Items are drawn without
     replacement under a Zipf-like popularity weighting, so per-item supports
     differ widely. The same config always yields a byte-identical database.
+    Raises ResourceLimitError for a size past numpy's address range.
     """
     # Imported here so that jobs reading --input never pay numpy's import.
     import numpy as np
+
+    # Each size is the length of an array of 8-byte elements. numpy refuses an
+    # array whose byte size its index type cannot hold with a bare ValueError,
+    # before allocating, so such a size stops here with a clear message.
+    longest = np.iinfo(np.intp).max // 8
+    sizes = {"num_transactions": config.num_transactions, "num_items": config.num_items}
+    for name, size in sizes.items():
+        if size > longest:
+            raise ResourceLimitError(
+                f"{name} {size} exceeds the longest array numpy can address "
+                f"({longest} 8-byte elements)"
+            )
 
     rng = np.random.default_rng(config.seed)
     universe = np.arange(config.num_items)

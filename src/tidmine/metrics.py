@@ -10,7 +10,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .dataset import TransactionDb
 from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
@@ -222,7 +222,12 @@ def rules_report(
     min_confidence: float,
     format: str = "human",
 ) -> Iterator[str]:
-    """Chunks of the `rules` report: the rules `found` in `result` at `min_confidence`."""
+    """Chunks of the `rules` report: the rules `found` in `result` at `min_confidence`.
+
+    Each distinct side and confidence is rendered once, so sides must be
+    tuples, and confidences that compare equal print alike: in a caller-built
+    list, the first of 1 and 1.0 (or of 0.0 and -0.0) sets the text of both.
+    """
     if _is_machine(format):
         json_tokens = [json.dumps(token) for token in db.tokens]
         yield from json_report(
@@ -234,11 +239,13 @@ def rules_report(
         return
     yield _header(db, label, result, f"min_confidence: {format_threshold(min_confidence)}")
     yield f"{len(found)} rules\n"
-    token = db.tokens.__getitem__
-    for rule in found:
-        left = ", ".join(map(token, rule.antecedent))
-        right = ", ".join(map(token, rule.consequent))
-        yield f"{left} => {right} (support {rule.support}, confidence {rule.confidence:.2f})\n"
+    side = _side_text(db.tokens, ", ")
+    confidence_text = _Memo("{:.2f}".format)
+    for antecedent, consequent, support, confidence in found:
+        yield (
+            f"{side[antecedent]} => {side[consequent]} "
+            f"(support {support}, confidence {confidence_text[confidence]})\n"
+        )
 
 
 def bench_report(
@@ -343,18 +350,42 @@ def _rules_json(found: list[AssociationRule], json_tokens: Sequence[str]) -> Ite
     if not found:
         yield "[]"
         return
-    token = json_tokens.__getitem__
+    side = _side_text(json_tokens, _RULE_ITEM_SEP)
+    confidence_text = _Memo(repr)
     opening = "[\n"
-    for rule in found:
+    for antecedent, consequent, support, confidence in found:
         yield (
-            f'{opening}    {{\n      "antecedent": [\n        '
-            f"{_RULE_ITEM_SEP.join(map(token, rule.antecedent))}\n      ],\n"
-            f'      "confidence": {rule.confidence!r},\n      "consequent": [\n        '
-            f"{_RULE_ITEM_SEP.join(map(token, rule.consequent))}\n      ],\n"
-            f'      "support": {rule.support!r}\n    }}'
+            f'{opening}    {{\n      "antecedent": [\n        {side[antecedent]}\n      ],\n'
+            f'      "confidence": {confidence_text[confidence]},\n'
+            f'      "consequent": [\n        {side[consequent]}\n      ],\n'
+            f'      "support": {support!r}\n    }}'
         )
         opening = ",\n"
     yield "\n  ]"
+
+
+class _Memo(dict):
+    """`render(key)` of each key looked up, rendered on the first lookup only.
+
+    Rules share their side tuples and repeat a few confidences, so a large
+    rule list renders most of its text from memos.
+    """
+
+    __slots__ = ("_render",)
+
+    def __init__(self, render: Callable[[Any], str]):
+        super().__init__()
+        self._render = render
+
+    def __missing__(self, key) -> str:
+        self[key] = text = self._render(key)
+        return text
+
+
+def _side_text(tokens: Sequence[str], sep: str) -> _Memo:
+    """Memo of the text of each rule side: its items' `tokens` joined by `sep`."""
+    token = tokens.__getitem__
+    return _Memo(lambda side: sep.join(map(token, side)))
 
 
 def report_payload(report: ComparisonReport) -> dict:

@@ -1,39 +1,54 @@
 """Association-rule generation from mined frequent itemsets."""
 
 import itertools
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
+from typing import Callable
 
 from .errors import ConfigurationError, ContractViolationError
 from .mining import Itemset, MiningResult
 
 
-@dataclass(frozen=True, slots=True)
-class AssociationRule:
+class AssociationRule(tuple):
     """Rule antecedent -> consequent with the support of their union.
 
-    confidence = support(antecedent + consequent) / support(antecedent).
+    A 4-field tuple record `(antecedent, consequent, support, confidence)`:
+    it unpacks, indexes and compares like that plain tuple. confidence =
+    support(antecedent + consequent) / support(antecedent).
     """
 
-    antecedent: Itemset
-    consequent: Itemset
-    support: int
-    confidence: float
+    __slots__ = ()
+    __match_args__ = ("antecedent", "consequent", "support", "confidence")
 
-    def __post_init__(self):
-        if not self.antecedent or not self.consequent:
+    def __new__(cls, antecedent: Itemset, consequent: Itemset, support: int, confidence: float):
+        if not antecedent or not consequent:
             raise ContractViolationError("rule sides must be non-empty")
-        if not set(self.antecedent).isdisjoint(self.consequent):
+        if not set(antecedent).isdisjoint(consequent):
             raise ContractViolationError("rule sides must be disjoint")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ContractViolationError(
-                f"confidence must lie in [0, 1], got {self.confidence}"
-            )
+        if not 0.0 <= confidence <= 1.0:
+            raise ContractViolationError(f"confidence must lie in [0, 1], got {confidence}")
+        return tuple.__new__(cls, (antecedent, consequent, support, confidence))
+
+    def __reduce__(self):
+        # Copies and unpickling, under every pickle protocol, rebuild the
+        # record through the checks above (tuple's own reduction would not).
+        return type(self), tuple(self)
+
+    antecedent = property(operator.itemgetter(0), doc="Items the rule starts from.")
+    consequent = property(operator.itemgetter(1), doc="Items the rule implies.")
+    support = property(operator.itemgetter(2), doc="Support of antecedent + consequent.")
+    confidence = property(operator.itemgetter(3), doc="support / support(antecedent).")
 
     @property
     def itemset(self) -> Itemset:
         """The frequent itemset the rule was split from."""
-        return tuple(sorted(self.antecedent + self.consequent))
+        return tuple(sorted(self[0] + self[1]))
+
+    def __repr__(self) -> str:
+        return (
+            f"AssociationRule(antecedent={self[0]!r}, consequent={self[1]!r}, "
+            f"support={self[2]!r}, confidence={self[3]!r})"
+        )
 
 
 def check_min_confidence(min_confidence: float) -> float:
@@ -58,42 +73,64 @@ def generate_rules(
     """
     threshold = Fraction(str(check_min_confidence(min_confidence)))
     num, den = threshold.numerator, threshold.denominator
+    # Each frequent itemset maps to (its tuple in `result.levels`, support):
+    # one lookup gives a side's support, and rules hold those tuples instead
+    # of fresh copies.
+    sides = {
+        itemset: (itemset, support)
+        for level in result.levels.values()
+        for itemset, support in level.items()
+    }
+    # Splits are non-empty, disjoint and kept only at confidence <= 1, so the
+    # records skip the constructor's checks.
+    new = tuple.__new__
     out = []
+    append = out.append
     for size in sorted(result.levels):
         if size < 2:
             continue
-        # Sizes, itemsets and antecedent positions are each visited in
-        # canonical order, so rules come out in (size, itemset, antecedent)
-        # order without a sort.
-        splits = [
-            (a_pos, c_pos, result.levels[len(a_pos)])
-            for a_pos, c_pos in _split_positions(size)
-        ]
+        # Sizes, itemsets and antecedents are each visited in canonical
+        # order, so rules come out in (size, itemset, antecedent) order
+        # without a sort.
+        splits = _splits(size)
         for itemset, support in result.levels[size].items():
-            at = itemset.__getitem__
-            for a_pos, c_pos, a_level in splits:
-                antecedent = tuple(map(at, a_pos))
+            for antecedent_of, consequent_of in splits:
+                key = antecedent_of(itemset)
                 try:
-                    a_support = a_level[antecedent]
+                    antecedent, a_support = sides[key]
                 except KeyError:
                     raise ContractViolationError(
-                        f"support of antecedent {antecedent} missing from the "
+                        f"support of antecedent {key} missing from the "
                         "mining result; downward closure violated"
                     ) from None
                 if support * den >= num * a_support:
-                    out.append(
-                        AssociationRule(
-                            antecedent, tuple(map(at, c_pos)), support, support / a_support
-                        )
+                    key = consequent_of(itemset)
+                    side = sides.get(key)
+                    consequent = key if side is None else side[0]
+                    append(
+                        new(AssociationRule, (antecedent, consequent, support, support / a_support))
                     )
     return out
 
 
-def _split_positions(size: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(antecedent, consequent) positions of every split of a `size`-itemset
-    into two non-empty parts, antecedents in lexicographic order."""
+def _splits(size: int) -> list[tuple[Callable[[Itemset], Itemset], Callable[[Itemset], Itemset]]]:
+    """(antecedent, consequent) getters of every split of a `size`-itemset into
+    two non-empty parts, antecedents in lexicographic order of positions. Each
+    getter takes an itemset to the tuple of its items at that part's positions."""
     every = range(size)
     antecedents = sorted(
         a_pos for a_size in range(1, size) for a_pos in itertools.combinations(every, a_size)
     )
-    return [(a_pos, tuple(i for i in every if i not in a_pos)) for a_pos in antecedents]
+    return [
+        (_items_at(a_pos), _items_at(tuple(i for i in every if i not in a_pos)))
+        for a_pos in antecedents
+    ]
+
+
+def _items_at(positions: tuple[int, ...]) -> Callable[[Itemset], Itemset]:
+    """A getter of the items at `positions` (ascending) as a tuple: a slice when
+    they are contiguous, since `itemgetter` of one position returns a bare item."""
+    first, last = positions[0], positions[-1]
+    if last - first + 1 == len(positions):
+        return operator.itemgetter(slice(first, last + 1))
+    return operator.itemgetter(*positions)

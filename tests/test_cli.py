@@ -325,6 +325,17 @@ def test_impossible_generate_size_exits_1(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec", ["100000000000000000000,50,8", "10,100000000000000000000,8"])
+def test_generate_size_past_numpy_range_exits_1(capsys, spec):
+    # numpy refuses 10**20 elements before allocating anything: no array of
+    # that length has a byte size its index type can hold.
+    code, out, err = run_cli(capsys, "mine", "--generate", spec, "--min-support", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "numpy" in err
+
+
 @pytest.mark.parametrize("fmt", ["human", "machine"])
 def test_failed_write_exits_1(golden_path, capsys, monkeypatch, fmt):
     class ClosedPipe:

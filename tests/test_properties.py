@@ -28,7 +28,7 @@ from tidmine.mining import (
     generate_candidates_join,
     run_apriori,
 )
-from tidmine.rules import generate_rules
+from tidmine.rules import AssociationRule, generate_rules
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -172,10 +172,18 @@ def test_rules_match_oracle(rng, min_confidence, data):
     # keep the worst corpus near six thousand.
     db = random_db(rng, max_items=8)
     min_support = data.draw(st.integers(1, max(1, len(db))), label="min_support")
-    found = generate_rules(run_apriori(db, min_support), min_confidence)
+    result = run_apriori(db, min_support)
+    found = generate_rules(result, min_confidence)
     expected = _bruteforce_rules(bruteforce_frequent(db, min_support), min_confidence)
     got = [(r.antecedent, r.consequent, r.support, r.confidence) for r in found]
     assert got == expected
+    # Records built without the constructor's checks would pass them, and
+    # their sides are the tuples the mining result holds, not copies.
+    held = {itemset: itemset for level in result.levels.values() for itemset in level}
+    for rule in found:
+        assert AssociationRule(*rule) == rule
+        assert rule.antecedent is held[rule.antecedent]
+        assert rule.consequent is held[rule.consequent]
 
 
 def _reference_payload(result, db, label, command="mine"):

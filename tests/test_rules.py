@@ -1,4 +1,6 @@
+import copy
 import io
+import pickle
 import random
 from fractions import Fraction
 
@@ -165,3 +167,41 @@ def test_missing_antecedent_violates_contract():
     )
     with pytest.raises(ContractViolationError, match=r"antecedent \(1,\) missing"):
         generate_rules(result, EPSILON)
+
+
+def test_rule_is_a_tuple_record():
+    rule = AssociationRule((0,), (1, 2), 3, 0.75)
+    antecedent, consequent, support, confidence = rule
+    assert (antecedent, consequent, support, confidence) == ((0,), (1, 2), 3, 0.75)
+    assert rule == ((0,), (1, 2), 3, 0.75) and hash(rule) == hash(((0,), (1, 2), 3, 0.75))
+    assert (rule.antecedent, rule.consequent, rule.support, rule.confidence) == tuple(rule)
+    assert rule.itemset == (0, 1, 2)
+    match rule:
+        case AssociationRule((0,), (1, 2), 3, 0.75):
+            matched = True
+        case _:
+            matched = False
+    assert matched
+    assert repr(rule) == (
+        "AssociationRule(antecedent=(0,), consequent=(1, 2), support=3, confidence=0.75)"
+    )
+    with pytest.raises(AttributeError):
+        rule.support = 4
+
+
+def test_rule_copies_go_through_the_checks():
+    rule = AssociationRule((0,), (1, 2), 3, 0.75)
+    # No method builds a changed record without the constructor.
+    assert not any(hasattr(rule, name) for name in ("_make", "_replace", "__replace__"))
+    copies = [copy.copy(rule), copy.deepcopy(rule)]
+    copies += [pickle.loads(pickle.dumps(rule, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert type(twin) is AssociationRule and twin == rule
+    # Every copy and unpickling path rebuilds through the checked constructor,
+    # so a record altered on the way still raises.
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        rebuild, args = rule.__reduce_ex__(protocol)[:2]
+        assert rebuild is AssociationRule and args == tuple(rule)
+    tampered = pickle.dumps(rule, 0).replace(b"F0.75\n", b"F1.5\n")
+    with pytest.raises(ContractViolationError, match="confidence must lie in"):
+        pickle.loads(tampered)
