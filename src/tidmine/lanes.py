@@ -1,12 +1,12 @@
 """Bit-parallel subset tests: one 64-bit lane per examined transaction.
 
-`LanePages` lays out the items it is given, in that order, on pages of
-LANE_ITEMS items, and its pages never change after it is built. `run_apriori`
-builds one per run and passes it to its counting kernel at every level; it
-lays out its frequent items by descending support, so the items a candidate
-holds share few pages. On a page, a transaction's lane holds the complement of
-its items there: bit b is set when the transaction lacks the item in slot b.
-Bit 63 of every lane, the guard, is always clear.
+`run_apriori` builds one `LanePages` per run from its L1 index alone, so the
+L1 pass is the run's only pass over the transactions, and passes it to its
+counting kernel at every level. The pages lay out the index's items by
+descending support, LANE_ITEMS to a page, so a candidate's items share few
+pages, and never change after the build. On a page, a transaction's lane
+holds the complement of its items there: bit b is set when the transaction
+lacks the item in slot b. Bit 63 of every lane, the guard, is always clear.
 
 A block packs the lanes of a sequence of transactions into one int per page,
 lane i in bits 64*i to 64*i + 63. To test a candidate, its bits on a page are
@@ -21,83 +21,78 @@ own lane.
 
 import sys
 from array import array
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .dataset import TransactionDb
 from .errors import ContractViolationError
+
+if TYPE_CHECKING:
+    from .mining import L1Index
 
 LANE_ITEMS = 63
 LANE_LOW = (1 << LANE_ITEMS) - 1
 
 
 class LanePages:
-    """The lanes of every transaction of `db`, one word array per page.
+    """The lanes of `num_transactions` transactions, one word array per page,
+    laid out from the TID lists of `l1`, which the pages keep as `l1`.
 
     Page p's lanes are `_words[p]`, one native-order word per transaction.
-    Only the items given are laid out, so the slot table and lane memory
+    Only the index's items are laid out, so the slot table and lane memory
     follow the counted items rather than every distinct item of the database.
-    An id that no transaction holds (or outside the database) counts 0.
+    An item with an empty TID list counts 0.
     """
 
-    __slots__ = ("size", "full", "_slot", "_words", "_projections")
+    __slots__ = ("l1", "size", "full", "_slot", "_words", "_projections")
 
-    def __init__(self, db: TransactionDb, items: Iterable[int]):
-        transactions, num_items = db.transactions, db.num_items
-        # All pages side by side in one int per transaction, the i-th in bits
-        # 64*i to 64*i + 63, built in one pass, written out as little-endian
-        # words.
+    def __init__(self, l1: "L1Index", num_transactions: int):
+        self.l1, self.size = l1, num_transactions
         self._slot: dict[int, tuple[int, int]] = {}
-        wide = [0] * num_items
-        for i, item in enumerate(dict.fromkeys(items)):
+        # Every lane starts all ones, every item missing; each item's bit is
+        # then cleared in the lanes of the transactions its TID list names.
+        self._words: list[array] = []
+        for i, item in enumerate(l1.by_support):
             page, bit = divmod(i, LANE_ITEMS)
-            self._slot[item] = (page, 1 << bit)
-            if 0 <= item < num_items:
-                wide[item] = 1 << (64 * page + bit)
-        count = -(-len(self._slot) // LANE_ITEMS)
-        fill = sum(LANE_LOW << 64 * i for i in range(count))
-        width = 8 * count
-        rows = array("Q")
-        append = rows.frombytes
-        for txn in transactions:
-            append((fill ^ sum(map(wide.__getitem__, txn))).to_bytes(width, "little"))
-        if sys.byteorder == "big":
-            rows.byteswap()
-        self._words = [rows[i::count] for i in range(count)]
-        self.size = len(transactions)
-        self.full = LaneBlock(self, None)
-        self._projections: dict[int, LaneBlock] = {}
-
-    def projection(self, item: int, tids: Sequence[int]) -> "LaneBlock":
-        """The lanes of the transactions `tids` names, ascending: `item`'s TID
-        list. The block is gathered once per page and kept under `item` while
-        it is asked for with the same list object."""
-        block = self._projections.get(item)
-        if block is None or block._tids is not tids:
-            if tids and (tids[0] < 0 or tids[-1] >= self.size):
+            if page == len(self._words):
+                self._words.append(array("Q", [LANE_LOW]) * num_transactions)
+            tids = l1.tids(item)
+            if tids and tids[-1] >= num_transactions:
                 raise ContractViolationError(
                     f"TID list of item {item} names a transaction outside the database"
                 )
-            block = self._projections[item] = LaneBlock(self, tids)
+            lanes, mask = self._words[page], 1 << bit
+            self._slot[item] = (page, mask)
+            for tid in tids:
+                lanes[tid] ^= mask
+        self.full = LaneBlock(self, None)
+        self._projections: dict[int, LaneBlock] = {}
+
+    def projection(self, item: int) -> "LaneBlock":
+        """The lanes of the transactions in `item`'s TID list, ascending.
+        The block is gathered once per page and kept under `item`."""
+        block = self._projections.get(item)
+        if block is None:
+            block = self._projections[item] = LaneBlock(self, self.l1.tids(item))
         return block
 
 
 class LaneBlock:
     """The lanes of a fixed sequence of transactions: every transaction of the
     database, or the ones a TID list names. Each page's int is packed on
-    first use and kept."""
+    first use and kept. A block holds its source's slots and words, not the
+    source, so no cycle keeps a run's pages and index alive after the run."""
 
-    __slots__ = ("size", "_source", "_tids", "_pages", "_ones", "_guards")
+    __slots__ = ("size", "_slot", "_words", "_tids", "_pages", "_ones", "_guards")
 
     def __init__(self, source: LanePages, tids: Sequence[int] | None):
         self.size = source.size if tids is None else len(tids)
-        self._source = source
+        self._slot, self._words = source._slot, source._words
         self._tids = tids
         self._pages: dict[int, int] = {}
         self._ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * self.size, "little")
         self._guards = self._ones << LANE_ITEMS
 
     def _page(self, page: int) -> int:
-        words = self._source._words[page]
+        words = self._words[page]
         if self._tids is not None:
             words = array("Q", map(words.__getitem__, self._tids))
         lanes = self._pages[page] = int.from_bytes(words, sys.byteorder)
@@ -106,7 +101,7 @@ class LaneBlock:
     def count(self, itemset: Iterable[int]) -> int:
         """How many of the block's transactions hold every item of `itemset`;
         every item must be laid out in the block's `LanePages`."""
-        slot = self._source._slot
+        slot = self._slot
         masks: dict[int, int] = {}
         try:
             for item in itemset:

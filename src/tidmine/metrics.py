@@ -131,7 +131,7 @@ class ComparisonReport:
 
 def format_threshold(value: int | float) -> str:
     """Display form of a threshold: floats by repr, counts as integers."""
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def format_percent(value: float | None) -> str:

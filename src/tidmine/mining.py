@@ -13,6 +13,7 @@ with the same members are the same tuple.
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -79,7 +80,7 @@ class ScanLedger:
 class L1Index:
     """Support count plus sorted transaction-id list for frequent single items."""
 
-    __slots__ = ("_tids", "_rank")
+    __slots__ = ("_tids", "_rank", "by_support")
 
     def __init__(self, tids_by_item: Mapping[int, Sequence[int]]):
         self._tids: dict[int, tuple[int, ...]] = {}
@@ -93,9 +94,10 @@ class L1Index:
                 raise ContractViolationError(f"TID list for item {item} has a negative TID")
             self._tids[item] = tids
         # Rank by (support, id), so the smallest rank is the min-support item;
-        # `run_apriori` lays out its lanes in the reverse order.
+        # `by_support`, the items in descending rank, is the lane layout.
         by_support = sorted(self._tids, key=lambda item: (len(self._tids[item]), item))
         self._rank = {item: rank for rank, item in enumerate(by_support)}
+        self.by_support = tuple(reversed(by_support))
 
     @property
     def items(self) -> tuple[int, ...]:
@@ -301,7 +303,6 @@ def count_support_full(
 def count_support_restricted(
     candidate: Sequence[int],
     lanes: LanePages,
-    l1: L1Index,
     ledger: ScanLedger | None = None,
 ) -> int:
     """Support counted only over the TID list of the candidate's min-support member.
@@ -310,38 +311,37 @@ def count_support_restricted(
     member, so it appears in the member's TID list and the restricted count
     equals the full-database support. Each TID in the restricted list gets
     one subset test, in its transaction's lane, and one ledger examination.
-    The lanes of that list are gathered from `lanes` once per item and page.
+    The member and its list come from `lanes.l1`, their lanes gathered once.
     """
     cand = tuple(candidate)
-    item = min_support_item(cand, l1)
-    block = lanes.projection(item, l1.tids(item))
+    block = lanes.projection(min_support_item(cand, lanes.l1))
     if ledger is not None:
         ledger.add(len(cand), block.size)
     return block.count(cand)
 
 
 def resolve_min_support(min_support: int | float, num_transactions: int) -> int:
-    """Absolute support floor from either an int count or a float fraction.
+    """Absolute support floor from either an integral count or a float fraction.
 
-    Ints pass through and must be >= 1. Floats must lie in (0, 1] and convert
-    by an exact decimal ceiling of fraction * num_transactions (0.1 of 30
-    transactions is exactly 3, never 4), clamped to at least 1.
+    Counts (bools excluded) pass through as ints and must be >= 1. Floats must
+    lie in (0, 1] and convert by an exact decimal ceiling of fraction *
+    num_transactions (0.1 of 30 is exactly 3, never 4), clamped to at least 1.
     """
-    if isinstance(min_support, bool) or not isinstance(min_support, (int, float)):
+    if isinstance(min_support, bool) or not isinstance(min_support, (numbers.Integral, float)):
         raise ConfigurationError(
             f"min_support must be an int count or float fraction, got {min_support!r}"
         )
-    if isinstance(min_support, int):
+    if isinstance(min_support, numbers.Integral):
         if min_support < 1:
             raise ConfigurationError(
                 f"absolute min_support must be at least 1, got {min_support}"
             )
-        return min_support
+        return int(min_support)
     if not 0.0 < min_support <= 1.0:
         raise ConfigurationError(
             f"fractional min_support must lie in (0, 1], got {min_support}"
         )
-    return max(1, math.ceil(Fraction(str(min_support)) * num_transactions))
+    return max(1, math.ceil(Fraction(repr(float(min_support))) * num_transactions))
 
 
 def run_apriori(
@@ -374,8 +374,8 @@ def run_apriori(
     if len(l1):
         levels[1] = {(item,): l1.support(item) for item in l1.items}
     # Only with two frequent items is a candidate counted; both kernels then
-    # test on these lanes, the L1 items laid out by descending support.
-    lanes = LanePages(db, reversed(l1._rank)) if len(l1) > 1 else None
+    # test on lanes laid out from the index, so the L1 pass is the only pass.
+    lanes = LanePages(l1, len(db)) if len(l1) > 1 else None
     k = 2
     while levels.get(k - 1):
         if candidate_strategy == "combinations":
@@ -387,7 +387,7 @@ def run_apriori(
         if variant == "classic":
             counts = count_support_full(candidates, lanes, ledger)
         else:
-            counts = {c: count_support_restricted(c, lanes, l1, ledger) for c in candidates}
+            counts = {c: count_support_restricted(c, lanes, ledger) for c in candidates}
         frequent = {c: n for c, n in counts.items() if n >= support_floor}
         if frequent:
             levels[k] = frequent
@@ -395,7 +395,8 @@ def run_apriori(
     return MiningResult(
         levels=levels,
         ledger=ledger,
-        min_support=min_support,
+        # A plain int or float, whatever number type the threshold came as.
+        min_support=float(min_support) if isinstance(min_support, float) else support_floor,
         min_support_count=support_floor,
         variant=variant,
         candidate_strategy=candidate_strategy,

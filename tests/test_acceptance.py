@@ -93,7 +93,7 @@ def test_criterion_golden_itemsets(golden_db):
 
     # All candidate supports behind the frequent sets, via both counters.
     l1 = compute_l1(golden_db, 3)
-    lanes = LanePages(golden_db, l1.items)
+    lanes = LanePages(l1, len(golden_db))
     expected_c2 = {
         "I1 I2": 4, "I1 I3": 4, "I1 I4": 1, "I2 I3": 3, "I2 I4": 3, "I3 I4": 0,
     }
@@ -103,7 +103,7 @@ def test_criterion_golden_itemsets(golden_db):
         full = count_support_full(candidates, lanes)
         assert full == {iset(golden_db, key): v for key, v in expected.items()}
         for cand in candidates:
-            assert count_support_restricted(cand, lanes, l1) == full[cand]
+            assert count_support_restricted(cand, lanes) == full[cand]
     assert all(v < 3 for v in expected_c3.values())
 
     assert elapsed < 1.0

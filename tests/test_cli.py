@@ -1,3 +1,4 @@
+import doctest
 import json
 import re
 import subprocess
@@ -638,3 +639,12 @@ def test_readme_examples_print_what_the_readme_shows(tmp_path, capsys, monkeypat
     assert [argv[0] for argv, _ in examples] == ["mine", "rules", "compare"]
     for argv, shown in examples:
         assert run_cli(capsys, *argv) == (0, shown, "")
+
+
+def test_readme_library_examples_run_as_doctests(golden_path, monkeypatch):
+    # Both `>>>` examples of "Library use", in the README's order, on the
+    # golden baskets.txt in the working directory.
+    assert golden_path.read_text(encoding="utf-8") in README.read_text(encoding="utf-8")
+    monkeypatch.chdir(golden_path.parent)
+    failed, attempted = doctest.testfile(str(README), module_relative=False, report=False)
+    assert (failed, attempted) == (0, 13)

@@ -110,8 +110,8 @@ def test_items_strictly_increasing(golden_db):
 
 def test_lane_pages_are_cached_and_decode_to_transactions(monkeypatch):
     # 140 interned items, the last five in no transaction. Each run builds
-    # its own LanePages, in one pass over the items counted, and both
-    # kernels of that run test on it.
+    # its own LanePages from its L1 index, and both kernels of that run test
+    # on it.
     rng = random.Random(5)
     txns = [tuple(sorted(rng.sample(range(135), rng.randint(1, 70)))) for _ in range(40)]
     db = TransactionDb(txns, [f"T{i}" for i in range(140)])

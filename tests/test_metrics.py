@@ -1,10 +1,12 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from tidmine.errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
 from tidmine.metrics import (
+    FORMATS,
     ComparisonReport,
     ScanLedger,
     VariantRun,
@@ -18,6 +20,7 @@ from tidmine.metrics import (
     rules_report,
 )
 from tidmine.mining import run_apriori
+from tidmine.rules import generate_rules
 
 # Frozen reference timings and their reduction rates: one sweep over
 # transaction counts, one over support thresholds.
@@ -223,6 +226,22 @@ def test_machine_report_untimed_is_null():
     assert payload["reduction_rate_percent"] is None
     assert payload["scan_reduction_percent"] == pytest.approx(
         reduction_rate(135, 84)
+    )
+
+
+@pytest.mark.parametrize("format", FORMATS)
+@pytest.mark.parametrize("plain,scalar", [(3, np.int64(3)), (0.3, np.float64(0.3))])
+def test_numpy_scalar_thresholds_give_the_same_reports(golden_db, format, plain, scalar):
+    want, got = run_apriori(golden_db, plain), run_apriori(golden_db, scalar)
+    assert got == want and type(got.min_support) is type(plain)
+    assert "".join(mine_report(golden_db, "golden", got, format)) == "".join(
+        mine_report(golden_db, "golden", want, format)
+    )
+    confidence = np.float64(0.6)
+    found = generate_rules(got, confidence)
+    assert found == generate_rules(want, 0.6)
+    assert "".join(rules_report(golden_db, "golden", got, found, confidence, format)) == "".join(
+        rules_report(golden_db, "golden", want, found, 0.6, format)
     )
 
 

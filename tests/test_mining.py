@@ -1,7 +1,9 @@
+import gc
 import io
 import random
 from itertools import combinations, islice
 
+import numpy as np
 import pytest
 
 from oracle import bruteforce_frequent, bruteforce_support, iset, random_db, tids
@@ -219,26 +221,44 @@ def test_l1_index_rejects_negative_tids():
 
 
 def test_projection_rejects_tids_past_the_database():
-    db = TransactionDb([(0,), (0, 1), (1,)], ["A", "B"])
+    # Every TID list is checked against the database size once, at build, so
+    # no projection can name a transaction the pages do not hold.
     l1 = L1Index({0: (0, 1), 1: (1, 2, 3)})
-    lanes = LanePages(db, l1.items)
-    with pytest.raises(ContractViolationError):
-        count_support_restricted((1,), lanes, l1)
-    assert count_support_restricted((0, 1), lanes, l1) == 1  # item 0's list fits
-    with pytest.raises(ContractViolationError):  # the refused list was not kept
-        count_support_restricted((1,), lanes, l1)
+    with pytest.raises(ContractViolationError, match="item 1"):
+        LanePages(l1, 3)
+    with pytest.raises(ContractViolationError, match="item 1"):  # nothing was kept
+        LanePages(l1, 3)
+    lanes = LanePages(l1, 4)
+    assert count_support_restricted((0, 1), lanes) == 1  # over item 0's list
+    assert count_support_restricted((1,), lanes) == 3
+
+
+def test_lane_pages_hold_no_reference_cycle():
+    # A run's pages, blocks and index are freed when the run drops them, not
+    # at the next cyclic collection, so the index's TID lists never outlive
+    # the run.
+    db = generate_synthetic(GeneratorConfig(200, 20, 5, seed=2))
+    gc.collect()
+    gc.disable()
+    try:
+        lanes = LanePages(compute_l1(db, 10), len(db))
+        for cand in generate_candidates_combinations(lanes.l1, 2):
+            assert count_support_full([cand], lanes)[cand] == count_support_restricted(cand, lanes)
+        del lanes
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_kernels_reject_items_without_a_lane_slot():
-    db = TransactionDb([(0, 1), (1, 2)], ["A", "B", "C"])
-    lanes = LanePages(db, (0, 1))
-    l1 = L1Index({0: (0,), 1: (0, 1), 2: (1,)})
+    # Transactions (0, 1) and (1, 2); item 2 is not in the index laid out.
+    lanes = LanePages(L1Index({0: (0,), 1: (0, 1)}), 2)
     with pytest.raises(ContractViolationError):
         count_support_full([(1, 2)], lanes)
     with pytest.raises(ContractViolationError):
-        count_support_restricted((1, 2), lanes, l1)  # over item 2's list
+        count_support_restricted((1, 2), lanes)  # item 2 has no TID list
     with pytest.raises(ContractViolationError):
-        lanes.projection(0, (-1, 0))
+        lanes.projection(2)
 
 
 def test_min_item_missing_from_l1(golden_db):
@@ -275,7 +295,7 @@ LEVEL3_SUPPORTS = {
 def test_full_count_level2_golden(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(golden_db, l1.items)
+    lanes = LanePages(l1, len(golden_db))
     counts = count_support_full(generate_candidates_combinations(l1, 2), lanes, ledger)
     assert counts == {iset(golden_db, k): v for k, v in LEVEL2_SUPPORTS.items()}
     assert ledger.per_level == {2: 54}  # 6 candidates x 9 transactions
@@ -284,7 +304,7 @@ def test_full_count_level2_golden(golden_db):
 def test_full_count_level3_golden(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(golden_db, l1.items)
+    lanes = LanePages(l1, len(golden_db))
     counts = count_support_full(generate_candidates_combinations(l1, 3), lanes, ledger)
     assert counts == {iset(golden_db, k): v for k, v in LEVEL3_SUPPORTS.items()}
     assert ledger.per_level == {3: 36}  # 4 candidates x 9 transactions
@@ -292,15 +312,15 @@ def test_full_count_level3_golden(golden_db):
 
 def test_full_count_empty_candidates(golden_db):
     ledger = ScanLedger()
-    assert count_support_full([], LanePages(golden_db, ()), ledger) == {}
+    assert count_support_full([], LanePages(L1Index({}), len(golden_db)), ledger) == {}
     assert ledger.total == 0
 
 
 def test_restricted_count_scans_min_item_tids(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(golden_db, l1.items)
-    support = count_support_restricted(iset(golden_db, "I1 I2"), lanes, l1, ledger)
+    lanes = LanePages(l1, len(golden_db))
+    support = count_support_restricted(iset(golden_db, "I1 I2"), lanes, ledger)
     assert support == 4
     assert ledger.per_level == {2: 6}  # I1's six transactions only
 
@@ -308,8 +328,8 @@ def test_restricted_count_scans_min_item_tids(golden_db):
 def test_restricted_count_zero_support_row(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(golden_db, l1.items)
-    support = count_support_restricted(iset(golden_db, "I3 I4"), lanes, l1, ledger)
+    lanes = LanePages(l1, len(golden_db))
+    support = count_support_restricted(iset(golden_db, "I3 I4"), lanes, ledger)
     assert support == 0
     assert ledger.per_level == {2: 3}  # I4's three transactions only
 
@@ -319,12 +339,12 @@ def test_restricted_equals_full_randomized():
     for _ in range(30):
         db = random_db(rng)
         l1 = compute_l1(db, 1)
-        lanes = LanePages(db, range(db.num_items))
+        lanes = LanePages(l1, len(db))
         for _ in range(10):
             size = rng.randint(1, min(3, db.num_items))
             cand = tuple(sorted(rng.sample(range(db.num_items), size)))
             full = count_support_full([cand], lanes)[cand]
-            assert count_support_restricted(cand, lanes, l1) == full
+            assert count_support_restricted(cand, lanes) == full
             assert full == bruteforce_support(db, cand)
 
 
@@ -334,47 +354,34 @@ def test_lane_caches_stay_with_their_database():
     # old ones are dropped, which may reuse their id() values.
     rng = random.Random(11)
 
-    def check(db, l1, lanes):
+    def check(db, lanes):
         for _ in range(10):
-            cand = tuple(sorted(rng.sample(l1.items, rng.randint(1, min(3, len(l1))))))
+            items = lanes.l1.items
+            cand = tuple(sorted(rng.sample(items, rng.randint(1, min(3, len(items))))))
             want = bruteforce_support(db, cand)
             assert count_support_full([cand], lanes) == {cand: want}
-            assert count_support_restricted(cand, lanes, l1) == want
+            assert count_support_restricted(cand, lanes) == want
 
     live = [random_db(rng) for _ in range(2)]
-    indexes = [compute_l1(db, 1) for db in live]
-    pages = [LanePages(db, l1.items) for db, l1 in zip(live, indexes)]
-    for db, l1, lanes in [*zip(live, indexes, pages)] * 2:
-        check(db, l1, lanes)
-    del live, indexes, pages, db, l1, lanes
+    pages = [LanePages(compute_l1(db, 1), len(db)) for db in live]
+    for db, lanes in [*zip(live, pages)] * 2:
+        check(db, lanes)
+    del live, pages, db, lanes
     for _ in range(5):
         db = random_db(rng)
-        l1 = compute_l1(db, 1)
-        check(db, l1, LanePages(db, l1.items))
-        del db, l1
+        check(db, LanePages(compute_l1(db, 1), len(db)))
+        del db
 
-    # One index shared by two databases gathers each one's own lanes.
-    shared = L1Index({0: (0, 1, 2), 1: (0, 1, 2)})
+    # Indexes that give item 0 different TID lists count apart, each on its
+    # own pages, however the calls alternate.
     cases = [
-        (LanePages(TransactionDb(rows, ["A", "B"]), shared.items), want)
-        for rows, want in (([(0, 1), (0,), (0, 1)], 2), ([(0,), (0, 1), (0,)], 1))
+        (LanePages(L1Index({0: tids, 1: (0, 1, 2)}), 3), want)
+        for tids, want in (((0, 2), 2), ((1,), 1))
     ]
     for lanes, want in cases * 2:
-        assert count_support_restricted((0, 1), lanes, shared) == want
-
-
-def test_indexes_with_different_lists_for_one_item_count_apart():
-    # Two indexes give item 0 different TID lists; on one LanePages each
-    # count must use its own list, however the calls alternate.
-    db = TransactionDb([(0, 1), (0, 1), (0,), (1,)], ["A", "B"])
-    lanes = LanePages(db, (0, 1))
-    whole = L1Index({0: (0, 1, 2), 1: (0, 1, 3)})
-    part = L1Index({0: (2,), 1: (0, 1, 3)})
-    for _ in range(2):
         ledger = ScanLedger()
-        assert count_support_restricted((0, 1), lanes, whole, ledger) == 2
-        assert count_support_restricted((0, 1), lanes, part, ledger) == 0
-        assert ledger.per_level == {2: 3 + 1}
+        assert count_support_restricted((0, 1), lanes, ledger) == want
+        assert ledger.per_level == {2: len(lanes.l1.tids(0))}
 
 
 def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
@@ -426,11 +433,30 @@ def test_a_run_builds_lanes_only_to_count_candidates(monkeypatch):
             built.clear()
 
 
+@pytest.mark.parametrize("strategy", mining.CANDIDATE_STRATEGIES)
+@pytest.mark.parametrize("variant", mining.VARIANTS)
+def test_a_run_reads_the_transactions_once(variant, strategy):
+    # The L1 pass is the only pass: lanes are laid out from its TID lists.
+    db = generate_synthetic(GeneratorConfig(300, 12, 5, seed=4))
+    passes = []
+
+    class Rows(tuple):
+        def __iter__(self):
+            passes.append(None)
+            return super().__iter__()
+
+    db.transactions = Rows(db.transactions)
+    result = run_apriori(db, 0.05, variant, strategy)
+    assert len(result.levels[1]) >= 2 and result.max_level >= 3
+    assert len(passes) == 1
+
+
 @pytest.mark.parametrize("variant", mining.VARIANTS)
 def test_a_run_started_during_the_lane_pass_leaves_both_results_exact(variant):
-    # The rows' second full pass is the outer run's lane build; halfway
-    # through it, a run at a lower support, with more frequent items, mines
-    # the same database. Neither run may see the other's lanes half built.
+    # The rows' only full pass is the outer run's L1 pass, which its lanes
+    # are laid out from; halfway through it, a run at a lower support, with
+    # more frequent items, mines the same database. Neither run may see the
+    # other's index or lanes half built.
     db = generate_synthetic(GeneratorConfig(400, 100, 6, seed=1))
     alone = TransactionDb(db.transactions, db.tokens)
     want = {n: run_apriori(alone, n, variant).levels for n in (20, 8)}
@@ -440,14 +466,14 @@ def test_a_run_started_during_the_lane_pass_leaves_both_results_exact(variant):
         def __iter__(self):
             passes.append(None)
             rows = super().__iter__()
-            if len(passes) == 2:
+            if len(passes) == 1:
                 yield from islice(rows, len(self) // 2)
                 inner.append(run_apriori(db, 8, variant))
             yield from rows
 
     db.transactions = Rows(db.transactions)
     outer = run_apriori(db, 20, variant)
-    assert len(inner) == 1 and len(passes) == 4
+    assert len(inner) == 1 and len(passes) == 2
     assert len(outer.levels[1]) < len(inner[0].levels[1])
     assert outer.levels == want[20]
     assert inner[0].levels == want[8]
@@ -488,6 +514,15 @@ def test_resolve_fraction(fraction, n, expected):
 def test_resolve_absolute_passthrough():
     assert resolve_min_support(3, 9) == 3
     assert resolve_min_support(1, 0) == 1
+
+
+def test_resolve_takes_numpy_scalars():
+    count = resolve_min_support(np.int64(3), 9)
+    assert count == 3 and type(count) is int
+    assert resolve_min_support(np.float64(0.3), 10) == 3
+    for bad in (np.int64(0), np.float64(1.5), np.True_):
+        with pytest.raises(ConfigurationError):
+            resolve_min_support(bad, 10)
 
 
 @pytest.mark.parametrize("bad", [0, -2, 0.0, -0.5, 1.5, True, "3"])

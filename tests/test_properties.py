@@ -22,6 +22,7 @@ from tidmine.lanes import LanePages
 from tidmine.mining import (
     CANDIDATE_STRATEGIES,
     VARIANTS,
+    L1Index,
     compute_l1,
     count_support_full,
     count_support_restricted,
@@ -113,13 +114,12 @@ def test_join_matches_definition(size, prune, data):
 @given(rng=st.randoms(use_true_random=False))
 def test_counting_kernels_match_bruteforce(rng):
     db = random_db(rng)
-    l1 = compute_l1(db, 1)
-    lanes = LanePages(db, range(db.num_items))
+    lanes = LanePages(compute_l1(db, 1), len(db))
     for _ in range(10):
         cand = tuple(sorted(rng.sample(range(db.num_items), rng.randint(1, db.num_items))))
         want = bruteforce_support(db, cand)
         assert count_support_full([cand], lanes) == {cand: want}
-        assert count_support_restricted(cand, lanes, l1) == want
+        assert count_support_restricted(cand, lanes) == want
 
 
 @PROPERTY_SETTINGS
@@ -129,9 +129,10 @@ def test_counting_kernels_match_bruteforce(rng):
     unused=st.integers(0, 3),
 )
 def test_counting_kernels_across_lane_pages(seed, num_items, unused):
-    # Up to four lane pages of 63 items, laid out in a shuffled order before
-    # anything is counted; `unused` interned ids are in no transaction.
-    # Sizes that fill their last page exactly are drawn often.
+    # Up to four lane pages of 63 items, laid out by descending support
+    # before anything is counted; `unused` interned ids are in no transaction
+    # and are laid out with empty TID lists. Sizes that fill their last page
+    # exactly are drawn often.
     # A seeded Random draws the thousands of values a corpus this wide needs
     # much faster than a Hypothesis-driven one.
     rng = random.Random(seed)
@@ -141,10 +142,10 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         txn = tuple(item for item in range(num_items) if rng.random() < density)
         txns.append(txn or (rng.randrange(num_items),))
     db = TransactionDb(txns, [f"X{i}" for i in range(num_items + unused)])
-    l1 = compute_l1(db, 1)
-    order = list(range(db.num_items))
-    rng.shuffle(order)
-    laid_out = LanePages(db, order)
+    found = compute_l1(db, 1)
+    l1 = L1Index({item: found.tids(item) if item in found else () for item in range(db.num_items)})
+    laid_out = LanePages(l1, len(db))
+    order = l1.by_support
     pages = [order[start : start + 63] for start in range(0, len(order), 63)]
     cands = [tuple(sorted(order[62:65]))]
     for _ in range(10):
@@ -155,10 +156,11 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
     for cand in cands:
         want = bruteforce_support(db, cand)
         assert count_support_full([cand], laid_out) == {cand: want}
-        if all(item in l1 for item in cand):
-            assert count_support_restricted(cand, laid_out, l1) == want
+        assert count_support_restricted(cand, laid_out) == want
     for item in (-1, *range(num_items, db.num_items + 2)):
-        assert count_support_full([(item,)], LanePages(db, [item])) == {(item,): 0}
+        alone = LanePages(L1Index({item: ()}), len(db))
+        assert count_support_full([(item,)], alone) == {(item,): 0}
+        assert count_support_restricted((item,), alone) == 0
 
 
 @PROPERTY_SETTINGS
