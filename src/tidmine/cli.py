@@ -12,11 +12,11 @@ import itertools
 import sys
 from typing import Callable, Iterable, Sequence
 
-from . import metrics, rules
+from . import dataset, metrics, rules
 from .dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
 from .errors import ConfigurationError, IngestionError, ResourceLimitError
 from .metrics import ComparisonReport, VariantRun
-from .mining import CANDIDATE_STRATEGIES, VARIANTS, MiningResult, resolve_min_support, run_apriori
+from .mining import CANDIDATE_STRATEGIES, VARIANTS, MiningResult, check_threshold, run_apriori
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -146,7 +146,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="report format (default: human)",
     )
     parser.add_argument(
-        "--delimiter", choices=["whitespace", "comma"], default="whitespace",
+        "--delimiter", choices=dataset.DELIMITER_POLICIES, default="whitespace",
         help="token delimiter for --input files (default: whitespace)",
     )
     parser.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
@@ -165,18 +165,16 @@ def _add_variant(parser: argparse.ArgumentParser) -> None:
 
 def _min_support(text: str) -> int | float:
     try:
-        value = float(text) if "." in text else int(text)
-        resolve_min_support(value, 0)  # the range check, which needs no database
+        return check_threshold(float(text) if "." in text else int(text))
     except ConfigurationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse min_support {text!r}") from None
-    return value
 
 
 def _min_confidence(text: str) -> float:
     try:
-        return rules.check_min_confidence(float(text))
+        return check_threshold(float(text), confidence=True)
     except ValueError as exc:  # ConfigurationError is a ValueError
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -6,6 +6,7 @@ whitespace or commas. Tokens are interned to integer item ids in first-seen
 order, and every stored transaction is a strictly increasing tuple of ids.
 """
 
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -107,10 +108,19 @@ class GeneratorConfig:
     seed: int
 
     def __post_init__(self):
-        if self.num_transactions < 1:
-            raise ConfigurationError("num_transactions must be positive")
-        if self.num_items < 1:
-            raise ConfigurationError("num_items must be positive")
+        # Each size is the length of an array of 8-byte elements. numpy refuses
+        # one whose byte size passes its index type's maximum, sys.maxsize, so a
+        # size that long stops here, before numpy is imported.
+        longest = sys.maxsize // 8
+        for name in ("num_transactions", "num_items"):
+            size = getattr(self, name)
+            if size < 1:
+                raise ConfigurationError(f"{name} must be positive")
+            if size > longest:
+                raise ResourceLimitError(
+                    f"{name} {size} exceeds the longest array numpy can address "
+                    f"({longest} 8-byte elements)"
+                )
         if not 1.0 <= self.avg_transaction_len <= self.num_items:
             raise ConfigurationError(
                 "avg_transaction_len must lie in [1, num_items]; got "
@@ -188,22 +198,9 @@ def generate_synthetic(config: GeneratorConfig) -> TransactionDb:
     `avg_transaction_len`, clamped to [1, num_items]. Items are drawn without
     replacement under a Zipf-like popularity weighting, so per-item supports
     differ widely. The same config always yields a byte-identical database.
-    Raises ResourceLimitError for a size past numpy's address range.
     """
     # Imported here so that jobs reading --input never pay numpy's import.
     import numpy as np
-
-    # Each size is the length of an array of 8-byte elements. numpy refuses an
-    # array whose byte size its index type cannot hold with a bare ValueError,
-    # before allocating, so such a size stops here with a clear message.
-    longest = np.iinfo(np.intp).max // 8
-    sizes = {"num_transactions": config.num_transactions, "num_items": config.num_items}
-    for name, size in sizes.items():
-        if size > longest:
-            raise ResourceLimitError(
-                f"{name} {size} exceeds the longest array numpy can address "
-                f"({longest} 8-byte elements)"
-            )
 
     rng = np.random.default_rng(config.seed)
     universe = np.arange(config.num_items)

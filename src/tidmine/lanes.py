@@ -1,12 +1,13 @@
 """Bit-parallel subset tests: one 64-bit lane per examined transaction.
 
-`run_apriori` builds one `LanePages` per run from its L1 index alone, so the
-L1 pass is the run's only pass over the transactions, and passes it to its
-counting kernel at every level. The pages lay out the index's items by
-descending support, LANE_ITEMS to a page, so a candidate's items share few
-pages, and never change after the build. On a page, a transaction's lane
-holds the complement of its items there: bit b is set when the transaction
-lacks the item in slot b. Bit 63 of every lane, the guard, is always clear.
+`run_apriori` builds one `LanePages` per run from its L1 index alone, whose
+TID lists are checked against the database size it holds, so the L1 pass is
+the run's only pass over the transactions, and passes it to its counting
+kernel at every level. The pages lay out the index's items by descending
+support, LANE_ITEMS to a page, so a candidate's items share few pages, and
+never change after the build. On a page, a transaction's lane holds the
+complement of its items there: bit b is set when the transaction lacks the
+item in slot b. Bit 63 of every lane, the guard, is always clear.
 
 A block packs the lanes of a sequence of transactions into one int per page,
 lane i in bits 64*i to 64*i + 63. To test a candidate, its bits on a page are
@@ -33,8 +34,8 @@ LANE_LOW = (1 << LANE_ITEMS) - 1
 
 
 class LanePages:
-    """The lanes of `num_transactions` transactions, one word array per page,
-    laid out from the TID lists of `l1`, which the pages keep as `l1`.
+    """The lanes of `l1.num_transactions` transactions, one word array per
+    page, laid out from the index's TID lists; the pages keep it as `l1`.
 
     Page p's lanes are `_words[p]`, one native-order word per transaction.
     Only the index's items are laid out, so the slot table and lane memory
@@ -44,8 +45,8 @@ class LanePages:
 
     __slots__ = ("l1", "size", "full", "_slot", "_words", "_projections")
 
-    def __init__(self, l1: "L1Index", num_transactions: int):
-        self.l1, self.size = l1, num_transactions
+    def __init__(self, l1: "L1Index"):
+        self.l1, self.size = l1, l1.num_transactions
         self._slot: dict[int, tuple[int, int]] = {}
         # Every lane starts all ones, every item missing; each item's bit is
         # then cleared in the lanes of the transactions its TID list names.
@@ -53,15 +54,10 @@ class LanePages:
         for i, item in enumerate(l1.by_support):
             page, bit = divmod(i, LANE_ITEMS)
             if page == len(self._words):
-                self._words.append(array("Q", [LANE_LOW]) * num_transactions)
-            tids = l1.tids(item)
-            if tids and tids[-1] >= num_transactions:
-                raise ContractViolationError(
-                    f"TID list of item {item} names a transaction outside the database"
-                )
+                self._words.append(array("Q", [LANE_LOW]) * self.size)
             lanes, mask = self._words[page], 1 << bit
             self._slot[item] = (page, mask)
-            for tid in tids:
+            for tid in l1.tids(item):
                 lanes[tid] ^= mask
         self.full = LaneBlock(self, None)
         self._projections: dict[int, LaneBlock] = {}

@@ -14,7 +14,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .dataset import TransactionDb
 from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
-from .mining import MiningResult, ScanLedger
+from .mining import MiningResult, ScanLedger, check_threshold
 from .rules import AssociationRule
 
 REPORT_SCHEMA_VERSION = 2
@@ -101,6 +101,9 @@ class ComparisonReport:
     candidate_strategy: str
     runs: tuple[VariantRun, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "min_support", check_threshold(self.min_support))
+
     def run(self, variant: str) -> VariantRun:
         """The first run of `variant`."""
         for run in self.runs:
@@ -130,8 +133,8 @@ class ComparisonReport:
 
 
 def format_threshold(value: int | float) -> str:
-    """Display form of a threshold: floats by repr, counts as integers."""
-    return repr(float(value)) if isinstance(value, float) else str(value)
+    """Display form of a plain threshold: floats by repr, counts as integers."""
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def format_percent(value: float | None) -> str:
@@ -228,6 +231,7 @@ def rules_report(
     tuples, and confidences that compare equal print alike: in a caller-built
     list, the first of 1 and 1.0 (or of 0.0 and -0.0) sets the text of both.
     """
+    min_confidence = check_threshold(min_confidence, confidence=True)
     if _is_machine(format):
         json_tokens = [json.dumps(token) for token in db.tokens]
         yield from json_report(

@@ -78,20 +78,21 @@ class ScanLedger:
 
 
 class L1Index:
-    """Support count plus sorted transaction-id list for frequent single items."""
+    """Support count plus strictly increasing transaction-id list for frequent
+    single items; every TID lies in [0, num_transactions), the database's size."""
 
-    __slots__ = ("_tids", "_rank", "by_support")
+    __slots__ = ("_tids", "_rank", "by_support", "num_transactions")
 
-    def __init__(self, tids_by_item: Mapping[int, Sequence[int]]):
+    def __init__(self, tids_by_item: Mapping[int, Sequence[int]], num_transactions: int):
+        self.num_transactions = num_transactions
         self._tids: dict[int, tuple[int, ...]] = {}
         for item in sorted(tids_by_item):
             tids = tuple(tids_by_item[item])
-            if any(b <= a for a, b in zip(tids, tids[1:])):
+            if any(b <= a for a, b in zip((-1, *tids), (*tids, num_transactions))):
                 raise ContractViolationError(
-                    f"TID list for item {item} is not strictly increasing"
+                    f"TID list for item {item} does not strictly increase "
+                    f"within [0, {num_transactions})"
                 )
-            if tids and tids[0] < 0:
-                raise ContractViolationError(f"TID list for item {item} has a negative TID")
             self._tids[item] = tids
         # Rank by (support, id), so the smallest rank is the min-support item;
         # `by_support`, the items in descending rank, is the lane layout.
@@ -168,6 +169,7 @@ class MiningResult:
     candidate_strategy: str
 
     def __post_init__(self):
+        object.__setattr__(self, "min_support", check_threshold(self.min_support))
         if sorted(self.levels) != list(range(1, len(self.levels) + 1)):
             raise ContractViolationError("levels must be contiguous from 1")
         if any(not level for level in self.levels.values()):
@@ -211,7 +213,7 @@ def compute_l1(
     if ledger is not None:
         ledger.add(1, len(db) * db.num_items)
     return L1Index(
-        {item: tids for item, tids in found.items() if len(tids) >= min_support}
+        {item: tids for item, tids in found.items() if len(tids) >= min_support}, len(db)
     )
 
 
@@ -320,28 +322,37 @@ def count_support_restricted(
     return block.count(cand)
 
 
-def resolve_min_support(min_support: int | float, num_transactions: int) -> int:
-    """Absolute support floor from either an integral count or a float fraction.
-
-    Counts (bools excluded) pass through as ints and must be >= 1. Floats must
-    lie in (0, 1] and convert by an exact decimal ceiling of fraction *
-    num_transactions (0.1 of 30 is exactly 3, never 4), clamped to at least 1.
+def check_threshold(value: int | float, confidence: bool = False) -> int | float:
+    """The one threshold rule: `value` as a plain int count of at least 1 (any
+    integral number but a bool) or a plain float fraction in (0, 1], numpy's
+    float64 included. A `min_confidence` (confidence=True) is a fraction only,
+    so an integral 1 reads as 1.0. Anything else raises ConfigurationError.
     """
-    if isinstance(min_support, bool) or not isinstance(min_support, (numbers.Integral, float)):
-        raise ConfigurationError(
-            f"min_support must be an int count or float fraction, got {min_support!r}"
-        )
-    if isinstance(min_support, numbers.Integral):
-        if min_support < 1:
-            raise ConfigurationError(
-                f"absolute min_support must be at least 1, got {min_support}"
-            )
-        return int(min_support)
-    if not 0.0 < min_support <= 1.0:
-        raise ConfigurationError(
-            f"fractional min_support must lie in (0, 1], got {min_support}"
-        )
-    return max(1, math.ceil(Fraction(repr(float(min_support))) * num_transactions))
+    name = "min_confidence" if confidence else "min_support"
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integral and not confidence:
+        if value < 1:
+            raise ConfigurationError(f"absolute {name} must be at least 1, got {value}")
+        return int(value)
+    if not (integral or isinstance(value, float)):
+        kind = "a float" if confidence else "an int count or float fraction"
+        raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+    if not 0.0 < value <= 1.0:
+        raise ConfigurationError(f"fractional {name} must lie in (0, 1], got {value}")
+    return float(value)
+
+
+def resolve_min_support(min_support: int | float, num_transactions: int) -> int:
+    """Absolute support floor from a `check_threshold` count or fraction.
+
+    Counts pass through as ints. Fractions convert by an exact decimal ceiling
+    of fraction * num_transactions (0.1 of 30 is exactly 3, never 4), clamped
+    to at least 1.
+    """
+    threshold = check_threshold(min_support)
+    if isinstance(threshold, int):
+        return threshold
+    return max(1, math.ceil(Fraction(repr(threshold)) * num_transactions))
 
 
 def run_apriori(
@@ -375,7 +386,7 @@ def run_apriori(
         levels[1] = {(item,): l1.support(item) for item in l1.items}
     # Only with two frequent items is a candidate counted; both kernels then
     # test on lanes laid out from the index, so the L1 pass is the only pass.
-    lanes = LanePages(l1, len(db)) if len(l1) > 1 else None
+    lanes = LanePages(l1) if len(l1) > 1 else None
     k = 2
     while levels.get(k - 1):
         if candidate_strategy == "combinations":
@@ -395,8 +406,7 @@ def run_apriori(
     return MiningResult(
         levels=levels,
         ledger=ledger,
-        # A plain int or float, whatever number type the threshold came as.
-        min_support=float(min_support) if isinstance(min_support, float) else support_floor,
+        min_support=min_support,
         min_support_count=support_floor,
         variant=variant,
         candidate_strategy=candidate_strategy,

@@ -5,8 +5,8 @@ import operator
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ConfigurationError, ContractViolationError
-from .mining import Itemset, MiningResult
+from .errors import ContractViolationError
+from .mining import Itemset, MiningResult, check_threshold
 
 
 class AssociationRule(tuple):
@@ -51,13 +51,6 @@ class AssociationRule(tuple):
         )
 
 
-def check_min_confidence(min_confidence: float) -> float:
-    """`min_confidence` itself, once it is known to lie in (0, 1]."""
-    if not 0.0 < min_confidence <= 1.0:
-        raise ConfigurationError(f"min_confidence must lie in (0, 1], got {min_confidence}")
-    return min_confidence
-
-
 def generate_rules(
     result: MiningResult, min_confidence: float
 ) -> list[AssociationRule]:
@@ -71,7 +64,7 @@ def generate_rules(
     float rounding. Output is sorted by (itemset size, itemset, antecedent),
     since `result.levels` holds each level in canonical order.
     """
-    threshold = Fraction(str(check_min_confidence(min_confidence)))
+    threshold = Fraction(str(check_threshold(min_confidence, confidence=True)))
     num, den = threshold.numerator, threshold.denominator
     # Each frequent itemset maps to (its tuple in `result.levels`, support):
     # one lookup gives a side's support, and rules hold those tuples instead

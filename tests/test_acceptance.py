@@ -93,7 +93,7 @@ def test_criterion_golden_itemsets(golden_db):
 
     # All candidate supports behind the frequent sets, via both counters.
     l1 = compute_l1(golden_db, 3)
-    lanes = LanePages(l1, len(golden_db))
+    lanes = LanePages(l1)
     expected_c2 = {
         "I1 I2": 4, "I1 I3": 4, "I1 I4": 1, "I2 I3": 3, "I2 I4": 3, "I3 I4": 0,
     }

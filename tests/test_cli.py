@@ -592,6 +592,27 @@ def test_input_jobs_never_import_numpy(golden_path, src_env):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("spec", ["100000000000000000000,50,8", "10,100000000000000000000,8"])
+def test_refused_generate_sizes_never_import_numpy(spec, src_env):
+    # GeneratorConfig refuses a size numpy cannot address before numpy loads.
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['tidmine', 'mine', '--generate', sys.argv[1], '--min-support', '1']\n"
+        "try:\n"
+        "    runpy.run_module('tidmine', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, spec],
+        capture_output=True,
+        text=True,
+        env=src_env,
+    )
+    assert proc.stdout == "1 False\n"
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 # Each module imports only modules before it here; errors sits below them all.
 LAYERS = ("dataset", "lanes", "mining", "rules", "metrics", "cli")
 
@@ -647,4 +668,4 @@ def test_readme_library_examples_run_as_doctests(golden_path, monkeypatch):
     assert golden_path.read_text(encoding="utf-8") in README.read_text(encoding="utf-8")
     monkeypatch.chdir(golden_path.parent)
     failed, attempted = doctest.testfile(str(README), module_relative=False, report=False)
-    assert (failed, attempted) == (0, 13)
+    assert (failed, attempted) == (0, 14)

@@ -11,7 +11,12 @@ from tidmine.dataset import (
     generate_synthetic,
     load_transactions,
 )
-from tidmine.errors import ConfigurationError, IngestionError, UnknownItemError
+from tidmine.errors import (
+    ConfigurationError,
+    IngestionError,
+    ResourceLimitError,
+    UnknownItemError,
+)
 from tidmine.lanes import LanePages
 from tidmine.mining import VARIANTS, run_apriori
 
@@ -224,3 +229,10 @@ def test_generator_lengths_within_bounds():
 def test_generator_config_validation(kwargs):
     with pytest.raises(ConfigurationError):
         GeneratorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("sizes", [(10**20, 50), (10, 10**20), (2**60, 50)])
+def test_generator_config_refuses_sizes_numpy_cannot_address(sizes):
+    # 2**60 8-byte elements are past sys.maxsize bytes, numpy's index range.
+    with pytest.raises(ResourceLimitError, match="exceeds the longest array numpy can address"):
+        GeneratorConfig(*sizes, 8, seed=0)

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,6 +243,40 @@ def test_numpy_scalar_thresholds_give_the_same_reports(golden_db, format, plain,
     assert found == generate_rules(want, 0.6)
     assert "".join(rules_report(golden_db, "golden", got, found, confidence, format)) == "".join(
         rules_report(golden_db, "golden", want, found, 0.6, format)
+    )
+
+
+def test_hand_built_report_with_a_numpy_count_renders_plain():
+    report = ComparisonReport(
+        dataset="golden.txt",
+        min_support=np.int64(3),
+        min_support_count=3,
+        candidate_strategy="combinations",
+        runs=_golden_report().runs,
+    )
+    assert type(report.min_support) is int
+    assert json.loads(render_report(report, "machine"))["min_support"] == 3
+    for format in FORMATS:
+        assert render_report(report, format) == render_report(_golden_report(), format)
+
+
+@pytest.mark.parametrize("bad", [np.float32(0.6), True, Fraction(1, 3), "0.5", 0, 1.5])
+@pytest.mark.parametrize("format", FORMATS)
+def test_rules_report_refuses_a_confidence_that_is_not_a_plain_fraction(golden_db, format, bad):
+    result = run_apriori(golden_db, 3)
+    with pytest.raises(ConfigurationError, match="min_confidence"):
+        next(rules_report(golden_db, "golden", result, [], bad, format))
+
+
+@pytest.mark.parametrize("one", [1, np.int64(1)])
+@pytest.mark.parametrize("format", FORMATS)
+def test_an_integral_confidence_of_one_reports_as_a_float(golden_db, format, one):
+    # As `--min-confidence 1` does: the header or member reads 1.0, not 1.
+    result = run_apriori(golden_db, 3)
+    found = generate_rules(result, one)
+    assert found == generate_rules(result, 1.0)
+    assert "".join(rules_report(golden_db, "golden", result, found, one, format)) == "".join(
+        rules_report(golden_db, "golden", result, found, 1.0, format)
     )
 
 

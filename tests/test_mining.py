@@ -14,6 +14,7 @@ from tidmine.lanes import LanePages
 from tidmine.mining import (
     CandidateSet,
     L1Index,
+    MiningResult,
     ScanLedger,
     compute_l1,
     count_support_full,
@@ -147,7 +148,7 @@ def test_combinations_level2_golden(golden_db):
 
 
 def test_combinations_not_enough_items():
-    l1 = L1Index({7: (0, 1)})
+    l1 = L1Index({7: (0, 1)}, 2)
     assert generate_candidates_combinations(l1, 2).candidates == ()
 
 
@@ -158,7 +159,7 @@ def test_combinations_rejects_level_below_two(golden_db):
 
 def test_combinations_budget(golden_db, monkeypatch):
     # C(200, 5) is about 2.5e9 tuples: building them would not finish.
-    wide = L1Index({item: (item,) for item in range(200)})
+    wide = L1Index({item: (item,) for item in range(200)}, 200)
     with pytest.raises(ResourceLimitError, match=r"C\(200, 5\) = 2535650040"):
         generate_candidates_combinations(wide, 5)
     l1 = compute_l1(golden_db, 3)  # 4 items: C(4, 2) = 6
@@ -210,25 +211,26 @@ def test_min_item_level3_rows_golden(golden_db):
 
 
 def test_min_item_tie_breaks_to_smaller_id():
-    l1 = L1Index({3: (0, 1), 5: (2, 4)})  # equal supports
+    l1 = L1Index({3: (0, 1), 5: (2, 4)}, 5)  # equal supports
     assert min_support_item((3, 5), l1) == 3
     assert min_support_item((5, 3), l1) == 3
 
 
 def test_l1_index_rejects_negative_tids():
     with pytest.raises(ContractViolationError):
-        L1Index({0: (-1, 0), 1: (-1, 0, 1, 2)})
+        L1Index({0: (-1, 0), 1: (-1, 0, 1, 2)}, 3)
 
 
-def test_projection_rejects_tids_past_the_database():
-    # Every TID list is checked against the database size once, at build, so
-    # no projection can name a transaction the pages do not hold.
-    l1 = L1Index({0: (0, 1), 1: (1, 2, 3)})
+def test_l1_index_rejects_tids_past_the_database():
+    # Every TID list is checked against the database size once, when the index
+    # is built, so no lanes laid out from an index can name a transaction past
+    # the database.
+    tids = {0: (0, 1), 1: (1, 2, 3)}
     with pytest.raises(ContractViolationError, match="item 1"):
-        LanePages(l1, 3)
-    with pytest.raises(ContractViolationError, match="item 1"):  # nothing was kept
-        LanePages(l1, 3)
-    lanes = LanePages(l1, 4)
+        L1Index(tids, 3)
+    with pytest.raises(ContractViolationError, match="item 1"):  # the input is unchanged
+        L1Index(tids, 3)
+    lanes = LanePages(L1Index(tids, 4))
     assert count_support_restricted((0, 1), lanes) == 1  # over item 0's list
     assert count_support_restricted((1,), lanes) == 3
 
@@ -241,7 +243,7 @@ def test_lane_pages_hold_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        lanes = LanePages(compute_l1(db, 10), len(db))
+        lanes = LanePages(compute_l1(db, 10))
         for cand in generate_candidates_combinations(lanes.l1, 2):
             assert count_support_full([cand], lanes)[cand] == count_support_restricted(cand, lanes)
         del lanes
@@ -252,7 +254,7 @@ def test_lane_pages_hold_no_reference_cycle():
 
 def test_kernels_reject_items_without_a_lane_slot():
     # Transactions (0, 1) and (1, 2); item 2 is not in the index laid out.
-    lanes = LanePages(L1Index({0: (0,), 1: (0, 1)}), 2)
+    lanes = LanePages(L1Index({0: (0,), 1: (0, 1)}, 2))
     with pytest.raises(ContractViolationError):
         count_support_full([(1, 2)], lanes)
     with pytest.raises(ContractViolationError):
@@ -295,7 +297,7 @@ LEVEL3_SUPPORTS = {
 def test_full_count_level2_golden(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(l1, len(golden_db))
+    lanes = LanePages(l1)
     counts = count_support_full(generate_candidates_combinations(l1, 2), lanes, ledger)
     assert counts == {iset(golden_db, k): v for k, v in LEVEL2_SUPPORTS.items()}
     assert ledger.per_level == {2: 54}  # 6 candidates x 9 transactions
@@ -304,7 +306,7 @@ def test_full_count_level2_golden(golden_db):
 def test_full_count_level3_golden(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(l1, len(golden_db))
+    lanes = LanePages(l1)
     counts = count_support_full(generate_candidates_combinations(l1, 3), lanes, ledger)
     assert counts == {iset(golden_db, k): v for k, v in LEVEL3_SUPPORTS.items()}
     assert ledger.per_level == {3: 36}  # 4 candidates x 9 transactions
@@ -312,14 +314,14 @@ def test_full_count_level3_golden(golden_db):
 
 def test_full_count_empty_candidates(golden_db):
     ledger = ScanLedger()
-    assert count_support_full([], LanePages(L1Index({}), len(golden_db)), ledger) == {}
+    assert count_support_full([], LanePages(L1Index({}, len(golden_db))), ledger) == {}
     assert ledger.total == 0
 
 
 def test_restricted_count_scans_min_item_tids(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(l1, len(golden_db))
+    lanes = LanePages(l1)
     support = count_support_restricted(iset(golden_db, "I1 I2"), lanes, ledger)
     assert support == 4
     assert ledger.per_level == {2: 6}  # I1's six transactions only
@@ -328,7 +330,7 @@ def test_restricted_count_scans_min_item_tids(golden_db):
 def test_restricted_count_zero_support_row(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(l1, len(golden_db))
+    lanes = LanePages(l1)
     support = count_support_restricted(iset(golden_db, "I3 I4"), lanes, ledger)
     assert support == 0
     assert ledger.per_level == {2: 3}  # I4's three transactions only
@@ -339,7 +341,7 @@ def test_restricted_equals_full_randomized():
     for _ in range(30):
         db = random_db(rng)
         l1 = compute_l1(db, 1)
-        lanes = LanePages(l1, len(db))
+        lanes = LanePages(l1)
         for _ in range(10):
             size = rng.randint(1, min(3, db.num_items))
             cand = tuple(sorted(rng.sample(range(db.num_items), size)))
@@ -363,19 +365,19 @@ def test_lane_caches_stay_with_their_database():
             assert count_support_restricted(cand, lanes) == want
 
     live = [random_db(rng) for _ in range(2)]
-    pages = [LanePages(compute_l1(db, 1), len(db)) for db in live]
+    pages = [LanePages(compute_l1(db, 1)) for db in live]
     for db, lanes in [*zip(live, pages)] * 2:
         check(db, lanes)
     del live, pages, db, lanes
     for _ in range(5):
         db = random_db(rng)
-        check(db, LanePages(compute_l1(db, 1), len(db)))
+        check(db, LanePages(compute_l1(db, 1)))
         del db
 
     # Indexes that give item 0 different TID lists count apart, each on its
     # own pages, however the calls alternate.
     cases = [
-        (LanePages(L1Index({0: tids, 1: (0, 1, 2)}), 3), want)
+        (LanePages(L1Index({0: tids, 1: (0, 1, 2)}, 3)), want)
         for tids, want in (((0, 2), 2), ((1,), 1))
     ]
     for lanes, want in cases * 2:
@@ -529,6 +531,14 @@ def test_resolve_takes_numpy_scalars():
 def test_resolve_rejects_bad_values(bad):
     with pytest.raises(ConfigurationError):
         resolve_min_support(bad, 10)
+
+
+@pytest.mark.parametrize("given,plain", [(np.float64(0.3), 0.3), (np.int64(3), 3)])
+def test_hand_built_mining_result_holds_a_plain_threshold(given, plain):
+    result = MiningResult({1: {(0,): 3}}, ScanLedger(), given, 3, "improved", "join")
+    assert result.min_support == plain and type(result.min_support) is type(plain)
+    with pytest.raises(ConfigurationError):
+        MiningResult({1: {(0,): 3}}, ScanLedger(), True, 3, "improved", "join")
 
 
 # --- run_apriori ------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_join_matches_definition(size, prune, data):
 @given(rng=st.randoms(use_true_random=False))
 def test_counting_kernels_match_bruteforce(rng):
     db = random_db(rng)
-    lanes = LanePages(compute_l1(db, 1), len(db))
+    lanes = LanePages(compute_l1(db, 1))
     for _ in range(10):
         cand = tuple(sorted(rng.sample(range(db.num_items), rng.randint(1, db.num_items))))
         want = bruteforce_support(db, cand)
@@ -143,8 +143,10 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         txns.append(txn or (rng.randrange(num_items),))
     db = TransactionDb(txns, [f"X{i}" for i in range(num_items + unused)])
     found = compute_l1(db, 1)
-    l1 = L1Index({item: found.tids(item) if item in found else () for item in range(db.num_items)})
-    laid_out = LanePages(l1, len(db))
+    l1 = L1Index(
+        {item: found.tids(item) if item in found else () for item in range(db.num_items)}, len(db)
+    )
+    laid_out = LanePages(l1)
     order = l1.by_support
     pages = [order[start : start + 63] for start in range(0, len(order), 63)]
     cands = [tuple(sorted(order[62:65]))]
@@ -158,7 +160,7 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         assert count_support_full([cand], laid_out) == {cand: want}
         assert count_support_restricted(cand, laid_out) == want
     for item in (-1, *range(num_items, db.num_items + 2)):
-        alone = LanePages(L1Index({item: ()}), len(db))
+        alone = LanePages(L1Index({item: ()}, len(db)))
         assert count_support_full([(item,)], alone) == {(item,): 0}
         assert count_support_restricted((item,), alone) == 0
 

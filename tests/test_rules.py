@@ -4,6 +4,7 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracle import bruteforce_support, iset, random_db
@@ -144,6 +145,15 @@ def test_min_confidence_validation(golden_db):
     for bad in (0.0, -0.1, 1.0001):
         with pytest.raises(ConfigurationError):
             generate_rules(result, bad)
+
+
+@pytest.mark.parametrize("bad", [np.float32(0.6), True, Fraction(1, 3), "0.5"])
+def test_min_confidence_must_be_a_plain_float(golden_db, bad):
+    # float32 and Fraction are numbers, but not the decimal a float prints as.
+    result = run_apriori(golden_db, 3)
+    with pytest.raises(ConfigurationError, match="min_confidence"):
+        generate_rules(result, bad)
+    assert generate_rules(result, np.float64(0.6)) == generate_rules(result, 0.6)
 
 
 def test_rule_invariants_enforced():
