@@ -137,7 +137,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--candidates",
-        choices=[strategy.replace("_", "-") for strategy in CANDIDATE_STRATEGIES],
+        choices=CANDIDATE_STRATEGIES,
         default="join",
         help="candidate generation strategy (default: join)",
     )
@@ -196,10 +196,6 @@ def _reps(minimum: int) -> Callable[[str], int]:
     return reps
 
 
-def _strategy(flag_value: str) -> str:
-    return flag_value.replace("-", "_")
-
-
 def _generate_label(config: GeneratorConfig) -> str:
     return (
         f"generated(n={config.num_transactions},items={config.num_items},"
@@ -221,7 +217,7 @@ def _load(args: argparse.Namespace, several: bool = False) -> list[tuple[Transac
 def _mine(args: argparse.Namespace) -> tuple[TransactionDb, str, MiningResult]:
     [(db, label)] = _load(args)
     result = run_apriori(
-        db, args.min_support, variant=args.variant, candidate_strategy=_strategy(args.candidates)
+        db, args.min_support, variant=args.variant, candidate_strategy=args.candidates
     )
     return db, label, result
 
@@ -238,12 +234,12 @@ def _cmd_rules(args: argparse.Namespace) -> Iterable[str]:
 
 
 def _compare_on(db: TransactionDb, label: str, args: argparse.Namespace) -> ComparisonReport:
-    strategy = _strategy(args.candidates)
     runs = []
     for variant in VARIANTS:
         result, wall = metrics.median_seconds(
             functools.partial(
-                run_apriori, db, args.min_support, variant=variant, candidate_strategy=strategy
+                run_apriori, db, args.min_support, variant=variant,
+                candidate_strategy=args.candidates,
             ),
             args.reps,
         )
@@ -252,7 +248,7 @@ def _compare_on(db: TransactionDb, label: str, args: argparse.Namespace) -> Comp
         dataset=label,
         min_support=args.min_support,
         min_support_count=result.min_support_count,
-        candidate_strategy=strategy,
+        candidate_strategy=args.candidates,
         runs=tuple(runs),
     )
 

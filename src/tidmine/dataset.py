@@ -6,6 +6,7 @@ whitespace or commas. Tokens are interned to integer item ids in first-seen
 order, and every stored transaction is a strictly increasing tuple of ids.
 """
 
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -108,6 +109,17 @@ class GeneratorConfig:
     seed: int
 
     def __post_init__(self):
+        # numpy's own numbers register as these types; a bool is no size.
+        for name, kind in (
+            ("num_transactions", numbers.Integral),
+            ("num_items", numbers.Integral),
+            ("avg_transaction_len", numbers.Real),
+            ("seed", numbers.Integral),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a real number"
+                raise ConfigurationError(f"{name} must be {what}, got {value!r}")
         # Each size is the length of an array of 8-byte elements. numpy refuses
         # one whose byte size passes its index type's maximum, sys.maxsize, so a
         # size that long stops here, before numpy is imported.

@@ -6,6 +6,7 @@ check the format when first iterated; `render_report` returns one string.
 """
 
 import json
+import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -83,8 +84,10 @@ class VariantRun:
     wall_seconds: float | None
 
     def __post_init__(self):
-        if self.wall_seconds is not None and self.wall_seconds < 0:
-            raise ConfigurationError("wall_seconds must be non-negative")
+        if self.wall_seconds is not None and not 0 <= self.wall_seconds < math.inf:
+            raise ConfigurationError(
+                f"wall_seconds must be finite and non-negative, got {self.wall_seconds!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -257,10 +260,15 @@ def bench_report(
 ) -> Iterator[str]:
     """Chunks of the `bench` report: one row per `compare` report, and the means.
 
-    The reports share one min_support and candidate strategy. A rate is None
-    when its classic run took no measurable time or did no scans; each mean
-    covers the rates that exist, and is None when none does.
+    The reports, at least one, share one min_support and candidate strategy,
+    and every run is timed. A rate is None when its classic run took no
+    measurable time or did no scans; each mean covers the rates that exist,
+    and is None when none does.
     """
+    if not reports:
+        raise ConfigurationError("a bench report needs at least one comparison")
+    if any(run.wall_seconds is None for report in reports for run in report.runs):
+        raise ConfigurationError("every run of a bench report must be timed")
     first = reports[0]
     mean_time = _mean_or_none([r.reduction_rate_percent for r in reports])
     mean_scan = _mean_or_none([r.scan_reduction_percent for r in reports])

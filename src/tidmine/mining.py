@@ -14,6 +14,7 @@ with the same members are the same tuple.
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -25,7 +26,7 @@ from .lanes import LanePages
 Itemset = tuple[int, ...]
 
 VARIANTS = ("classic", "improved")
-CANDIDATE_STRATEGIES = ("join", "join_unpruned", "combinations")
+CANDIDATE_STRATEGIES = ("join", "combinations")
 
 # Largest level `generate_candidates_combinations` builds. C(|L1|, k) grows
 # so fast that an unbounded level would exhaust time or memory, not fail.
@@ -79,15 +80,27 @@ class ScanLedger:
 
 class L1Index:
     """Support count plus strictly increasing transaction-id list for frequent
-    single items; every TID lies in [0, num_transactions), the database's size."""
+    single items; every TID is an integer in [0, num_transactions), the
+    database's size, and is stored as a plain int."""
 
     __slots__ = ("_tids", "_rank", "by_support", "num_transactions")
 
     def __init__(self, tids_by_item: Mapping[int, Sequence[int]], num_transactions: int):
+        try:
+            num_transactions = operator.index(num_transactions)
+        except TypeError:
+            raise ContractViolationError(
+                f"num_transactions must be an integer, got {num_transactions!r}"
+            ) from None
         self.num_transactions = num_transactions
         self._tids: dict[int, tuple[int, ...]] = {}
         for item in sorted(tids_by_item):
-            tids = tuple(tids_by_item[item])
+            try:
+                tids = tuple(map(operator.index, tids_by_item[item]))
+            except TypeError:
+                raise ContractViolationError(
+                    f"TID list for item {item} is not a sequence of integers"
+                ) from None
             if any(b <= a for a, b in zip((-1, *tids), (*tids, num_transactions))):
                 raise ContractViolationError(
                     f"TID list for item {item} does not strictly increase "
@@ -217,15 +230,12 @@ def compute_l1(
     )
 
 
-def generate_candidates_join(
-    prev: Iterable[Itemset], prune: bool = True
-) -> CandidateSet:
-    """Self-join of the previous level's frequent itemsets.
+def generate_candidates_join(prev: Iterable[Itemset]) -> CandidateSet:
+    """Self-join of the previous level's frequent itemsets, then the prune.
 
     Two (k-1)-itemsets sharing their first k-2 items merge into a k-itemset.
-    With prune=True, candidates having any (k-1)-subset absent from `prev`
-    are dropped (no such subset could be frequent, so neither can the
-    candidate).
+    Candidates having any (k-1)-subset absent from `prev` are dropped (no such
+    subset could be frequent, so neither can the candidate).
     """
     prev_set = set(map(tuple, prev))
     if not prev_set:
@@ -241,9 +251,7 @@ def generate_candidates_join(
             cand = left + right[-1:]
             # Dropping either of the last two items leaves a parent, in prev
             # by construction; only the other size-1 subsets need a lookup.
-            if not prune or all(
-                cand[:i] + cand[i + 1 :] in prev_set for i in range(size - 1)
-            ):
+            if all(cand[:i] + cand[i + 1 :] in prev_set for i in range(size - 1)):
                 out.append(cand)
     return CandidateSet(size + 1, tuple(out))
 
@@ -366,10 +374,9 @@ def run_apriori(
 
     `variant` picks the counting strategy (full scan vs TID-restricted);
     `candidate_strategy` picks how level-k candidates arise ("join" is the
-    pruned self-join, "join_unpruned" skips the subset filter, "combinations"
-    enumerates all k-combinations of frequent single items). All variants and
-    strategies return identical itemsets and supports; only the ledger
-    differs.
+    pruned self-join, "combinations" enumerates all k-combinations of frequent
+    single items). All variants and strategies return identical itemsets and
+    supports; only the ledger differs.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -392,9 +399,7 @@ def run_apriori(
         if candidate_strategy == "combinations":
             candidates = generate_candidates_combinations(l1, k)
         else:
-            candidates = generate_candidates_join(
-                levels[k - 1], prune=candidate_strategy == "join"
-            )
+            candidates = generate_candidates_join(levels[k - 1])
         if variant == "classic":
             counts = count_support_full(candidates, lanes, ledger)
         else:

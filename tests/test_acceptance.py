@@ -202,9 +202,7 @@ def test_criterion_scan_dominance(corpus):
                 if strategy == "combinations":
                     candidates = generate_candidates_combinations(l1, k)
                 else:
-                    candidates = generate_candidates_join(
-                        levels[k - 1], prune=strategy == "join"
-                    )
+                    candidates = generate_candidates_join(levels[k - 1])
                 some_restricted = any(
                     l1.support(min_support_item(cand, l1)) < len(db)
                     for cand in candidates

@@ -1,4 +1,6 @@
 import doctest
+import importlib.util
+import itertools
 import json
 import re
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 from tidmine import cli, mining
 from tidmine.cli import main
+from tidmine.dataset import GeneratorConfig, generate_synthetic
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +135,10 @@ def test_single_source_commands_reject_a_second_source(
         ["bench", "--generate", "20000,50,8", "--min-support", "0.05", "--reps", "0"],
         ["bench", "--generate", "20000,50,8", "--generate", "20000,50", "--min-support", "0.05"],
         ["mine", "--input", "/nonexistent", "--min-support", "abc"],
+        [
+            "compare", "--generate", "20000,50,8", "--min-support", "0.05",
+            "--candidates", "join-unpruned",
+        ],
     ],
 )
 def test_bad_flags_stop_the_run_before_any_input(argv, capsys, monkeypatch):
@@ -270,6 +277,40 @@ def test_compare_machine_untimed(golden_path, capsys):
     assert classic["wall_seconds"] is None
     assert payload["reduction_rate_percent"] is None
     assert payload["scan_reduction_percent"] == pytest.approx(51 / 135 * 100)
+
+
+def _benchmark_reference():
+    """`Reference` from the benchmark's own checker, which shares no code with tidmine."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Reference
+
+
+def test_every_strategy_has_the_benchmark_reference_ledgers(golden_path, capsys):
+    # 200 rows keep `combinations` under its budget at 10%.
+    reference = _benchmark_reference()
+    synthetic = generate_synthetic(GeneratorConfig(200, 20, 5, seed=1))
+    for strategy, (source, text, min_support) in itertools.product(
+        mining.CANDIDATE_STRATEGIES,
+        [
+            (["--input", str(golden_path)], golden_path.read_text(encoding="utf-8"), "3"),
+            (["--generate", "200,20,5", "--seed", "1"], synthetic.to_text(), "0.1"),
+        ],
+    ):
+        code, out, err = run_cli(
+            capsys, "compare", *source, "--min-support", min_support,
+            "--candidates", strategy, "--reps", "0", "--format", "machine",
+        )
+        assert code == 0, err
+        want = reference(text, min_support).ledgers(strategy)
+        runs = json.loads(out)["variants"]
+        assert [run["variant"] for run in runs] == list(mining.VARIANTS)
+        for run in runs:
+            assert run["per_level_scans"] == {
+                str(k): v for k, v in want[run["variant"]].items()
+            }
 
 
 def test_compare_degenerate_db_reduces_zero(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import io
 import random
 
+import numpy as np
 import pytest
 
 from oracle import random_db
@@ -193,6 +194,9 @@ def test_generator_deterministic():
     config = GeneratorConfig(300, 30, 6, seed=9)
     assert generate_synthetic(config) == generate_synthetic(config)
     assert generate_synthetic(config).to_text() == generate_synthetic(config).to_text()
+    # numpy's integers and floats name the same config.
+    scalar = GeneratorConfig(np.int64(300), np.int32(30), np.float32(6), seed=np.uint64(9))
+    assert generate_synthetic(scalar) == generate_synthetic(config)
 
 
 def test_generator_seeds_differ():
@@ -224,6 +228,15 @@ def test_generator_lengths_within_bounds():
         dict(num_transactions=10, num_items=5, avg_transaction_len=9, seed=1),
         dict(num_transactions=10, num_items=5, avg_transaction_len=0.5, seed=1),
         dict(num_transactions=10, num_items=5, avg_transaction_len=2, seed=-1),
+        # Fields of the wrong type, refused before numpy sees them.
+        dict(num_transactions=10.5, num_items=5, avg_transaction_len=2, seed=0),
+        dict(num_transactions="10", num_items=5, avg_transaction_len=2, seed=0),
+        dict(num_transactions=True, num_items=5, avg_transaction_len=2, seed=0),
+        dict(num_transactions=10, num_items=5.0, avg_transaction_len=2, seed=0),
+        dict(num_transactions=10, num_items=5, avg_transaction_len="2", seed=0),
+        dict(num_transactions=10, num_items=5, avg_transaction_len=True, seed=0),
+        dict(num_transactions=10, num_items=5, avg_transaction_len=2, seed=True),
+        dict(num_transactions=10, num_items=5, avg_transaction_len=2, seed=1.5),
     ],
 )
 def test_generator_config_validation(kwargs):

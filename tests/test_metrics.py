@@ -146,8 +146,10 @@ def test_median_seconds_zero_reps_untimed():
 
 
 def test_run_timing_validation():
-    with pytest.raises(ConfigurationError):
-        VariantRun("classic", ScanLedger(), -0.1)
+    # A time that is not finite would render as NaN or Infinity, not JSON.
+    for wall in (-0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigurationError):
+            VariantRun("classic", ScanLedger(), wall)
 
 
 # --- ComparisonReport and rendering --------------------------------------------
@@ -291,6 +293,22 @@ def test_render_rejects_unknown_format(golden_db):
     ):
         with pytest.raises(ConfigurationError):
             next(chunks)
+
+
+@pytest.mark.parametrize("format", ["human", "machine"])
+@pytest.mark.parametrize(
+    "reports",
+    [
+        [],
+        [_golden_report()],
+        [_golden_report(1.0, 0.5), _golden_report(1.0, None)],
+    ],
+    ids=["none", "untimed", "one-untimed"],
+)
+def test_bench_report_refuses_no_reports_or_an_untimed_run(reports, format):
+    chunks = bench_report(reports, 1, format)
+    with pytest.raises(ConfigurationError):
+        next(chunks)
 
 
 def test_report_renders_every_run_and_rates_by_name():

@@ -91,7 +91,7 @@ def _l2_for_join():
 
 
 def test_join_pruned():
-    got = generate_candidates_join(_l2_for_join(), prune=True)
+    got = generate_candidates_join(_l2_for_join())
     # Brute-force check: a 3-set survives iff all its 2-subsets are in L2.
     prev = set(_l2_for_join())
     joined = {(0, 1, 2), (1, 2, 3)}
@@ -101,11 +101,6 @@ def test_join_pruned():
     assert surviving == {(0, 1, 2)}  # (2,3) is missing, killing (1,2,3)
     assert got.candidates == ((0, 1, 2),)
     assert got.level == 3
-
-
-def test_join_unpruned():
-    got = generate_candidates_join(_l2_for_join(), prune=False)
-    assert got.candidates == ((0, 1, 2), (1, 2, 3))
 
 
 def test_join_empty_prev():
@@ -233,6 +228,26 @@ def test_l1_index_rejects_tids_past_the_database():
     lanes = LanePages(L1Index(tids, 4))
     assert count_support_restricted((0, 1), lanes) == 1  # over item 0's list
     assert count_support_restricted((1,), lanes) == 3
+
+
+@pytest.mark.parametrize(
+    "tids, size, name",
+    [
+        ({0: (0.0, 1.0)}, 2, "item 0"),
+        ({0: ("0",)}, 1, "item 0"),
+        ({0: None}, 1, "item 0"),
+        ({0: (0, 1)}, 2.0, "num_transactions"),
+    ],
+)
+def test_l1_index_refuses_tids_that_are_not_integers(tids, size, name):
+    with pytest.raises(ContractViolationError, match=name):
+        L1Index(tids, size)
+
+
+def test_l1_index_stores_numpy_tids_as_ints():
+    l1 = L1Index({0: np.array([0, 2]), 1: (np.int64(1),)}, np.int64(3))
+    assert (l1.tids(0), l1.tids(1), l1.num_transactions) == ((0, 2), (1,), 3)
+    assert {type(t) for t in (*l1.tids(0), *l1.tids(1), l1.num_transactions)} == {int}
 
 
 def test_lane_pages_hold_no_reference_cycle():
@@ -607,6 +622,8 @@ def test_run_rejects_bad_config(golden_db):
     with pytest.raises(ConfigurationError):
         run_apriori(golden_db, 3, candidate_strategy="bogus")
     with pytest.raises(ConfigurationError):
+        run_apriori(golden_db, 3, candidate_strategy="join_unpruned")
+    with pytest.raises(ConfigurationError):
         run_apriori(golden_db, 0)
 
 
@@ -618,7 +635,7 @@ def test_variants_and_strategies_agree_randomized():
         results = [
             run_apriori(db, min_support, variant=v, candidate_strategy=s)
             for v in ("classic", "improved")
-            for s in ("join", "join_unpruned", "combinations")
+            for s in ("join", "combinations")
         ]
         baseline = results[0].levels
         assert all(r.levels == baseline for r in results[1:])

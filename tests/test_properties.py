@@ -61,8 +61,6 @@ def _expected_candidates(strategy, frequent, k):
         for right in prev[i + 1 :]
         if left[:-1] == right[:-1]
     ]
-    if strategy == "join_unpruned":
-        return joined
     prev_set = set(prev)
     return [c for c in joined if all(s in prev_set for s in combinations(c, k - 1))]
 
@@ -96,16 +94,15 @@ def test_run_matches_oracle_and_ledger(rng, variant, strategy, data):
 
 
 @PROPERTY_SETTINGS
-@given(size=st.integers(1, 7), prune=st.booleans(), data=st.data())
-def test_join_matches_definition(size, prune, data):
+@given(size=st.integers(1, 7), data=st.data())
+def test_join_matches_definition(size, data):
     # Arbitrary levels, not downward-closed, passed shuffled and twice over.
     pool = list(combinations(range(8), size))
     prev = data.draw(st.lists(st.sampled_from(pool), min_size=1), label="prev")
     shuffled = data.draw(st.permutations(prev * 2), label="shuffled")
-    got = generate_candidates_join(shuffled, prune=prune)
-    strategy = "join" if prune else "join_unpruned"
+    got = generate_candidates_join(shuffled)
     assert got.candidates == tuple(
-        _expected_candidates(strategy, {s: 1 for s in prev}, size + 1)
+        _expected_candidates("join", {s: 1 for s in prev}, size + 1)
     )
     assert got.level == size + 1
 
