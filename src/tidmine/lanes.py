@@ -9,15 +9,17 @@ never change after the build. On a page, a transaction's lane holds the
 complement of its items there: bit b is set when the transaction lacks the
 item in slot b. Bit 63 of every lane, the guard, is always clear.
 
-A block packs the lanes of a sequence of transactions into one int per page,
-lane i in bits 64*i to 64*i + 63. To test a candidate, its bits on a page are
-copied into every lane (`bits * ones`) and ANDed with the lanes, which leaves
-in each lane the candidate items that transaction lacks. Subtracting that
-from the guard, 2**63, in every lane leaves the guard set exactly when nothing
-is left, and never borrows from the next lane. AND-ing these differences over
-the candidate's pages and keeping the guards marks every transaction that
-passes the test, so each examined transaction gets one subset test, in its
-own lane.
+`LanePages.count(itemset, item)` tests a candidate against a set of
+transactions: all of them, or those in `item`'s TID list, the scan the
+paper's improved variant makes. Each set packs its transactions' lanes into
+one int per page, lane i in bits 64*i to 64*i + 63. To test a candidate, its
+bits on a page are copied into every lane (`bits * ones`) and ANDed with the
+lanes, which leaves in each lane the candidate items that transaction lacks.
+Subtracting that from the guard, 2**63, in every lane leaves the guard set
+exactly when nothing is left, and never borrows from the next lane. AND-ing
+these differences over the candidate's pages and keeping the guards marks
+every transaction that passes the test, so each examined transaction gets
+one subset test, in its own lane.
 """
 
 import sys
@@ -43,7 +45,7 @@ class LanePages:
     An item with an empty TID list counts 0.
     """
 
-    __slots__ = ("l1", "size", "full", "_slot", "_words", "_projections")
+    __slots__ = ("l1", "size", "_slot", "_words", "_sets")
 
     def __init__(self, l1: "L1Index"):
         self.l1, self.size = l1, l1.num_transactions
@@ -59,58 +61,35 @@ class LanePages:
             self._slot[item] = (page, mask)
             for tid in l1.tids(item):
                 lanes[tid] ^= mask
-        self.full = LaneBlock(self, None)
-        self._projections: dict[int, LaneBlock] = {}
+        # Per transaction set, keyed by `item` (None for all of them): its TID
+        # list, the ones and guard ints, and each page's int, packed on first use.
+        self._sets: dict[int | None, tuple[Sequence[int], int, int, dict[int, int]]] = {}
 
-    def projection(self, item: int) -> "LaneBlock":
-        """The lanes of the transactions in `item`'s TID list, ascending.
-        The block is gathered once per page and kept under `item`."""
-        block = self._projections.get(item)
-        if block is None:
-            block = self._projections[item] = LaneBlock(self, self.l1.tids(item))
-        return block
-
-
-class LaneBlock:
-    """The lanes of a fixed sequence of transactions: every transaction of the
-    database, or the ones a TID list names. Each page's int is packed on
-    first use and kept. A block holds its source's slots and words, not the
-    source, so no cycle keeps a run's pages and index alive after the run."""
-
-    __slots__ = ("size", "_slot", "_words", "_tids", "_pages", "_ones", "_guards")
-
-    def __init__(self, source: LanePages, tids: Sequence[int] | None):
-        self.size = source.size if tids is None else len(tids)
-        self._slot, self._words = source._slot, source._words
-        self._tids = tids
-        self._pages: dict[int, int] = {}
-        self._ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * self.size, "little")
-        self._guards = self._ones << LANE_ITEMS
-
-    def _page(self, page: int) -> int:
-        words = self._words[page]
-        if self._tids is not None:
-            words = array("Q", map(words.__getitem__, self._tids))
-        lanes = self._pages[page] = int.from_bytes(words, sys.byteorder)
-        return lanes
-
-    def count(self, itemset: Iterable[int]) -> int:
-        """How many of the block's transactions hold every item of `itemset`;
-        every item must be laid out in the block's `LanePages`."""
+    def count(self, itemset: Iterable[int], item: int | None = None) -> int:
+        """How many transactions hold every item of `itemset`: all of them
+        when `item` is None, otherwise those in `item`'s TID list in `l1`.
+        Every item of `itemset` must be laid out."""
         slot = self._slot
         masks: dict[int, int] = {}
         try:
-            for item in itemset:
-                page, bit = slot[item]
+            for member in itemset:
+                page, bit = slot[member]
                 masks[page] = masks.get(page, 0) | bit
         except KeyError:
-            raise ContractViolationError(f"item {item} has no lane slot") from None
-        passed = guards = self._guards
-        ones, packed = self._ones, self._pages
+            raise ContractViolationError(f"item {member} has no lane slot") from None
+        try:
+            tids, ones, guards, packed = self._sets[item]
+        except KeyError:
+            tids = range(self.size) if item is None else self.l1.tids(item)
+            ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * len(tids), "little")
+            guards, packed = ones << LANE_ITEMS, {}
+            self._sets[item] = (tids, ones, guards, packed)
+        passed = guards
         for page, bits in masks.items():
             try:
                 lanes = packed[page]
             except KeyError:
-                lanes = self._page(page)
+                words = array("Q", map(self._words[page].__getitem__, tids))
+                lanes = packed[page] = int.from_bytes(words, sys.byteorder)
             passed &= guards - ((bits * ones) & lanes)
         return passed.bit_count()

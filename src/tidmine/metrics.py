@@ -7,6 +7,7 @@ check the format when first iterated; `render_report` returns one string.
 
 import json
 import math
+import numbers
 import statistics
 import time
 from dataclasses import dataclass
@@ -51,8 +52,9 @@ def mean_rate(rates: Sequence[float]) -> float:
 
 
 def round_percent(value: float) -> float:
-    """Display rounding: two decimals, ties away from zero."""
-    return float(Decimal(repr(float(value))).quantize(Decimal("0.01"), ROUND_HALF_UP))
+    """Display rounding: two decimals, ties away from zero; a rate that rounds
+    to zero is 0.0, never -0.0."""
+    return float(Decimal(repr(float(value))).quantize(Decimal("0.01"), ROUND_HALF_UP)) or 0.0
 
 
 def median_seconds(fn: Callable[[], T], repetitions: int = 5) -> tuple[T, float | None]:
@@ -84,10 +86,14 @@ class VariantRun:
     wall_seconds: float | None
 
     def __post_init__(self):
-        if self.wall_seconds is not None and not 0 <= self.wall_seconds < math.inf:
+        wall = self.wall_seconds
+        if wall is None:
+            return
+        if isinstance(wall, bool) or not isinstance(wall, numbers.Real) or not 0 <= wall < math.inf:
             raise ConfigurationError(
-                f"wall_seconds must be finite and non-negative, got {self.wall_seconds!r}"
+                f"wall_seconds must be a finite and non-negative number, got {wall!r}"
             )
+        object.__setattr__(self, "wall_seconds", float(wall))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,8 @@ class ScanLedger:
     that candidate adds one examination to the candidate's level. Level 1 is a
     full pass, so it always records `num_transactions * num_distinct_items`
     regardless of the counting variant. Entries only increase; totals are the
-    sum over levels.
+    sum over levels. Levels and entries are integers, never a bool, and are
+    kept as plain ints.
     """
 
     __slots__ = ("_per_level",)
@@ -52,6 +53,14 @@ class ScanLedger:
                 self.add(level, scanned)
 
     def add(self, level: int, scanned: int) -> None:
+        try:
+            if bool in (type(level), type(scanned)):
+                raise TypeError
+            level, scanned = operator.index(level), operator.index(scanned)
+        except TypeError:
+            raise ConfigurationError(
+                f"ledger level and entry must be integers, got {level!r} and {scanned!r}"
+            ) from None
         if level < 1:
             raise ConfigurationError(f"ledger level must be >= 1, got {level}")
         if scanned < 0:
@@ -303,8 +312,7 @@ def count_support_full(
         return {}
     if any(len(c) != len(cands[0]) for c in cands):
         raise ContractViolationError("candidates must all have the same size")
-    count = lanes.full.count
-    counts = {cand: count(cand) for cand in cands}
+    counts = {cand: lanes.count(cand) for cand in cands}
     if ledger is not None:
         ledger.add(len(cands[0]), len(cands) * lanes.size)
     return counts
@@ -324,10 +332,10 @@ def count_support_restricted(
     The member and its list come from `lanes.l1`, their lanes gathered once.
     """
     cand = tuple(candidate)
-    block = lanes.projection(min_support_item(cand, lanes.l1))
+    member = min_support_item(cand, lanes.l1)
     if ledger is not None:
-        ledger.add(len(cand), block.size)
-    return block.count(cand)
+        ledger.add(len(cand), len(lanes.l1.tids(member)))
+    return lanes.count(cand, member)
 
 
 def check_threshold(value: int | float, confidence: bool = False) -> int | float:

@@ -709,4 +709,4 @@ def test_readme_library_examples_run_as_doctests(golden_path, monkeypatch):
     assert golden_path.read_text(encoding="utf-8") in README.read_text(encoding="utf-8")
     monkeypatch.chdir(golden_path.parent)
     failed, attempted = doctest.testfile(str(README), module_relative=False, report=False)
-    assert (failed, attempted) == (0, 14)
+    assert (failed, attempted) == (0, 16)

@@ -12,6 +12,7 @@ from tidmine.metrics import (
     ScanLedger,
     VariantRun,
     bench_report,
+    format_percent,
     mean_rate,
     median_seconds,
     mine_report,
@@ -101,6 +102,11 @@ def test_round_percent_half_away_from_zero():
     assert round_percent(61.884999) == 61.88
 
 
+def test_a_rate_that_rounds_to_zero_prints_without_a_sign():
+    assert format_percent(-0.004) == "0.00%"
+    assert format_percent(-0.005) == "-0.01%"
+
+
 # --- ScanLedger ---------------------------------------------------------------
 
 
@@ -128,6 +134,20 @@ def test_ledger_equality():
     assert ScanLedger({1: 3}) != ScanLedger({1: 4})
 
 
+def test_ledger_holds_plain_ints_from_numpy_integers():
+    ledger = ScanLedger({1: np.int64(3)})
+    assert [type(n) for n in (*ledger.per_level, ledger.total)] == [int, int]
+    report = _report([VariantRun("classic", ledger, None), VariantRun("improved", ledger, None)])
+    variants = json.loads(render_report(report, "machine"))["variants"]
+    assert variants[0]["per_level_scans"] == {"1": 3}
+
+
+@pytest.mark.parametrize("per_level", [{True: 3}, {1: 2.5}], ids=["bool-level", "float-entry"])
+def test_ledger_refuses_what_is_not_an_integer(per_level):
+    with pytest.raises(ConfigurationError):
+        ScanLedger(per_level)
+
+
 # --- timing -------------------------------------------------------------------
 
 
@@ -146,10 +166,18 @@ def test_median_seconds_zero_reps_untimed():
 
 
 def test_run_timing_validation():
-    # A time that is not finite would render as NaN or Infinity, not JSON.
-    for wall in (-0.1, float("nan"), float("inf"), float("-inf")):
+    # A time that is not finite would render as NaN or Infinity, not JSON; a
+    # bool would render as true.
+    for wall in (-0.1, float("nan"), float("inf"), float("-inf"), True, "1"):
         with pytest.raises(ConfigurationError):
             VariantRun("classic", ScanLedger(), wall)
+
+
+def test_run_timing_is_held_as_a_plain_float():
+    run = VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), np.float32(0.5))
+    assert type(run.wall_seconds) is float
+    report = _report([run, VariantRun("improved", ScanLedger(GOLDEN_IMPROVED), 0.25)])
+    assert json.loads(render_report(report, "machine"))["variants"][0]["wall_seconds"] == 0.5
 
 
 # --- ComparisonReport and rendering --------------------------------------------

@@ -251,9 +251,9 @@ def test_l1_index_stores_numpy_tids_as_ints():
 
 
 def test_lane_pages_hold_no_reference_cycle():
-    # A run's pages, blocks and index are freed when the run drops them, not
-    # at the next cyclic collection, so the index's TID lists never outlive
-    # the run.
+    # A run's pages, packed ints and index are freed when the run drops them,
+    # not at the next cyclic collection, so the index's TID lists never
+    # outlive the run.
     db = generate_synthetic(GeneratorConfig(200, 20, 5, seed=2))
     gc.collect()
     gc.disable()
@@ -275,7 +275,7 @@ def test_kernels_reject_items_without_a_lane_slot():
     with pytest.raises(ContractViolationError):
         count_support_restricted((1, 2), lanes)  # item 2 has no TID list
     with pytest.raises(ContractViolationError):
-        lanes.projection(2)
+        lanes.count((0,), 2)
 
 
 def test_min_item_missing_from_l1(golden_db):
@@ -366,7 +366,7 @@ def test_restricted_equals_full_randomized():
 
 
 def test_lane_caches_stay_with_their_database():
-    # Each database's lanes keep their own projections: counting alternates
+    # Each database's lanes keep their own packed ints: counting alternates
     # between two live databases, then runs on fresh ones built after the
     # old ones are dropped, which may reuse their id() values.
     rng = random.Random(11)

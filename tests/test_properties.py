@@ -23,10 +23,12 @@ from tidmine.mining import (
     CANDIDATE_STRATEGIES,
     VARIANTS,
     L1Index,
+    ScanLedger,
     compute_l1,
     count_support_full,
     count_support_restricted,
     generate_candidates_join,
+    min_support_item,
     run_apriori,
 )
 from tidmine.rules import AssociationRule, generate_rules
@@ -152,10 +154,18 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         for page in rng.sample(pages, rng.randint(1, len(pages))):
             chosen.update(rng.sample(page, rng.randint(1, min(2, len(page)))))
         cands.append(tuple(sorted(chosen)))
+    rows = [set(txn) for txn in txns]
     for cand in cands:
         want = bruteforce_support(db, cand)
+        assert laid_out.count(cand) == want
         assert count_support_full([cand], laid_out) == {cand: want}
-        assert count_support_restricted(cand, laid_out) == want
+        ledger = ScanLedger()
+        assert count_support_restricted(cand, laid_out, ledger) == want
+        assert ledger.per_level == {len(cand): l1.support(min_support_item(cand, l1))}
+        # Counted inside any laid-out item's TID list, not only the member's.
+        for item in order:
+            inside = sum(rows[tid].issuperset(cand) for tid in l1.tids(item))
+            assert laid_out.count(cand, item) == inside
     for item in (-1, *range(num_items, db.num_items + 2)):
         alone = LanePages(L1Index({item: ()}, len(db)))
         assert count_support_full([(item,)], alone) == {(item,): 0}
