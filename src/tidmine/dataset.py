@@ -6,13 +6,13 @@ whitespace or commas. Tokens are interned to integer item ids in first-seen
 order, and every stored transaction is a strictly increasing tuple of ids.
 """
 
-import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, IngestionError, ResourceLimitError, UnknownItemError
+from .errors import plain_float, plain_int
 
 DELIMITER_POLICIES = ("whitespace", "comma")
 
@@ -109,17 +109,11 @@ class GeneratorConfig:
     seed: int
 
     def __post_init__(self):
-        # numpy's own numbers register as these types; a bool is no size.
-        for name, kind in (
-            ("num_transactions", numbers.Integral),
-            ("num_items", numbers.Integral),
-            ("avg_transaction_len", numbers.Real),
-            ("seed", numbers.Integral),
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is numbers.Integral else "a real number"
-                raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+        # The fields keep the numbers given, so numpy sizes give the same database.
+        plain_int(self.num_transactions, "num_transactions")
+        plain_int(self.num_items, "num_items")
+        plain_float(self.avg_transaction_len, "avg_transaction_len")
+        plain_int(self.seed, "seed")
         # Each size is the length of an array of 8-byte elements. numpy refuses
         # one whose byte size passes its index type's maximum, sys.maxsize, so a
         # size that long stops here, before numpy is imported.

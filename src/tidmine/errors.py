@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the plain-number rule."""
+
+import numbers
 
 
 class TidmineError(Exception):
@@ -31,3 +33,21 @@ class ArithmeticDomainError(TidmineError, ValueError):
 
 class ResourceLimitError(TidmineError, RuntimeError):
     """A run would exceed a fixed time or memory budget, so it stops early."""
+
+
+def plain_int(value, name: str, error: type[TidmineError] = ConfigurationError) -> int:
+    """Any integral number but a bool, numpy's included, as a plain int; else raise `error`."""
+    # A plain int skips the ABC check, which costs the ledger's hot path.
+    if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
+def plain_float(value, name: str, error: type[TidmineError] = ConfigurationError) -> float:
+    """Any real number but a bool, numpy's included, as a plain float; else raise `error`."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise error(f"{name} is past float range, got {value!r}") from None
+    raise error(f"{name} must be a real number, got {value!r}")

@@ -7,7 +7,6 @@ check the format when first iterated; `render_report` returns one string.
 
 import json
 import math
-import numbers
 import statistics
 import time
 from dataclasses import dataclass
@@ -15,7 +14,13 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .dataset import TransactionDb
-from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
+from .errors import (
+    ArithmeticDomainError,
+    ConfigurationError,
+    ContractViolationError,
+    plain_float,
+    plain_int,
+)
 from .mining import MiningResult, ScanLedger, check_threshold
 from .rules import AssociationRule
 
@@ -86,22 +91,20 @@ class VariantRun:
     wall_seconds: float | None
 
     def __post_init__(self):
-        wall = self.wall_seconds
-        if wall is None:
-            return
-        if isinstance(wall, bool) or not isinstance(wall, numbers.Real) or not 0 <= wall < math.inf:
-            raise ConfigurationError(
-                f"wall_seconds must be a finite and non-negative number, got {wall!r}"
-            )
-        object.__setattr__(self, "wall_seconds", float(wall))
+        if self.wall_seconds is not None:
+            wall = plain_float(self.wall_seconds, "wall_seconds")
+            if not 0 <= wall < math.inf:
+                raise ConfigurationError(f"wall_seconds must be finite and >= 0, got {wall!r}")
+            object.__setattr__(self, "wall_seconds", wall)
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
     """Runs of several counting variants on one database and min_support.
 
-    All runs used the same candidate strategy. The paper's two rates compare
-    the run named `classic` with the run named `improved`.
+    All runs used the same candidate strategy. The runs name each variant at
+    most once, `classic` and `improved` always: the paper's two rates compare
+    those two. `min_support_count` is a plain int of at least 1.
     """
 
     dataset: str
@@ -112,9 +115,19 @@ class ComparisonReport:
 
     def __post_init__(self):
         object.__setattr__(self, "min_support", check_threshold(self.min_support))
+        count = plain_int(self.min_support_count, "min_support_count")
+        if count < 1:
+            raise ConfigurationError(f"min_support_count must be at least 1, got {count}")
+        object.__setattr__(self, "min_support_count", count)
+        variants = [run.variant for run in self.runs]
+        if len(set(variants)) < len(variants) or not {"classic", "improved"} <= set(variants):
+            raise ConfigurationError(
+                "a report holds one run per variant, classic and improved among them; "
+                f"got {variants}"
+            )
 
     def run(self, variant: str) -> VariantRun:
-        """The first run of `variant`."""
+        """The run of `variant`."""
         for run in self.runs:
             if run.variant == variant:
                 return run
@@ -238,7 +251,7 @@ def rules_report(
 
     Each distinct side and confidence is rendered once, so sides must be
     tuples, and confidences that compare equal print alike: in a caller-built
-    list, the first of 1 and 1.0 (or of 0.0 and -0.0) sets the text of both.
+    list, the first of 0.0 and -0.0 sets the text of both.
     """
     min_confidence = check_threshold(min_confidence, confidence=True)
     if _is_machine(format):
@@ -266,15 +279,26 @@ def bench_report(
 ) -> Iterator[str]:
     """Chunks of the `bench` report: one row per `compare` report, and the means.
 
-    The reports, at least one, share one min_support and candidate strategy,
-    and every run is timed. A rate is None when its classic run took no
-    measurable time or did no scans; each mean covers the rates that exist,
-    and is None when none does.
+    The reports, at least one, share one min_support, candidate strategy and
+    variant order, and every run is timed. A rate is None when its classic run
+    took no measurable time or did no scans; each mean covers the rates that
+    exist, and is None when none does.
     """
     if not reports:
         raise ConfigurationError("a bench report needs at least one comparison")
     if any(run.wall_seconds is None for report in reports for run in report.runs):
         raise ConfigurationError("every run of a bench report must be timed")
+    # The header and column titles come from the first report alone; repr
+    # tells the count 1 from the fraction 1.0.
+    settings = {
+        (repr(r.min_support), r.candidate_strategy, tuple(run.variant for run in r.runs))
+        for r in reports
+    }
+    if len(settings) > 1:
+        raise ConfigurationError(
+            "the reports of a bench report must share min_support, candidate "
+            "strategy and variant order"
+        )
     first = reports[0]
     mean_time = _mean_or_none([r.reduction_rate_percent for r in reports])
     mean_scan = _mean_or_none([r.scan_reduction_percent for r in reports])

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dataset import TransactionDb
-from .errors import ConfigurationError, ContractViolationError, ResourceLimitError
+from .errors import ConfigurationError, ContractViolationError, ResourceLimitError, plain_int
 from .lanes import LanePages
 
 Itemset = tuple[int, ...]
@@ -53,14 +53,7 @@ class ScanLedger:
                 self.add(level, scanned)
 
     def add(self, level: int, scanned: int) -> None:
-        try:
-            if bool in (type(level), type(scanned)):
-                raise TypeError
-            level, scanned = operator.index(level), operator.index(scanned)
-        except TypeError:
-            raise ConfigurationError(
-                f"ledger level and entry must be integers, got {level!r} and {scanned!r}"
-            ) from None
+        level, scanned = plain_int(level, "ledger level"), plain_int(scanned, "ledger entry")
         if level < 1:
             raise ConfigurationError(f"ledger level must be >= 1, got {level}")
         if scanned < 0:
@@ -95,12 +88,7 @@ class L1Index:
     __slots__ = ("_tids", "_rank", "by_support", "num_transactions")
 
     def __init__(self, tids_by_item: Mapping[int, Sequence[int]], num_transactions: int):
-        try:
-            num_transactions = operator.index(num_transactions)
-        except TypeError:
-            raise ContractViolationError(
-                f"num_transactions must be an integer, got {num_transactions!r}"
-            ) from None
+        num_transactions = plain_int(num_transactions, "num_transactions", ContractViolationError)
         self.num_transactions = num_transactions
         self._tids: dict[int, tuple[int, ...]] = {}
         for item in sorted(tids_by_item):
@@ -178,9 +166,10 @@ class CandidateSet:
 class MiningResult:
     """Frequent itemsets per level plus the scan ledger and a config echo.
 
-    `levels[k]` maps each frequent k-itemset to its support, in canonical
-    order; levels run contiguously from 1 to the last non-empty level. Treat
-    as immutable.
+    `levels[k]` maps each frequent k-itemset to its support, a plain int, in
+    canonical order; levels run contiguously from 1 to the last non-empty
+    level. `min_support_count`, the support floor, is a plain int of at least
+    1. Treat as immutable.
     """
 
     levels: dict[int, dict[Itemset, int]]
@@ -192,10 +181,22 @@ class MiningResult:
 
     def __post_init__(self):
         object.__setattr__(self, "min_support", check_threshold(self.min_support))
+        count = plain_int(self.min_support_count, "min_support_count")
+        if count < 1:
+            raise ConfigurationError(f"min_support_count must be at least 1, got {count}")
+        object.__setattr__(self, "min_support_count", count)
         if sorted(self.levels) != list(range(1, len(self.levels) + 1)):
             raise ContractViolationError("levels must be contiguous from 1")
         if any(not level for level in self.levels.values()):
             raise ContractViolationError("levels must not contain empty entries")
+        # Only a level holding some other number is copied; run_apriori's are kept.
+        levels = {
+            k: level
+            if all(type(n) is int for n in level.values())
+            else {itemset: plain_int(n, f"support of {itemset}") for itemset, n in level.items()}
+            for k, level in self.levels.items()
+        }
+        object.__setattr__(self, "levels", levels)
 
     def support_of(self, itemset: Sequence[int]) -> int | None:
         """Support of a frequent itemset, or None if it is not frequent."""

@@ -5,7 +5,7 @@ import operator
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, plain_float, plain_int
 from .mining import Itemset, MiningResult, check_threshold
 
 
@@ -13,7 +13,8 @@ class AssociationRule(tuple):
     """Rule antecedent -> consequent with the support of their union.
 
     A 4-field tuple record `(antecedent, consequent, support, confidence)`:
-    it unpacks, indexes and compares like that plain tuple. confidence =
+    it unpacks, indexes and compares like that plain tuple. The support is a
+    plain int of at least 0 and the confidence a plain float in [0, 1]:
     support(antecedent + consequent) / support(antecedent).
     """
 
@@ -25,6 +26,10 @@ class AssociationRule(tuple):
             raise ContractViolationError("rule sides must be non-empty")
         if not set(antecedent).isdisjoint(consequent):
             raise ContractViolationError("rule sides must be disjoint")
+        support = plain_int(support, "support", ContractViolationError)
+        if support < 0:
+            raise ContractViolationError(f"support must be at least 0, got {support}")
+        confidence = plain_float(confidence, "confidence", ContractViolationError)
         if not 0.0 <= confidence <= 1.0:
             raise ContractViolationError(f"confidence must lie in [0, 1], got {confidence}")
         return tuple.__new__(cls, (antecedent, consequent, support, confidence))

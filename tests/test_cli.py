@@ -329,6 +329,17 @@ def test_compare_degenerate_db_reduces_zero(tmp_path, capsys):
     assert json.loads(out)["scan_reduction_percent"] == 0.0
 
 
+def test_compare_on_blank_lines_has_no_scan_rate(tmp_path, capsys):
+    # Neither variant examines a transaction, so there is no rate to print.
+    path = tmp_path / "blank.txt"
+    path.write_text("\n  \n", encoding="utf-8")
+    argv = ("compare", "--input", str(path), "--min-support", "1", "--reps", "0")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "scan reduction rate: n/a\n" in out
+    code, out, _ = run_cli(capsys, *argv, "--format", "machine")
+    assert code == 0 and json.loads(out)["scan_reduction_percent"] is None
+
+
 def test_machine_output_deterministic_across_runs(golden_path, capsys):
     base_args = (
         "mine",

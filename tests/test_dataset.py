@@ -237,6 +237,7 @@ def test_generator_lengths_within_bounds():
         dict(num_transactions=10, num_items=5, avg_transaction_len=True, seed=0),
         dict(num_transactions=10, num_items=5, avg_transaction_len=2, seed=True),
         dict(num_transactions=10, num_items=5, avg_transaction_len=2, seed=1.5),
+        dict(num_transactions=10, num_items=5, avg_transaction_len=10**400, seed=0),
     ],
 )
 def test_generator_config_validation(kwargs):

@@ -21,7 +21,7 @@ from tidmine.metrics import (
     round_percent,
     rules_report,
 )
-from tidmine.mining import run_apriori
+from tidmine.mining import VARIANTS, MiningResult, run_apriori
 from tidmine.rules import generate_rules
 
 # Frozen reference timings and their reduction rates: one sweep over
@@ -142,7 +142,9 @@ def test_ledger_holds_plain_ints_from_numpy_integers():
     assert variants[0]["per_level_scans"] == {"1": 3}
 
 
-@pytest.mark.parametrize("per_level", [{True: 3}, {1: 2.5}], ids=["bool-level", "float-entry"])
+@pytest.mark.parametrize(
+    "per_level", [{True: 3}, {1: 2.5}, {1: True}], ids=["bool-level", "float-entry", "bool-entry"]
+)
 def test_ledger_refuses_what_is_not_an_integer(per_level):
     with pytest.raises(ConfigurationError):
         ScanLedger(per_level)
@@ -165,10 +167,17 @@ def test_median_seconds_zero_reps_untimed():
     assert wall is None
 
 
+def test_median_seconds_refuses_negative_repetitions():
+    calls = []
+    with pytest.raises(ConfigurationError):
+        median_seconds(lambda: calls.append(1), repetitions=-1)
+    assert calls == []
+
+
 def test_run_timing_validation():
     # A time that is not finite would render as NaN or Infinity, not JSON; a
     # bool would render as true.
-    for wall in (-0.1, float("nan"), float("inf"), float("-inf"), True, "1"):
+    for wall in (-0.1, float("nan"), float("inf"), float("-inf"), True, "1", 10**400):
         with pytest.raises(ConfigurationError):
             VariantRun("classic", ScanLedger(), wall)
 
@@ -290,6 +299,34 @@ def test_hand_built_report_with_a_numpy_count_renders_plain():
         assert render_report(report, format) == render_report(_golden_report(), format)
 
 
+@pytest.mark.parametrize("format", FORMATS)
+def test_hand_built_report_holds_a_plain_support_count(format):
+    report = ComparisonReport("golden.txt", 3, np.int64(3), "combinations", _golden_report().runs)
+    assert type(report.min_support_count) is int
+    assert render_report(report, format) == render_report(_golden_report(), format)
+
+
+@pytest.mark.parametrize("format", FORMATS)
+def test_hand_built_mining_result_with_numpy_numbers_renders_plain(golden_db, format):
+    want = run_apriori(golden_db, 3)
+    levels = {k: {s: np.int64(n) for s, n in level.items()} for k, level in want.levels.items()}
+    got = MiningResult(levels, want.ledger, 3, np.int64(3), "improved", "join")
+    assert got == want
+    assert {type(got.min_support_count)} | {type(n) for _, n in got.frequent()} == {int}
+    assert "".join(mine_report(golden_db, "golden", got, format)) == "".join(
+        mine_report(golden_db, "golden", want, format)
+    )
+
+
+@pytest.mark.parametrize("count", [True, 2.5, 0, "3", None])
+def test_records_refuse_a_support_count_that_is_not_a_plain_count(golden_db, count):
+    result = run_apriori(golden_db, 3)
+    with pytest.raises(ConfigurationError, match="min_support_count"):
+        MiningResult(result.levels, result.ledger, 3, count, "improved", "join")
+    with pytest.raises(ConfigurationError, match="min_support_count"):
+        ComparisonReport("golden.txt", 3, count, "combinations", _golden_report().runs)
+
+
 @pytest.mark.parametrize("bad", [np.float32(0.6), True, Fraction(1, 3), "0.5", 0, 1.5])
 @pytest.mark.parametrize("format", FORMATS)
 def test_rules_report_refuses_a_confidence_that_is_not_a_plain_fraction(golden_db, format, bad):
@@ -339,6 +376,30 @@ def test_bench_report_refuses_no_reports_or_an_untimed_run(reports, format):
         next(chunks)
 
 
+def _timed_report(min_support=3, strategy="combinations", variants=VARIANTS):
+    ledgers = {"classic": GOLDEN_CLASSIC, "improved": GOLDEN_IMPROVED}
+    runs = tuple(VariantRun(v, ScanLedger(ledgers[v]), 1.0) for v in variants)
+    return ComparisonReport("golden.txt", min_support, 3, strategy, runs)
+
+
+@pytest.mark.parametrize("format", FORMATS)
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ({}, {"min_support": 7}),
+        ({"min_support": 1}, {"min_support": 1.0}),
+        ({}, {"strategy": "join"}),
+        ({}, {"variants": ("improved", "classic")}),
+    ],
+    ids=["min_support", "count-or-fraction", "strategy", "variant-order"],
+)
+def test_bench_report_refuses_reports_unlike_the_first(first, second, format):
+    # The header and the column titles come from the first report only.
+    chunks = bench_report([_timed_report(**first), _timed_report(**second)], 1, format)
+    with pytest.raises(ConfigurationError):
+        next(chunks)
+
+
 def test_report_renders_every_run_and_rates_by_name():
     # A third variant gets its own column and wall time; the rates still
     # compare `classic` with `improved`, wherever those runs sit in the list.
@@ -362,6 +423,18 @@ def test_report_renders_every_run_and_rates_by_name():
 
 
 def test_report_needs_both_paper_variants_for_rates():
-    report = _report([VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), None)])
+    with pytest.raises(ConfigurationError):
+        _report([VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), None)])
     with pytest.raises(ContractViolationError):
-        report.scan_reduction_percent
+        _golden_report().run("bitset")
+
+
+@pytest.mark.parametrize(
+    "variants",
+    [("improved",), ("classic", "improved", "classic"), ("classic", "bitset"), ()],
+    ids=["no-classic", "classic-twice", "no-improved", "none"],
+)
+def test_report_refuses_runs_without_one_of_each_paper_variant(variants):
+    runs = [VariantRun(v, ScanLedger(GOLDEN_CLASSIC), None) for v in variants]
+    with pytest.raises(ConfigurationError):
+        _report(runs)

@@ -172,6 +172,8 @@ def test_candidate_set_validates():
         CandidateSet(2, ((0, 1), (0, 1)))  # duplicate
     with pytest.raises(ContractViolationError):
         CandidateSet(2, ((1, 0),))  # not canonical
+    with pytest.raises(ContractViolationError):
+        CandidateSet(1, ((0,),))  # level below 2
 
 
 # --- min-support item and target TIDs ---------------------------------------
@@ -237,6 +239,7 @@ def test_l1_index_rejects_tids_past_the_database():
         ({0: ("0",)}, 1, "item 0"),
         ({0: None}, 1, "item 0"),
         ({0: (0, 1)}, 2.0, "num_transactions"),
+        ({0: (0,)}, True, "num_transactions"),
     ],
 )
 def test_l1_index_refuses_tids_that_are_not_integers(tids, size, name):
@@ -276,6 +279,14 @@ def test_kernels_reject_items_without_a_lane_slot():
         count_support_restricted((1, 2), lanes)  # item 2 has no TID list
     with pytest.raises(ContractViolationError):
         lanes.count((0,), 2)
+
+
+def test_kernels_refuse_an_empty_or_mixed_size_candidate(golden_db):
+    lanes = LanePages(compute_l1(golden_db, 3))
+    with pytest.raises(ContractViolationError):
+        min_support_item((), lanes.l1)
+    with pytest.raises(ContractViolationError):
+        count_support_full([(0, 1), (0, 1, 2)], lanes)
 
 
 def test_min_item_missing_from_l1(golden_db):
@@ -554,6 +565,29 @@ def test_hand_built_mining_result_holds_a_plain_threshold(given, plain):
     assert result.min_support == plain and type(result.min_support) is type(plain)
     with pytest.raises(ConfigurationError):
         MiningResult({1: {(0,): 3}}, ScanLedger(), True, 3, "improved", "join")
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [{1: {(0,): 3}, 3: {(0, 1, 2): 3}}, {1: {(0,): 3}, 2: {}}],
+    ids=["gap", "empty-level"],
+)
+def test_mining_result_refuses_levels_that_are_not_contiguous_or_empty(levels):
+    with pytest.raises(ContractViolationError):
+        MiningResult(levels, ScanLedger(), 3, 3, "improved", "join")
+
+
+def test_mining_result_holds_plain_int_supports():
+    plain, numpy_level = {(0,): 3, (1,): 4}, {(0, 1): np.int64(3)}
+    result = MiningResult({1: plain, 2: numpy_level}, ScanLedger(), 3, 3, "improved", "join")
+    assert result.levels[1] is plain  # a level of plain ints is kept, not copied
+    assert result.levels[2] == {(0, 1): 3} and type(result.levels[2][(0, 1)]) is int
+
+
+@pytest.mark.parametrize("support", [True, np.True_, 3.0, "3", None])
+def test_mining_result_refuses_a_support_that_is_not_an_integer(support):
+    with pytest.raises(ConfigurationError, match=r"support of \(0,\)"):
+        MiningResult({1: {(0,): support}}, ScanLedger(), 3, 3, "improved", "join")
 
 
 # --- run_apriori ------------------------------------------------------------

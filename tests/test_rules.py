@@ -1,5 +1,6 @@
 import copy
 import io
+import json
 import pickle
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from oracle import bruteforce_support, iset, random_db
 from tidmine.dataset import load_transactions
 from tidmine.errors import ConfigurationError, ContractViolationError
-from tidmine.metrics import ScanLedger
+from tidmine.metrics import ScanLedger, rules_report
 from tidmine.mining import MiningResult, run_apriori
 from tidmine.rules import AssociationRule, generate_rules
 
@@ -163,6 +164,31 @@ def test_rule_invariants_enforced():
         AssociationRule((0,), (0, 1), 3, 1.0)
     with pytest.raises(ContractViolationError):
         AssociationRule((0,), (1,), 3, 1.5)
+
+
+@pytest.mark.parametrize(
+    "support, confidence",
+    [(np.int64(2), 0.5), (2, np.float64(0.5)), (np.int32(2), np.float32(0.5)), (2, Fraction(1, 2))],
+)
+def test_rule_holds_a_plain_support_and_confidence(golden_db, support, confidence):
+    rule = AssociationRule((0,), (1,), support, confidence)
+    assert rule == ((0,), (1,), 2, 0.5)
+    assert (type(rule.support), type(rule.confidence)) == (int, float)
+    result = run_apriori(golden_db, 3)
+    payload = json.loads("".join(rules_report(golden_db, "g", result, [rule], 0.5, "machine")))
+    assert payload["rules"] == [
+        {"antecedent": ["I1"], "consequent": ["I2"], "support": 2, "confidence": 0.5}
+    ]
+
+
+@pytest.mark.parametrize(
+    "support, confidence",
+    [(True, 0.5), (2, True), (2.5, 0.5), (-3, 0.5), ("2", 0.5), (2, "0.5")],
+    ids=["bool", "bool-confidence", "float", "negative", "str", "str-confidence"],
+)
+def test_rule_refuses_a_support_or_confidence_that_is_not_a_plain_number(support, confidence):
+    with pytest.raises(ContractViolationError):
+        AssociationRule((0,), (1,), support, confidence)
 
 
 def test_missing_antecedent_violates_contract():
