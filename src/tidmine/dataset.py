@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, IngestionError, ResourceLimitError, UnknownItemError
-from .errors import plain_float, plain_int
+from .errors import plain_float, plain_ids, plain_int
 
 DELIMITER_POLICIES = ("whitespace", "comma")
 
@@ -34,25 +34,17 @@ class TransactionDb:
 
     def __init__(self, transactions: Iterable[Sequence[int]], tokens: Iterable[str]):
         self.tokens: tuple[str, ...] = tuple(tokens)
-        self.transactions: tuple[tuple[int, ...], ...] = tuple(
-            tuple(txn) for txn in transactions
-        )
         self._id_of: dict[str, int] = {}
         for item_id, token in enumerate(self.tokens):
             if token in self._id_of:
                 raise ConfigurationError(f"duplicate token in intern table: {token!r}")
             self._id_of[token] = item_id
-        for tid, txn in enumerate(self.transactions):
-            if not txn:
-                raise ConfigurationError(f"transaction {tid} is empty")
-            if any(b <= a for a, b in zip(txn, txn[1:])):
-                raise ConfigurationError(
-                    f"transaction {tid} is not strictly increasing: {txn}"
-                )
-            if txn[0] < 0 or txn[-1] >= len(self.tokens):
-                raise ConfigurationError(
-                    f"transaction {tid} references an item outside the intern table"
-                )
+        self.transactions: tuple[tuple[int, ...], ...] = tuple(
+            plain_ids(txn, f"transaction {tid}", len(self.tokens))
+            for tid, txn in enumerate(transactions)
+        )
+        if () in self.transactions:
+            raise ConfigurationError(f"transaction {self.transactions.index(())} is empty")
 
     def __len__(self) -> int:
         return len(self.transactions)

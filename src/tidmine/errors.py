@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the plain-number rule."""
+"""Exception types shared across the package, and the plain-number and id rules."""
 
 import numbers
+import operator
 
 
 class TidmineError(Exception):
@@ -51,3 +52,18 @@ def plain_float(value, name: str, error: type[TidmineError] = ConfigurationError
         except OverflowError:
             raise error(f"{name} is past float range, got {value!r}") from None
     raise error(f"{name} must be a real number, got {value!r}")
+
+
+def plain_ids(values, name: str, end=None, error=ConfigurationError) -> tuple[int, ...]:
+    """`values` as strictly increasing `operator.index` ids in [0, end), else raise
+    `error`. A bool reads as its int; a tuple of plain ints comes back uncopied."""
+    ids = values
+    if type(ids) is not tuple or not set(map(type, ids)) <= {int}:
+        try:
+            ids = tuple(map(operator.index, values))
+        except TypeError:
+            raise error(f"{name} is not a sequence of integers") from None
+    if not all(map(operator.lt, (-1, *ids), ids)) or ids and end is not None and ids[-1] >= end:
+        bound = "from 0" if end is None else f"within [0, {end})"
+        raise error(f"{name} does not strictly increase {bound}")
+    return ids

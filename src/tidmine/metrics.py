@@ -11,7 +11,7 @@ import statistics
 import time
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .dataset import TransactionDb
 from .errors import (
@@ -217,7 +217,7 @@ def mine_report(
 ) -> Iterator[str]:
     """Chunks of the `mine` report of `result`, mined from `db` named `label`."""
     if _is_machine(format):
-        json_tokens = [json.dumps(token) for token in db.tokens]
+        json_tokens = _ItemTexts(map(json.dumps, db.tokens))
         yield from json_report(
             "mine", _mining_fields(db, label, result), levels=_levels_json(result, json_tokens)
         )
@@ -226,7 +226,7 @@ def mine_report(
         db, label, result, f"variant: {result.variant}  candidates: {result.candidate_strategy}"
     )
     yield "\n"
-    token = db.tokens.__getitem__
+    token = _ItemTexts(db.tokens).__getitem__
     for k in sorted(result.levels):
         level = result.levels[k]
         yield f"L{k}: {len(level)} itemsets\n"
@@ -249,13 +249,16 @@ def rules_report(
 ) -> Iterator[str]:
     """Chunks of the `rules` report: the rules `found` in `result` at `min_confidence`.
 
-    Each distinct side and confidence is rendered once, so sides must be
-    tuples, and confidences that compare equal print alike: in a caller-built
-    list, the first of 0.0 and -0.0 sets the text of both.
+    `found` holds `AssociationRule` records only. Each distinct side and
+    confidence is rendered once, so confidences that compare equal print
+    alike: in a caller-built list, the first of 0.0 and -0.0 sets the text of
+    both.
     """
     min_confidence = check_threshold(min_confidence, confidence=True)
+    if not set(map(type, found)) <= {AssociationRule}:
+        raise ContractViolationError("rules to report must be AssociationRule records")
     if _is_machine(format):
-        json_tokens = [json.dumps(token) for token in db.tokens]
+        json_tokens = _ItemTexts(map(json.dumps, db.tokens))
         yield from json_report(
             "rules",
             {**_mining_fields(db, label, result), "min_confidence": min_confidence},
@@ -265,7 +268,7 @@ def rules_report(
         return
     yield _header(db, label, result, f"min_confidence: {format_threshold(min_confidence)}")
     yield f"{len(found)} rules\n"
-    side = _side_text(db.tokens, ", ")
+    side = _side_text(_ItemTexts(db.tokens), ", ")
     confidence_text = _Memo("{:.2f}".format)
     for antecedent, consequent, support, confidence in found:
         yield (
@@ -365,7 +368,7 @@ def _mining_fields(db: TransactionDb, label: str, result: MiningResult) -> dict:
     }
 
 
-def _levels_json(result: MiningResult, json_tokens: Sequence[str]) -> Iterator[str]:
+def _levels_json(result: MiningResult, json_tokens: Mapping[int, str]) -> Iterator[str]:
     """The `levels` member: one entry per level, holding `itemsets[]`."""
     if not result.levels:
         yield "[]"
@@ -387,7 +390,7 @@ def _levels_json(result: MiningResult, json_tokens: Sequence[str]) -> Iterator[s
     yield "\n  ]"
 
 
-def _rules_json(found: list[AssociationRule], json_tokens: Sequence[str]) -> Iterator[str]:
+def _rules_json(found: list[AssociationRule], json_tokens: Mapping[int, str]) -> Iterator[str]:
     """The `rules` member: antecedent, confidence, consequent, support."""
     if not found:
         yield "[]"
@@ -404,6 +407,19 @@ def _rules_json(found: list[AssociationRule], json_tokens: Sequence[str]) -> Ite
         )
         opening = ",\n"
     yield "\n  ]"
+
+
+class _ItemTexts(dict):
+    """`texts[i]` of each item id `i`. An id outside `texts` raises
+    ContractViolationError; indexing `texts` would wrap a negative id."""
+
+    __slots__ = ()
+
+    def __init__(self, texts: Iterable[str]):
+        super().__init__(enumerate(texts))
+
+    def __missing__(self, item):
+        raise ContractViolationError(f"item id {item!r} is outside the database's {len(self)} items")
 
 
 class _Memo(dict):
@@ -424,7 +440,7 @@ class _Memo(dict):
         return text
 
 
-def _side_text(tokens: Sequence[str], sep: str) -> _Memo:
+def _side_text(tokens: Mapping[int, str], sep: str) -> _Memo:
     """Memo of the text of each rule side: its items' `tokens` joined by `sep`."""
     token = tokens.__getitem__
     return _Memo(lambda side: sep.join(map(token, side)))

@@ -14,13 +14,13 @@ with the same members are the same tuple.
 import itertools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dataset import TransactionDb
-from .errors import ConfigurationError, ContractViolationError, ResourceLimitError, plain_int
+from .errors import ConfigurationError, ContractViolationError, ResourceLimitError
+from .errors import plain_ids, plain_int
 from .lanes import LanePages
 
 Itemset = tuple[int, ...]
@@ -92,18 +92,8 @@ class L1Index:
         self.num_transactions = num_transactions
         self._tids: dict[int, tuple[int, ...]] = {}
         for item in sorted(tids_by_item):
-            try:
-                tids = tuple(map(operator.index, tids_by_item[item]))
-            except TypeError:
-                raise ContractViolationError(
-                    f"TID list for item {item} is not a sequence of integers"
-                ) from None
-            if any(b <= a for a, b in zip((-1, *tids), (*tids, num_transactions))):
-                raise ContractViolationError(
-                    f"TID list for item {item} does not strictly increase "
-                    f"within [0, {num_transactions})"
-                )
-            self._tids[item] = tids
+            name, tids = f"TID list for item {item}", tids_by_item[item]
+            self._tids[item] = plain_ids(tids, name, num_transactions, ContractViolationError)
         # Rank by (support, id), so the smallest rank is the min-support item;
         # `by_support`, the items in descending rank, is the lane layout.
         by_support = sorted(self._tids, key=lambda item: (len(self._tids[item]), item))
@@ -142,17 +132,16 @@ class CandidateSet:
     candidates: tuple[Itemset, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", tuple(map(tuple, self.candidates)))
         if self.level < 2:
             raise ContractViolationError("candidate level must be at least 2")
-        for cand in self.candidates:
+        candidates = tuple(
+            plain_ids(cand, "candidate", error=ContractViolationError) for cand in self.candidates
+        )
+        object.__setattr__(self, "candidates", candidates)
+        for cand in candidates:
             if len(cand) != self.level:
-                raise ContractViolationError(
-                    f"candidate {cand} does not match level {self.level}"
-                )
-            if any(b <= a for a, b in zip(cand, cand[1:])):
-                raise ContractViolationError(f"candidate {cand} is not canonical")
-        if any(b <= a for a, b in zip(self.candidates, self.candidates[1:])):
+                raise ContractViolationError(f"candidate {cand} does not match level {self.level}")
+        if any(b <= a for a, b in zip(candidates, candidates[1:])):
             raise ContractViolationError("candidates must be unique and ordered")
 
     def __len__(self) -> int:

@@ -5,7 +5,7 @@ import operator
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ContractViolationError, plain_float, plain_int
+from .errors import ContractViolationError, plain_float, plain_ids, plain_int
 from .mining import Itemset, MiningResult, check_threshold
 
 
@@ -13,15 +13,17 @@ class AssociationRule(tuple):
     """Rule antecedent -> consequent with the support of their union.
 
     A 4-field tuple record `(antecedent, consequent, support, confidence)`:
-    it unpacks, indexes and compares like that plain tuple. The support is a
-    plain int of at least 0 and the confidence a plain float in [0, 1]:
-    support(antecedent + consequent) / support(antecedent).
+    it unpacks, indexes and compares like that plain tuple. The sides are
+    disjoint `plain_ids` tuples, the support is a plain int of at least 0 and
+    the confidence a plain float in [0, 1]: support(both sides) / support(antecedent).
     """
 
     __slots__ = ()
     __match_args__ = ("antecedent", "consequent", "support", "confidence")
 
     def __new__(cls, antecedent: Itemset, consequent: Itemset, support: int, confidence: float):
+        antecedent = plain_ids(antecedent, "antecedent", error=ContractViolationError)
+        consequent = plain_ids(consequent, "consequent", error=ContractViolationError)
         if not antecedent or not consequent:
             raise ContractViolationError("rule sides must be non-empty")
         if not set(antecedent).isdisjoint(consequent):

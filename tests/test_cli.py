@@ -1,3 +1,4 @@
+import ast
 import doctest
 import importlib.util
 import itertools
@@ -692,6 +693,53 @@ def test_modules_import_no_later_layer(module, src_env):
     assert f"tidmine.{module}" in loaded
     later = LAYERS[LAYERS.index(module) + 1 :]
     assert loaded.isdisjoint(f"tidmine.{name}" for name in later)
+
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tidmine"
+
+
+def _unused_imports(source: str) -> set[str]:
+    """Names `source` imports but never reads. A name listed in `__all__` is
+    re-exported, and a name inside a string annotation (as for an import made
+    under TYPE_CHECKING) is read."""
+    imported, read = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["__all__"]:
+            read |= set(ast.literal_eval(node.value))
+        hints = (getattr(node, "annotation", None), getattr(node, "returns", None))
+        for part in (part for hint in filter(None, hints) for part in ast.walk(hint)):
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                quoted = ast.walk(ast.parse(part.value, mode="eval"))
+                read |= {name.id for name in quoted if isinstance(name, ast.Name)}
+    return imported - read
+
+
+def test_modules_have_no_unused_import():
+    unused = {
+        path.name: sorted(names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _unused_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+
+
+@pytest.mark.parametrize(
+    "source, unused",
+    [
+        ("import operator\n", {"operator"}),
+        ("import os.path\nos.sep\n", set()),
+        ("from a import b as c\nc()\n", set()),
+        ("from a import b\n__all__ = ['b']\n", set()),
+        ("from a import B, C\ndef f(x: 'B') -> 'list[C]': pass\n", set()),
+        ("from a import B\ndef f(x): return 'B'\n", {"B"}),
+    ],
+)
+def test_unused_import_check_reads_what_the_package_uses(source, unused):
+    assert _unused_imports(source) == unused
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -166,6 +166,10 @@ def test_constructor_rejects_bad_transactions():
         TransactionDb([(0, 2)], ["A", "B"])  # id out of range
     with pytest.raises(ConfigurationError):
         TransactionDb([(0,)], ["A", "A"])  # duplicate token
+    with pytest.raises(ConfigurationError):
+        TransactionDb([(0.0, 1.5)], ["A", "B"])  # float ids
+    with pytest.raises(ConfigurationError):
+        TransactionDb([("A", "B")], ["A", "B"])  # tokens, not ids
 
 
 def test_round_trip_serialization(golden_db):

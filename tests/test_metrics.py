@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tidmine.dataset import TransactionDb
 from tidmine.errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
 from tidmine.metrics import (
     FORMATS,
@@ -22,7 +23,7 @@ from tidmine.metrics import (
     rules_report,
 )
 from tidmine.mining import VARIANTS, MiningResult, run_apriori
-from tidmine.rules import generate_rules
+from tidmine.rules import AssociationRule, generate_rules
 
 # Frozen reference timings and their reduction rates: one sweep over
 # transaction counts, one over support thresholds.
@@ -345,6 +346,31 @@ def test_an_integral_confidence_of_one_reports_as_a_float(golden_db, format, one
     assert "".join(rules_report(golden_db, "golden", result, found, one, format)) == "".join(
         rules_report(golden_db, "golden", result, found, 1.0, format)
     )
+
+
+@pytest.mark.parametrize("format", FORMATS)
+def test_reports_refuse_item_ids_outside_the_database(format):
+    # Indexing the token table raised a bare IndexError for 7, and printed the
+    # last token, B, for -1.
+    db = TransactionDb([(0,), (0, 1), (1,)], ["A", "B"])
+    for item in (7, 2, -1):
+        result = MiningResult({1: {(item,): 2}}, ScanLedger(), 2, 2, "improved", "join")
+        with pytest.raises(ContractViolationError, match=f"item id {item} "):
+            "".join(mine_report(db, "x", result, format))
+    result = MiningResult({1: {(0,): 2, (1,): 2}}, ScanLedger(), 2, 2, "improved", "join")
+    rule = AssociationRule((0,), (2,), 1, 0.5)
+    with pytest.raises(ContractViolationError, match="item id 2 "):
+        "".join(rules_report(db, "x", result, [rule], 0.5, format))
+
+
+@pytest.mark.parametrize("format", FORMATS)
+def test_rules_report_refuses_entries_that_are_not_rule_records(golden_db, format):
+    # A plain tuple skips the record's checks: its numpy numbers printed as
+    # `np.int64(4)`, which is not JSON.
+    result = run_apriori(golden_db, 3)
+    found = [*generate_rules(result, 0.6), ((0,), (1,), np.int64(4), np.float64(0.5))]
+    with pytest.raises(ContractViolationError, match="AssociationRule"):
+        next(rules_report(golden_db, "golden", result, found, 0.6, format))
 
 
 def test_render_rejects_unknown_format(golden_db):

@@ -9,7 +9,7 @@ import pytest
 from oracle import bruteforce_frequent, bruteforce_support, iset, random_db, tids
 from tidmine import mining
 from tidmine.dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
-from tidmine.errors import ConfigurationError, ContractViolationError, ResourceLimitError
+from tidmine.errors import ConfigurationError, ContractViolationError, ResourceLimitError, plain_ids
 from tidmine.lanes import LanePages
 from tidmine.mining import (
     CandidateSet,
@@ -25,6 +25,7 @@ from tidmine.mining import (
     resolve_min_support,
     run_apriori,
 )
+from tidmine.rules import AssociationRule
 
 # --- compute_l1 -------------------------------------------------------------
 
@@ -174,6 +175,27 @@ def test_candidate_set_validates():
         CandidateSet(2, ((1, 0),))  # not canonical
     with pytest.raises(ContractViolationError):
         CandidateSet(1, ((0,),))  # level below 2
+    with pytest.raises(ContractViolationError):
+        CandidateSet(2, ((0.0, 1.0),))  # float ids
+    with pytest.raises(ContractViolationError):
+        CandidateSet(2, (("a", "b"),))  # strings
+    with pytest.raises(ContractViolationError):
+        CandidateSet(2, ((-1, 0),))  # negative id
+
+
+def test_id_tuples_of_plain_ints_are_kept_not_copied():
+    ids = (0, 2, 5)
+    assert plain_ids(ids, "ids") is ids
+    assert TransactionDb([ids], "ABCDEF").transactions[0] is ids
+    assert L1Index({0: ids}, 6).tids(0) is ids
+    assert CandidateSet(3, (ids,)).candidates[0] is ids
+    assert AssociationRule(ids, (6,), 1, 1.0).antecedent is ids
+    # Anything else comes back as a new tuple of plain ints.
+    for given in ([0, 2, 5], (np.int64(0), 2, 5), np.array([0, 2, 5]), iter([0, 2, 5])):
+        got = plain_ids(given, "ids")
+        assert got == ids and type(got) is tuple and {type(i) for i in got} == {int}
+    got = plain_ids((False, True), "ids")
+    assert got == (0, 1) and {type(i) for i in got} == {int}
 
 
 # --- min-support item and target TIDs ---------------------------------------

@@ -164,6 +164,14 @@ def test_rule_invariants_enforced():
         AssociationRule((0,), (0, 1), 3, 1.0)
     with pytest.raises(ContractViolationError):
         AssociationRule((0,), (1,), 3, 1.5)
+    with pytest.raises(ContractViolationError):
+        AssociationRule((0.5,), (1,), 3, 1.0)  # float id
+    with pytest.raises(ContractViolationError):
+        AssociationRule((0,), "B", 3, 1.0)  # a token, not an id
+    with pytest.raises(ContractViolationError):
+        AssociationRule((1, 0), (2,), 3, 1.0)  # unordered side
+    with pytest.raises(ContractViolationError):
+        AssociationRule((-1,), (0,), 3, 1.0)  # negative id
 
 
 @pytest.mark.parametrize(
