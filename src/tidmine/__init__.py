@@ -15,7 +15,6 @@ from .errors import (
     TidmineError,
     UnknownItemError,
 )
-from .lanes import LanePages
 from .metrics import (
     ComparisonReport,
     VariantRun,
@@ -55,7 +54,6 @@ __all__ = [
     "IngestionError",
     "Itemset",
     "L1Index",
-    "LanePages",
     "MiningResult",
     "ResourceLimitError",
     "ScanLedger",

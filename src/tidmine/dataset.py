@@ -6,6 +6,7 @@ whitespace or commas. Tokens are interned to integer item ids in first-seen
 order, and every stored transaction is a strictly increasing tuple of ids.
 """
 
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,10 +62,14 @@ class TransactionDb:
             raise UnknownItemError(f"unknown token: {token!r}") from None
 
     def lookup_token(self, item_id: int) -> str:
-        """Original token interned as `item_id`."""
-        if not 0 <= item_id < len(self.tokens):
-            raise UnknownItemError(f"unknown item id: {item_id}")
-        return self.tokens[item_id]
+        """Original token interned as `item_id`; a bool reads as its int."""
+        try:
+            index = operator.index(item_id)
+        except TypeError:
+            raise UnknownItemError(f"unknown item id: {item_id!r}") from None
+        if not 0 <= index < len(self.tokens):
+            raise UnknownItemError(f"unknown item id: {item_id!r}")
+        return self.tokens[index]
 
     def tokens_of(self, itemset: Sequence[int]) -> tuple[str, ...]:
         """Tokens of an id sequence, in the order given."""

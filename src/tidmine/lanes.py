@@ -1,15 +1,16 @@
-"""Bit-parallel subset tests: one 64-bit lane per examined transaction.
+"""The L1 index and its bit-parallel subset tests: one 64-bit lane per
+examined transaction.
 
-`run_apriori` builds one `LanePages` per run from its L1 index alone, whose
-TID lists are checked against the database size it holds, so the L1 pass is
-the run's only pass over the transactions, and passes it to its counting
-kernel at every level. The pages lay out the index's items by descending
-support, LANE_ITEMS to a page, so a candidate's items share few pages, and
-never change after the build. On a page, a transaction's lane holds the
-complement of its items there: bit b is set when the transaction lacks the
-item in slot b. Bit 63 of every lane, the guard, is always clear.
+`compute_l1` builds one `L1Index` per run, from the run's only pass over the
+transactions. The index checks its TID lists against the database size and
+lays out its lanes from them, so both counting kernels test on it at every
+level. The lanes hold the items by descending support, LANE_ITEMS to a page,
+so a candidate's items share few pages, and never change after the build.
+On a page, a transaction's lane holds the complement of its items there: bit
+b is set when the transaction lacks the item in slot b. Bit 63 of every
+lane, the guard, is always clear.
 
-`LanePages.count(itemset, item)` tests a candidate against a set of
+`L1Index.count(itemset, item)` tests a candidate against a set of
 transactions: all of them, or those in `item`'s TID list, the scan the
 paper's improved variant makes. Each set packs its transactions' lanes into
 one int per page, lane i in bits 64*i to 64*i + 63. To test a candidate, its
@@ -24,51 +25,80 @@ one subset test, in its own lane.
 
 import sys
 from array import array
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import ContractViolationError
-
-if TYPE_CHECKING:
-    from .mining import L1Index
+from .errors import ContractViolationError, plain_ids, plain_int
 
 LANE_ITEMS = 63
 LANE_LOW = (1 << LANE_ITEMS) - 1
 
 
-class LanePages:
-    """The lanes of `l1.num_transactions` transactions, one word array per
-    page, laid out from the index's TID lists; the pages keep it as `l1`.
+class L1Index:
+    """Support count plus strictly increasing transaction-id list for frequent
+    single items; every TID is an integer in [0, num_transactions), the
+    database's size, and is stored as a plain int.
 
-    Page p's lanes are `_words[p]`, one native-order word per transaction.
-    Only the index's items are laid out, so the slot table and lane memory
-    follow the counted items rather than every distinct item of the database.
-    An item with an empty TID list counts 0.
+    The index lays out its transactions' lanes, one word array per page: page
+    p's lanes are `_words[p]`, one native-order word per transaction. Only
+    indexed items are laid out, so the slot table and lane memory follow the
+    counted items rather than every distinct item of the database. An item
+    with an empty TID list counts 0.
     """
 
-    __slots__ = ("l1", "size", "_slot", "_words", "_sets")
+    __slots__ = ("_tids", "_rank", "by_support", "num_transactions", "_slot", "_words", "_sets")
 
-    def __init__(self, l1: "L1Index"):
-        self.l1, self.size = l1, l1.num_transactions
+    def __init__(self, tids_by_item: Mapping[int, Sequence[int]], num_transactions: int):
+        num_transactions = plain_int(num_transactions, "num_transactions", ContractViolationError)
+        self.num_transactions = num_transactions
+        self._tids: dict[int, tuple[int, ...]] = {}
+        for item in sorted(tids_by_item):
+            name, tids = f"TID list for item {item}", tids_by_item[item]
+            self._tids[item] = plain_ids(tids, name, num_transactions, ContractViolationError)
+        # Rank by (support, id), so the smallest rank is the min-support item;
+        # `by_support`, the items in descending rank, is the lane layout.
+        by_support = sorted(self._tids, key=lambda item: (len(self._tids[item]), item))
+        self._rank = {item: rank for rank, item in enumerate(by_support)}
+        self.by_support = tuple(reversed(by_support))
         self._slot: dict[int, tuple[int, int]] = {}
         # Every lane starts all ones, every item missing; each item's bit is
         # then cleared in the lanes of the transactions its TID list names.
         self._words: list[array] = []
-        for i, item in enumerate(l1.by_support):
+        for i, item in enumerate(self.by_support):
             page, bit = divmod(i, LANE_ITEMS)
             if page == len(self._words):
-                self._words.append(array("Q", [LANE_LOW]) * self.size)
+                self._words.append(array("Q", [LANE_LOW]) * num_transactions)
             lanes, mask = self._words[page], 1 << bit
             self._slot[item] = (page, mask)
-            for tid in l1.tids(item):
+            for tid in self._tids[item]:
                 lanes[tid] ^= mask
         # Per transaction set, keyed by `item` (None for all of them): its TID
         # list, the ones and guard ints, and each page's int, packed on first use.
         self._sets: dict[int | None, tuple[Sequence[int], int, int, dict[int, int]]] = {}
 
+    @property
+    def items(self) -> tuple[int, ...]:
+        """Indexed items, ascending."""
+        return tuple(self._tids)
+
+    def __contains__(self, item: int) -> bool:
+        return item in self._tids
+
+    def __len__(self) -> int:
+        return len(self._tids)
+
+    def support(self, item: int) -> int:
+        return len(self.tids(item))
+
+    def tids(self, item: int) -> tuple[int, ...]:
+        try:
+            return self._tids[item]
+        except KeyError:
+            raise ContractViolationError(f"item {item} is not in the L1 index") from None
+
     def count(self, itemset: Iterable[int], item: int | None = None) -> int:
         """How many transactions hold every item of `itemset`: all of them
-        when `item` is None, otherwise those in `item`'s TID list in `l1`.
-        Every item of `itemset` must be laid out."""
+        when `item` is None, otherwise those in `item`'s TID list. Every item
+        of `itemset` must be indexed."""
         slot = self._slot
         masks: dict[int, int] = {}
         try:
@@ -80,7 +110,7 @@ class LanePages:
         try:
             tids, ones, guards, packed = self._sets[item]
         except KeyError:
-            tids = range(self.size) if item is None else self.l1.tids(item)
+            tids = range(self.num_transactions) if item is None else self.tids(item)
             ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * len(tids), "little")
             guards, packed = ones << LANE_ITEMS, {}
             self._sets[item] = (tids, ones, guards, packed)
@@ -93,3 +123,6 @@ class LanePages:
                 lanes = packed[page] = int.from_bytes(words, sys.byteorder)
             passed &= guards - ((bits * ones) & lanes)
         return passed.bit_count()
+
+    def __repr__(self) -> str:
+        return f"L1Index({len(self._tids)} items)"

@@ -21,14 +21,14 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .dataset import TransactionDb
 from .errors import ConfigurationError, ContractViolationError, ResourceLimitError
 from .errors import plain_ids, plain_int
-from .lanes import LanePages
+from .lanes import L1Index
 
 Itemset = tuple[int, ...]
 
 VARIANTS = ("classic", "improved")
 CANDIDATE_STRATEGIES = ("join", "combinations")
 
-# Largest level `generate_candidates_combinations` builds. C(|L1|, k) grows
+# Largest level either candidate strategy builds. Candidate levels can grow
 # so fast that an unbounded level would exhaust time or memory, not fail.
 MAX_CANDIDATES = 1_000_000
 
@@ -80,50 +80,6 @@ class ScanLedger:
         return f"ScanLedger({self.per_level}, total={self.total})"
 
 
-class L1Index:
-    """Support count plus strictly increasing transaction-id list for frequent
-    single items; every TID is an integer in [0, num_transactions), the
-    database's size, and is stored as a plain int."""
-
-    __slots__ = ("_tids", "_rank", "by_support", "num_transactions")
-
-    def __init__(self, tids_by_item: Mapping[int, Sequence[int]], num_transactions: int):
-        num_transactions = plain_int(num_transactions, "num_transactions", ContractViolationError)
-        self.num_transactions = num_transactions
-        self._tids: dict[int, tuple[int, ...]] = {}
-        for item in sorted(tids_by_item):
-            name, tids = f"TID list for item {item}", tids_by_item[item]
-            self._tids[item] = plain_ids(tids, name, num_transactions, ContractViolationError)
-        # Rank by (support, id), so the smallest rank is the min-support item;
-        # `by_support`, the items in descending rank, is the lane layout.
-        by_support = sorted(self._tids, key=lambda item: (len(self._tids[item]), item))
-        self._rank = {item: rank for rank, item in enumerate(by_support)}
-        self.by_support = tuple(reversed(by_support))
-
-    @property
-    def items(self) -> tuple[int, ...]:
-        """Indexed items, ascending."""
-        return tuple(self._tids)
-
-    def __contains__(self, item: int) -> bool:
-        return item in self._tids
-
-    def __len__(self) -> int:
-        return len(self._tids)
-
-    def support(self, item: int) -> int:
-        return len(self.tids(item))
-
-    def tids(self, item: int) -> tuple[int, ...]:
-        try:
-            return self._tids[item]
-        except KeyError:
-            raise ContractViolationError(f"item {item} is not in the L1 index") from None
-
-    def __repr__(self) -> str:
-        return f"L1Index({len(self._tids)} items)"
-
-
 @dataclass(frozen=True)
 class CandidateSet:
     """Same-size candidate itemsets for one level, canonical and duplicate-free."""
@@ -155,10 +111,10 @@ class CandidateSet:
 class MiningResult:
     """Frequent itemsets per level plus the scan ledger and a config echo.
 
-    `levels[k]` maps each frequent k-itemset to its support, a plain int, in
-    canonical order; levels run contiguously from 1 to the last non-empty
-    level. `min_support_count`, the support floor, is a plain int of at least
-    1. Treat as immutable.
+    `levels[k]` maps each frequent k-itemset, a strictly increasing tuple of
+    plain int ids, to its support, a plain int, in canonical order; levels
+    run contiguously from 1 to the last non-empty level. `min_support_count`,
+    the support floor, is a plain int of at least 1. Treat as immutable.
     """
 
     levels: dict[int, dict[Itemset, int]]
@@ -178,13 +134,20 @@ class MiningResult:
             raise ContractViolationError("levels must be contiguous from 1")
         if any(not level for level in self.levels.values()):
             raise ContractViolationError("levels must not contain empty entries")
-        # Only a level holding some other number is copied; run_apriori's are kept.
-        levels = {
-            k: level
-            if all(type(n) is int for n in level.values())
-            else {itemset: plain_int(n, f"support of {itemset}") for itemset, n in level.items()}
-            for k, level in self.levels.items()
-        }
+        # A level is copied only when an itemset or a support was not already
+        # plain; run_apriori's are kept.
+        levels = {}
+        for k, level in self.levels.items():
+            name = f"level-{k} itemset"
+            itemsets = [plain_ids(itemset, name, error=ContractViolationError) for itemset in level]
+            if any(ids is not itemset for ids, itemset in zip(itemsets, level)) or any(
+                type(n) is not int for n in level.values()
+            ):
+                level = {
+                    ids: plain_int(n, f"support of {itemset}")
+                    for ids, (itemset, n) in zip(itemsets, level.items())
+                }
+            levels[k] = level
         object.__setattr__(self, "levels", levels)
 
     def support_of(self, itemset: Sequence[int]) -> int | None:
@@ -234,7 +197,10 @@ def generate_candidates_join(prev: Iterable[Itemset]) -> CandidateSet:
 
     Two (k-1)-itemsets sharing their first k-2 items merge into a k-itemset.
     Candidates having any (k-1)-subset absent from `prev` are dropped (no such
-    subset could be frequent, so neither can the candidate).
+    subset could be frequent, so neither can the candidate). A level that
+    passes MAX_CANDIDATES raises ResourceLimitError after the prefix group
+    that passed it, so the level never holds more than the budget and one
+    group.
     """
     prev_set = set(map(tuple, prev))
     if not prev_set:
@@ -252,6 +218,11 @@ def generate_candidates_join(prev: Iterable[Itemset]) -> CandidateSet:
             # by construction; only the other size-1 subsets need a lookup.
             if all(cand[:i] + cand[i + 1 :] in prev_set for i in range(size - 1)):
                 out.append(cand)
+        if len(out) > MAX_CANDIDATES:
+            raise ResourceLimitError(
+                f"the join strategy passed the budget of {MAX_CANDIDATES} "
+                f"level-{size + 1} candidates; use a higher min_support"
+            )
     return CandidateSet(size + 1, tuple(out))
 
 
@@ -288,29 +259,30 @@ def min_support_item(candidate: Sequence[int], l1: L1Index) -> int:
 
 def count_support_full(
     candidates: CandidateSet | Iterable[Itemset],
-    lanes: LanePages,
+    l1: L1Index,
     ledger: ScanLedger | None = None,
 ) -> dict[Itemset, int]:
     """Support of every candidate by scanning the whole database.
 
     Every candidate examines every transaction with one subset test, in the
-    transaction's lane, so the level gains len(candidates) * lanes.size
-    ledger examinations. Every candidate item must be laid out in `lanes`.
+    transaction's lane, so the level gains len(candidates) *
+    l1.num_transactions ledger examinations. Every candidate item must be in
+    `l1`.
     """
     cands = tuple(map(tuple, candidates))
     if not cands:
         return {}
     if any(len(c) != len(cands[0]) for c in cands):
         raise ContractViolationError("candidates must all have the same size")
-    counts = {cand: lanes.count(cand) for cand in cands}
+    counts = {cand: l1.count(cand) for cand in cands}
     if ledger is not None:
-        ledger.add(len(cands[0]), len(cands) * lanes.size)
+        ledger.add(len(cands[0]), len(cands) * l1.num_transactions)
     return counts
 
 
 def count_support_restricted(
     candidate: Sequence[int],
-    lanes: LanePages,
+    l1: L1Index,
     ledger: ScanLedger | None = None,
 ) -> int:
     """Support counted only over the TID list of the candidate's min-support member.
@@ -318,14 +290,14 @@ def count_support_restricted(
     A transaction containing the whole candidate necessarily contains that
     member, so it appears in the member's TID list and the restricted count
     equals the full-database support. Each TID in the restricted list gets
-    one subset test, in its transaction's lane, and one ledger examination.
-    The member and its list come from `lanes.l1`, their lanes gathered once.
+    one subset test, in its transaction's lane, and one ledger examination;
+    the list's lanes are gathered once.
     """
     cand = tuple(candidate)
-    member = min_support_item(cand, lanes.l1)
+    member = min_support_item(cand, l1)
     if ledger is not None:
-        ledger.add(len(cand), len(lanes.l1.tids(member)))
-    return lanes.count(cand, member)
+        ledger.add(len(cand), l1.support(member))
+    return l1.count(cand, member)
 
 
 def check_threshold(value: int | float, confidence: bool = False) -> int | float:
@@ -389,9 +361,6 @@ def run_apriori(
     levels: dict[int, dict[Itemset, int]] = {}
     if len(l1):
         levels[1] = {(item,): l1.support(item) for item in l1.items}
-    # Only with two frequent items is a candidate counted; both kernels then
-    # test on lanes laid out from the index, so the L1 pass is the only pass.
-    lanes = LanePages(l1) if len(l1) > 1 else None
     k = 2
     while levels.get(k - 1):
         if candidate_strategy == "combinations":
@@ -399,9 +368,9 @@ def run_apriori(
         else:
             candidates = generate_candidates_join(levels[k - 1])
         if variant == "classic":
-            counts = count_support_full(candidates, lanes, ledger)
+            counts = count_support_full(candidates, l1, ledger)
         else:
-            counts = {c: count_support_restricted(c, lanes, ledger) for c in candidates}
+            counts = {c: count_support_restricted(c, l1, ledger) for c in candidates}
         frequent = {c: n for c, n in counts.items() if n >= support_floor}
         if frequent:
             levels[k] = frequent

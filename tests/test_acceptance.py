@@ -14,7 +14,6 @@ import pytest
 from oracle import bruteforce_frequent, bruteforce_support, iset, random_db, tids
 from tidmine.cli import main as cli_main
 from tidmine.dataset import GeneratorConfig, generate_synthetic
-from tidmine.lanes import LanePages
 from tidmine.metrics import mean_rate, reduction_rate, round_percent
 from tidmine.mining import (
     CANDIDATE_STRATEGIES,
@@ -93,17 +92,16 @@ def test_criterion_golden_itemsets(golden_db):
 
     # All candidate supports behind the frequent sets, via both counters.
     l1 = compute_l1(golden_db, 3)
-    lanes = LanePages(l1)
     expected_c2 = {
         "I1 I2": 4, "I1 I3": 4, "I1 I4": 1, "I2 I3": 3, "I2 I4": 3, "I3 I4": 0,
     }
     expected_c3 = {"I1 I2 I3": 2, "I1 I2 I4": 1, "I1 I3 I4": 0, "I2 I3 I4": 0}
     for k, expected in ((2, expected_c2), (3, expected_c3)):
         candidates = generate_candidates_combinations(l1, k)
-        full = count_support_full(candidates, lanes)
+        full = count_support_full(candidates, l1)
         assert full == {iset(golden_db, key): v for key, v in expected.items()}
         for cand in candidates:
-            assert count_support_restricted(cand, lanes) == full[cand]
+            assert count_support_restricted(cand, l1) == full[cand]
     assert all(v < 3 for v in expected_c3.values())
 
     assert elapsed < 1.0

@@ -368,6 +368,35 @@ def test_combinations_budget_exits_1(golden_path, capsys, monkeypatch):
     assert "C(4, 2) = 6" in err and "budget of 5" in err
 
 
+def test_join_budget_exits_1_within_a_memory_cap(src_env):
+    # 300 rows that hold a 50-item transaction: at support 1, 2**50 itemsets
+    # are frequent. The real budget stops the join at level 5 after about 5 s
+    # and 173 MB. The child's address space is capped, so a join without a
+    # budget fails with MemoryError well within the timeout instead of
+    # exhausting the machine. One BLAS thread keeps numpy's reserved address
+    # space the same on any core count.
+    pytest.importorskip("resource")
+    script = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))\n"
+        "sys.argv = ['tidmine', 'mine', '--generate', '300,50,8', '--seed', '1',"
+        " '--min-support', '1']\n"
+        "runpy.run_module('tidmine', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**src_env, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: the join strategy passed the budget of 1000000 level-5 candidates;"
+        " use a higher min_support\n"
+    )
+
+
 def test_impossible_generate_size_exits_1(capsys):
     # 10**16 items ask numpy for a 71 PiB array, past any 47-bit address
     # space, so the request is refused before anything is allocated.
@@ -668,10 +697,28 @@ def test_refused_generate_sizes_never_import_numpy(spec, src_env):
 
 # Each module imports only modules before it here; errors sits below them all.
 LAYERS = ("dataset", "lanes", "mining", "rules", "metrics", "cli")
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tidmine"
+
+
+def _package_imports(source: str) -> set[str]:
+    """The tidmine modules `source` imports anywhere, under TYPE_CHECKING too."""
+    named = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # The package is flat, so a relative import names tidmine[.module].
+            base = ".".join(filter(None, ["tidmine" if node.level else "", node.module]))
+            named += [f"{base}.{a.name}" for a in node.names] if base == "tidmine" else [base]
+    return {name.split(".")[1] for name in named if name.startswith("tidmine.")}
 
 
 @pytest.mark.parametrize("module", LAYERS)
 def test_modules_import_no_later_layer(module, src_env):
+    # Read statically, so that an import made only for type checking counts.
+    later = LAYERS[LAYERS.index(module) + 1 :]
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    assert _package_imports(source).isdisjoint(later)
     # The package's __init__ re-exports every layer, so the module is imported
     # under a bare package object to see its own imports only.
     script = (
@@ -691,11 +738,21 @@ def test_modules_import_no_later_layer(module, src_env):
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert f"tidmine.{module}" in loaded
-    later = LAYERS[LAYERS.index(module) + 1 :]
     assert loaded.isdisjoint(f"tidmine.{name}" for name in later)
 
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tidmine"
+@pytest.mark.parametrize(
+    "source, named",
+    [
+        ("from .errors import plain_ids\n", {"errors"}),
+        ("from . import lanes, mining\n", {"lanes", "mining"}),
+        ("if TYPE_CHECKING:\n    from .mining import L1Index\n", {"mining"}),
+        ("from tidmine.rules import x\nimport tidmine.metrics.sub\n", {"rules", "metrics"}),
+        ("from tidmine import cli\nimport sys\nfrom array import array\n", {"cli"}),
+    ],
+)
+def test_package_import_check_reads_every_import(source, named):
+    assert _package_imports(source) == named
 
 
 def _unused_imports(source: str) -> set[str]:
@@ -768,4 +825,4 @@ def test_readme_library_examples_run_as_doctests(golden_path, monkeypatch):
     assert golden_path.read_text(encoding="utf-8") in README.read_text(encoding="utf-8")
     monkeypatch.chdir(golden_path.parent)
     failed, attempted = doctest.testfile(str(README), module_relative=False, report=False)
-    assert (failed, attempted) == (0, 16)
+    assert (failed, attempted) == (0, 15)

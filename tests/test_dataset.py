@@ -18,8 +18,7 @@ from tidmine.errors import (
     ResourceLimitError,
     UnknownItemError,
 )
-from tidmine.lanes import LanePages
-from tidmine.mining import VARIANTS, run_apriori
+from tidmine.mining import VARIANTS, L1Index, run_apriori
 
 
 def test_golden_file_loads_nine_transactions_five_items(golden_db):
@@ -109,6 +108,20 @@ def test_lookup_out_of_range(golden_db):
         golden_db.item_id("I99")
 
 
+@pytest.mark.parametrize("item_id", [1.0, 1.5, "1", None, -1])
+def test_lookup_refuses_an_id_that_is_not_an_item(golden_db, item_id):
+    # Indexing the token table raised a bare TypeError for a float.
+    with pytest.raises(UnknownItemError, match="unknown item id"):
+        golden_db.lookup_token(item_id)
+    with pytest.raises(UnknownItemError, match="unknown item id"):
+        golden_db.tokens_of([0, item_id])
+
+
+def test_lookup_reads_a_bool_or_numpy_id_as_its_int(golden_db):
+    assert golden_db.lookup_token(True) == golden_db.tokens[1]
+    assert golden_db.tokens_of([np.int64(0), False]) == (golden_db.tokens[0],) * 2
+
+
 def test_items_strictly_increasing(golden_db):
     for txn in golden_db.transactions:
         assert all(a < b for a, b in zip(txn, txn[1:]))
@@ -116,33 +129,33 @@ def test_items_strictly_increasing(golden_db):
 
 def test_lane_pages_are_cached_and_decode_to_transactions(monkeypatch):
     # 140 interned items, the last five in no transaction. Each run builds
-    # its own LanePages from its L1 index, and both kernels of that run test
-    # on it.
+    # its own L1 index, which lays out its lanes, and both kernels of that
+    # run test on it.
     rng = random.Random(5)
     txns = [tuple(sorted(rng.sample(range(135), rng.randint(1, 70)))) for _ in range(40)]
     db = TransactionDb(txns, [f"T{i}" for i in range(140)])
     built = []
 
-    def counting_pages(*args):
-        built.append(LanePages(*args))
+    def counting_index(*args):
+        built.append(L1Index(*args))
         return built[-1]
 
-    monkeypatch.setattr(mining, "LanePages", counting_pages)
+    monkeypatch.setattr(mining, "L1Index", counting_index)
     for variant in (*VARIANTS, *VARIANTS):
         run_apriori(db, 8, variant=variant)
     assert len(built) == 4  # one per run
 
-    for pages in built:
-        laid_out = pages._slot
+    for l1 in built:
+        laid_out = l1._slot
         assert list(laid_out) == list(built[0]._slot)
-        assert len(pages._words) == -(-len(laid_out) // 63) >= 2
+        assert len(l1._words) == -(-len(laid_out) // 63) >= 2
         held = [set() for _ in txns]
         for item, (page, bit) in laid_out.items():
-            for tid, lane in enumerate(pages._words[page]):
+            for tid, lane in enumerate(l1._words[page]):
                 if not lane & bit:
                     held[tid].add(item)
         assert held == [set(txn) & set(laid_out) for txn in txns]
-        assert not any(lane >> 63 for words in pages._words for lane in words)  # guard
+        assert not any(lane >> 63 for words in l1._words for lane in words)  # guard
 
 
 def test_byte_order_mark_is_skipped(tmp_path):

@@ -10,7 +10,6 @@ from oracle import bruteforce_frequent, bruteforce_support, iset, random_db, tid
 from tidmine import mining
 from tidmine.dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
 from tidmine.errors import ConfigurationError, ContractViolationError, ResourceLimitError, plain_ids
-from tidmine.lanes import LanePages
 from tidmine.mining import (
     CandidateSet,
     L1Index,
@@ -166,6 +165,20 @@ def test_combinations_budget(golden_db, monkeypatch):
         generate_candidates_combinations(l1, 2)
 
 
+def test_join_budget(golden_db, monkeypatch):
+    # Level 3 of the golden pairs is joined in prefix groups (0,) and (1,),
+    # of 3 and 1 candidates; a level that passes the budget stops the join.
+    pairs = list(combinations(range(4), 2))
+    monkeypatch.setattr(mining, "MAX_CANDIDATES", 4)
+    assert len(generate_candidates_join(pairs)) == 4
+    monkeypatch.setattr(mining, "MAX_CANDIDATES", 3)
+    with pytest.raises(ResourceLimitError, match="join strategy .* level-3 .* min_support"):
+        generate_candidates_join(pairs)
+    l1 = compute_l1(golden_db, 3)
+    with pytest.raises(ResourceLimitError, match="level-2"):  # 4 items: 6 pairs
+        generate_candidates_join((item,) for item in l1.items)
+
+
 def test_candidate_set_validates():
     with pytest.raises(ContractViolationError):
         CandidateSet(2, ((0, 1), (0,)))  # size mismatch
@@ -249,9 +262,9 @@ def test_l1_index_rejects_tids_past_the_database():
         L1Index(tids, 3)
     with pytest.raises(ContractViolationError, match="item 1"):  # the input is unchanged
         L1Index(tids, 3)
-    lanes = LanePages(L1Index(tids, 4))
-    assert count_support_restricted((0, 1), lanes) == 1  # over item 0's list
-    assert count_support_restricted((1,), lanes) == 3
+    l1 = L1Index(tids, 4)
+    assert count_support_restricted((0, 1), l1) == 1  # over item 0's list
+    assert count_support_restricted((1,), l1) == 3
 
 
 @pytest.mark.parametrize(
@@ -276,17 +289,17 @@ def test_l1_index_stores_numpy_tids_as_ints():
 
 
 def test_lane_pages_hold_no_reference_cycle():
-    # A run's pages, packed ints and index are freed when the run drops them,
-    # not at the next cyclic collection, so the index's TID lists never
+    # A run's index, with its lanes and packed ints, is freed when the run
+    # drops it, not at the next cyclic collection, so its TID lists never
     # outlive the run.
     db = generate_synthetic(GeneratorConfig(200, 20, 5, seed=2))
     gc.collect()
     gc.disable()
     try:
-        lanes = LanePages(compute_l1(db, 10))
-        for cand in generate_candidates_combinations(lanes.l1, 2):
-            assert count_support_full([cand], lanes)[cand] == count_support_restricted(cand, lanes)
-        del lanes
+        l1 = compute_l1(db, 10)
+        for cand in generate_candidates_combinations(l1, 2):
+            assert count_support_full([cand], l1)[cand] == count_support_restricted(cand, l1)
+        del l1
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -294,21 +307,21 @@ def test_lane_pages_hold_no_reference_cycle():
 
 def test_kernels_reject_items_without_a_lane_slot():
     # Transactions (0, 1) and (1, 2); item 2 is not in the index laid out.
-    lanes = LanePages(L1Index({0: (0,), 1: (0, 1)}, 2))
+    l1 = L1Index({0: (0,), 1: (0, 1)}, 2)
     with pytest.raises(ContractViolationError):
-        count_support_full([(1, 2)], lanes)
+        count_support_full([(1, 2)], l1)
     with pytest.raises(ContractViolationError):
-        count_support_restricted((1, 2), lanes)  # item 2 has no TID list
+        count_support_restricted((1, 2), l1)  # item 2 has no TID list
     with pytest.raises(ContractViolationError):
-        lanes.count((0,), 2)
+        l1.count((0,), 2)
 
 
 def test_kernels_refuse_an_empty_or_mixed_size_candidate(golden_db):
-    lanes = LanePages(compute_l1(golden_db, 3))
+    l1 = compute_l1(golden_db, 3)
     with pytest.raises(ContractViolationError):
-        min_support_item((), lanes.l1)
+        min_support_item((), l1)
     with pytest.raises(ContractViolationError):
-        count_support_full([(0, 1), (0, 1, 2)], lanes)
+        count_support_full([(0, 1), (0, 1, 2)], l1)
 
 
 def test_min_item_missing_from_l1(golden_db):
@@ -345,8 +358,7 @@ LEVEL3_SUPPORTS = {
 def test_full_count_level2_golden(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(l1)
-    counts = count_support_full(generate_candidates_combinations(l1, 2), lanes, ledger)
+    counts = count_support_full(generate_candidates_combinations(l1, 2), l1, ledger)
     assert counts == {iset(golden_db, k): v for k, v in LEVEL2_SUPPORTS.items()}
     assert ledger.per_level == {2: 54}  # 6 candidates x 9 transactions
 
@@ -354,23 +366,21 @@ def test_full_count_level2_golden(golden_db):
 def test_full_count_level3_golden(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(l1)
-    counts = count_support_full(generate_candidates_combinations(l1, 3), lanes, ledger)
+    counts = count_support_full(generate_candidates_combinations(l1, 3), l1, ledger)
     assert counts == {iset(golden_db, k): v for k, v in LEVEL3_SUPPORTS.items()}
     assert ledger.per_level == {3: 36}  # 4 candidates x 9 transactions
 
 
 def test_full_count_empty_candidates(golden_db):
     ledger = ScanLedger()
-    assert count_support_full([], LanePages(L1Index({}, len(golden_db))), ledger) == {}
+    assert count_support_full([], L1Index({}, len(golden_db)), ledger) == {}
     assert ledger.total == 0
 
 
 def test_restricted_count_scans_min_item_tids(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(l1)
-    support = count_support_restricted(iset(golden_db, "I1 I2"), lanes, ledger)
+    support = count_support_restricted(iset(golden_db, "I1 I2"), l1, ledger)
     assert support == 4
     assert ledger.per_level == {2: 6}  # I1's six transactions only
 
@@ -378,8 +388,7 @@ def test_restricted_count_scans_min_item_tids(golden_db):
 def test_restricted_count_zero_support_row(golden_db):
     l1 = compute_l1(golden_db, 3)
     ledger = ScanLedger()
-    lanes = LanePages(l1)
-    support = count_support_restricted(iset(golden_db, "I3 I4"), lanes, ledger)
+    support = count_support_restricted(iset(golden_db, "I3 I4"), l1, ledger)
     assert support == 0
     assert ledger.per_level == {2: 3}  # I4's three transactions only
 
@@ -389,49 +398,45 @@ def test_restricted_equals_full_randomized():
     for _ in range(30):
         db = random_db(rng)
         l1 = compute_l1(db, 1)
-        lanes = LanePages(l1)
         for _ in range(10):
             size = rng.randint(1, min(3, db.num_items))
             cand = tuple(sorted(rng.sample(range(db.num_items), size)))
-            full = count_support_full([cand], lanes)[cand]
-            assert count_support_restricted(cand, lanes) == full
+            full = count_support_full([cand], l1)[cand]
+            assert count_support_restricted(cand, l1) == full
             assert full == bruteforce_support(db, cand)
 
 
 def test_lane_caches_stay_with_their_database():
-    # Each database's lanes keep their own packed ints: counting alternates
-    # between two live databases, then runs on fresh ones built after the
-    # old ones are dropped, which may reuse their id() values.
+    # Each database's index keeps its own lanes and packed ints: counting
+    # alternates between two live databases, then runs on fresh ones built
+    # after the old ones are dropped, which may reuse their id() values.
     rng = random.Random(11)
 
-    def check(db, lanes):
+    def check(db, l1):
         for _ in range(10):
-            items = lanes.l1.items
+            items = l1.items
             cand = tuple(sorted(rng.sample(items, rng.randint(1, min(3, len(items))))))
             want = bruteforce_support(db, cand)
-            assert count_support_full([cand], lanes) == {cand: want}
-            assert count_support_restricted(cand, lanes) == want
+            assert count_support_full([cand], l1) == {cand: want}
+            assert count_support_restricted(cand, l1) == want
 
     live = [random_db(rng) for _ in range(2)]
-    pages = [LanePages(compute_l1(db, 1)) for db in live]
-    for db, lanes in [*zip(live, pages)] * 2:
-        check(db, lanes)
-    del live, pages, db, lanes
+    indexes = [compute_l1(db, 1) for db in live]
+    for db, l1 in [*zip(live, indexes)] * 2:
+        check(db, l1)
+    del live, indexes, db, l1
     for _ in range(5):
         db = random_db(rng)
-        check(db, LanePages(compute_l1(db, 1)))
+        check(db, compute_l1(db, 1))
         del db
 
     # Indexes that give item 0 different TID lists count apart, each on its
-    # own pages, however the calls alternate.
-    cases = [
-        (LanePages(L1Index({0: tids, 1: (0, 1, 2)}, 3)), want)
-        for tids, want in (((0, 2), 2), ((1,), 1))
-    ]
-    for lanes, want in cases * 2:
+    # own lanes, however the calls alternate.
+    cases = [(L1Index({0: tids, 1: (0, 1, 2)}, 3), want) for tids, want in (((0, 2), 2), ((1,), 1))]
+    for l1, want in cases * 2:
         ledger = ScanLedger()
-        assert count_support_restricted((0, 1), lanes, ledger) == want
-        assert ledger.per_level == {2: len(lanes.l1.tids(0))}
+        assert count_support_restricted((0, 1), l1, ledger) == want
+        assert ledger.per_level == {2: len(l1.tids(0))}
 
 
 def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
@@ -445,39 +450,42 @@ def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
     db = TransactionDb([sorted(row) for row in rows], [f"R{i}" for i in range(400)])
     built = []
 
-    def counting_pages(*args):
-        built.append(LanePages(*args))
+    def counting_index(*args):
+        built.append(L1Index(*args))
         return built[-1]
 
-    monkeypatch.setattr(mining, "LanePages", counting_pages)
+    monkeypatch.setattr(mining, "L1Index", counting_index)
     for variant in mining.VARIANTS:
         result = mining.run_apriori(db, 10, variant=variant)
         assert 63 < len(result.levels[1]) <= 70 and result.ledger.per_level[2]
     support = {item: n for (item,), n in result.levels[1].items()}
     assert len(built) == len(mining.VARIANTS)  # one per run
-    for pages in built:
-        laid_out = list(pages._slot)
+    for l1 in built:
+        laid_out = list(l1._slot)
         assert set(laid_out) == set(support)
         assert [support[item] for item in laid_out] == sorted(support.values(), reverse=True)
-        assert [page for page, _ in pages._slot.values()] == [0] * 63 + [1] * (len(support) - 63)
-        assert len(pages._words) == 2
+        assert [page for page, _ in l1._slot.values()] == [0] * 63 + [1] * (len(support) - 63)
+        assert len(l1._words) == 2
 
 
-def test_a_run_builds_lanes_only_to_count_candidates(monkeypatch):
-    # |L1| = 1 counts no candidate and builds no lanes; |L1| = 2 builds one
-    # LanePages per run, whatever the variant and strategy.
+def test_a_run_builds_one_index_of_any_size(monkeypatch):
+    # One L1Index, which lays out its own lanes, per run, whatever the
+    # variant, the strategy and |L1|; with |L1| < 2 no candidate is counted.
     db = TransactionDb([(0, 1), (0, 2), (0, 1), (2,)], ["A", "B", "C"])
     built = []
 
-    def counting_pages(*args):
+    def counting_index(*args):
         built.append(args)
-        return LanePages(*args)
+        return L1Index(*args)
 
-    monkeypatch.setattr(mining, "LanePages", counting_pages)
+    monkeypatch.setattr(mining, "L1Index", counting_index)
     for variant in mining.VARIANTS:
         for strategy in mining.CANDIDATE_STRATEGIES:
-            assert run_apriori(db, 3, variant, strategy).max_level == 1  # L1 = {A}
-            assert built == []
+            for support, size in ((5, 0), (3, 1)):  # L1 = {}, then {A}
+                result = run_apriori(db, support, variant, strategy)
+                assert result.max_level == size and list(result.ledger.per_level) == [1]
+                assert len(built) == 1 and len(built[0][0]) == size
+                built.clear()
             result = run_apriori(db, 2, variant, strategy)  # L1 = {A, B, C}
             assert result.levels[2] == {(0, 1): 2} and len(built) == 1
             built.clear()
@@ -486,7 +494,8 @@ def test_a_run_builds_lanes_only_to_count_candidates(monkeypatch):
 @pytest.mark.parametrize("strategy", mining.CANDIDATE_STRATEGIES)
 @pytest.mark.parametrize("variant", mining.VARIANTS)
 def test_a_run_reads_the_transactions_once(variant, strategy):
-    # The L1 pass is the only pass: lanes are laid out from its TID lists.
+    # The L1 pass is the only pass: the index lays out its lanes from its TID
+    # lists.
     db = generate_synthetic(GeneratorConfig(300, 12, 5, seed=4))
     passes = []
 
@@ -604,6 +613,20 @@ def test_mining_result_holds_plain_int_supports():
     result = MiningResult({1: plain, 2: numpy_level}, ScanLedger(), 3, 3, "improved", "join")
     assert result.levels[1] is plain  # a level of plain ints is kept, not copied
     assert result.levels[2] == {(0, 1): 3} and type(result.levels[2][(0, 1)]) is int
+
+
+@pytest.mark.parametrize("itemset", [(1.0,), (-1,), (1, 0), (0, 0), ("a",), (None,)])
+def test_mining_result_refuses_itemsets_that_are_not_id_tuples(itemset):
+    # `mine_report` printed token B for (1.0,), and the last token for (-1,).
+    with pytest.raises(ContractViolationError, match="itemset"):
+        MiningResult({1: {(0,): 2}, 2: {itemset: 2}}, ScanLedger(), 2, 2, "improved", "join")
+
+
+def test_mining_result_holds_plain_int_itemsets():
+    level = {(np.int64(0),): 3, (True,): 3}
+    result = MiningResult({1: level}, ScanLedger(), 3, 3, "improved", "join")
+    assert result.levels == {1: {(0,): 3, (1,): 3}}
+    assert {type(item) for itemset in result.levels[1] for item in itemset} == {int}
 
 
 @pytest.mark.parametrize("support", [True, np.True_, 3.0, "3", None])

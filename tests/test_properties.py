@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from oracle import bruteforce_frequent, bruteforce_support, random_db
 from tidmine import cli, metrics
 from tidmine.dataset import TransactionDb
-from tidmine.lanes import LanePages
 from tidmine.mining import (
     CANDIDATE_STRATEGIES,
     VARIANTS,
@@ -113,12 +112,12 @@ def test_join_matches_definition(size, data):
 @given(rng=st.randoms(use_true_random=False))
 def test_counting_kernels_match_bruteforce(rng):
     db = random_db(rng)
-    lanes = LanePages(compute_l1(db, 1))
+    l1 = compute_l1(db, 1)
     for _ in range(10):
         cand = tuple(sorted(rng.sample(range(db.num_items), rng.randint(1, db.num_items))))
         want = bruteforce_support(db, cand)
-        assert count_support_full([cand], lanes) == {cand: want}
-        assert count_support_restricted(cand, lanes) == want
+        assert count_support_full([cand], l1) == {cand: want}
+        assert count_support_restricted(cand, l1) == want
 
 
 @PROPERTY_SETTINGS
@@ -145,7 +144,6 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
     l1 = L1Index(
         {item: found.tids(item) if item in found else () for item in range(db.num_items)}, len(db)
     )
-    laid_out = LanePages(l1)
     order = l1.by_support
     pages = [order[start : start + 63] for start in range(0, len(order), 63)]
     cands = [tuple(sorted(order[62:65]))]
@@ -157,17 +155,17 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
     rows = [set(txn) for txn in txns]
     for cand in cands:
         want = bruteforce_support(db, cand)
-        assert laid_out.count(cand) == want
-        assert count_support_full([cand], laid_out) == {cand: want}
+        assert l1.count(cand) == want
+        assert count_support_full([cand], l1) == {cand: want}
         ledger = ScanLedger()
-        assert count_support_restricted(cand, laid_out, ledger) == want
+        assert count_support_restricted(cand, l1, ledger) == want
         assert ledger.per_level == {len(cand): l1.support(min_support_item(cand, l1))}
         # Counted inside any laid-out item's TID list, not only the member's.
         for item in order:
             inside = sum(rows[tid].issuperset(cand) for tid in l1.tids(item))
-            assert laid_out.count(cand, item) == inside
+            assert l1.count(cand, item) == inside
     for item in (-1, *range(num_items, db.num_items + 2)):
-        alone = LanePages(L1Index({item: ()}, len(db)))
+        alone = L1Index({item: ()}, len(db))
         assert count_support_full([(item,)], alone) == {(item,): 0}
         assert count_support_restricted((item,), alone) == 0
 
