@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import dataset, metrics, rules
 from .dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
-from .errors import ConfigurationError, IngestionError, ResourceLimitError
+from .errors import ConfigurationError, ContractViolationError, IngestionError, ResourceLimitError
 from .metrics import ComparisonReport, VariantRun
 from .mining import CANDIDATE_STRATEGIES, VARIANTS, MiningResult, check_threshold, run_apriori
 
@@ -234,7 +234,10 @@ def _cmd_rules(args: argparse.Namespace) -> Iterable[str]:
 
 
 def _compare_on(db: TransactionDb, label: str, args: argparse.Namespace) -> ComparisonReport:
-    runs = []
+    """Run every variant on `db`; a variant whose itemsets or supports differ
+    from the first's raises ContractViolationError, since the report holds
+    only ledgers and times."""
+    runs, first = [], None
     for variant in VARIANTS:
         result, wall = metrics.median_seconds(
             functools.partial(
@@ -243,6 +246,12 @@ def _compare_on(db: TransactionDb, label: str, args: argparse.Namespace) -> Comp
             ),
             args.reps,
         )
+        if first is None:
+            first = result
+        elif result.levels != first.levels:
+            raise ContractViolationError(
+                f"variant {variant!r} found other itemsets than {first.variant!r} on {label}"
+            )
         runs.append(VariantRun(variant, result.ledger, wall))
     return ComparisonReport(
         dataset=label,

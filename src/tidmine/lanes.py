@@ -1,4 +1,4 @@
-"""The L1 index and its bit-parallel subset tests: one 64-bit lane per
+"""The L1 index and its bit-parallel subset tests: one byte lane per
 examined transaction.
 
 `compute_l1` builds one `L1Index` per run, from the run's only pass over the
@@ -7,42 +7,42 @@ lays out its lanes from them, so both counting kernels test on it at every
 level. The lanes hold the items by descending support, LANE_ITEMS to a page,
 so a candidate's items share few pages, and never change after the build.
 On a page, a transaction's lane holds the complement of its items there: bit
-b is set when the transaction lacks the item in slot b. Bit 63 of every
-lane, the guard, is always clear.
+b is set when the transaction lacks the item in slot b. Bit 7 of every lane,
+the guard, is always clear.
 
 `L1Index.count(itemset, item)` tests a candidate against a set of
 transactions: all of them, or those in `item`'s TID list, the scan the
 paper's improved variant makes. Each set packs its transactions' lanes into
-one int per page, lane i in bits 64*i to 64*i + 63. To test a candidate, its
+one int per page, lane i in bits 8*i to 8*i + 7. To test a candidate, its
 bits on a page are copied into every lane (`bits * ones`) and ANDed with the
 lanes, which leaves in each lane the candidate items that transaction lacks.
-Subtracting that from the guard, 2**63, in every lane leaves the guard set
+Subtracting that from the guard, 2**7, in every lane leaves the guard set
 exactly when nothing is left, and never borrows from the next lane. AND-ing
 these differences over the candidate's pages and keeping the guards marks
 every transaction that passes the test, so each examined transaction gets
-one subset test, in its own lane.
+one subset test, in its own lane. Byte lanes keep each big-int pass at one
+byte per examined transaction, and a k-candidate touches at most k pages
+whatever their width.
 """
 
-import sys
-from array import array
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolationError, plain_ids, plain_int
 
-LANE_ITEMS = 63
+LANE_ITEMS = 7
 LANE_LOW = (1 << LANE_ITEMS) - 1
 
 
 class L1Index:
     """Support count plus strictly increasing transaction-id list for frequent
-    single items; every TID is an integer in [0, num_transactions), the
-    database's size, and is stored as a plain int.
+    single items; every item and TID is an id under `plain_ids`, kept as a
+    plain int, and every TID lies in [0, num_transactions), the database's size.
 
-    The index lays out its transactions' lanes, one word array per page: page
-    p's lanes are `_words[p]`, one native-order word per transaction. Only
-    indexed items are laid out, so the slot table and lane memory follow the
-    counted items rather than every distinct item of the database. An item
-    with an empty TID list counts 0.
+    The index lays out its transactions' lanes, one byte array per page: page
+    p's lanes are `_words[p]`, one byte per transaction. Only indexed items
+    are laid out, so the slot table and lane memory follow the counted items
+    rather than every distinct item of the database. An item with an empty
+    TID list counts 0.
     """
 
     __slots__ = ("_tids", "_rank", "by_support", "num_transactions", "_slot", "_words", "_sets")
@@ -50,10 +50,12 @@ class L1Index:
     def __init__(self, tids_by_item: Mapping[int, Sequence[int]], num_transactions: int):
         num_transactions = plain_int(num_transactions, "num_transactions", ContractViolationError)
         self.num_transactions = num_transactions
-        self._tids: dict[int, tuple[int, ...]] = {}
-        for item in sorted(tids_by_item):
-            name, tids = f"TID list for item {item}", tids_by_item[item]
-            self._tids[item] = plain_ids(tids, name, num_transactions, ContractViolationError)
+        found: dict[int, tuple[int, ...]] = {}
+        for key, tids in tids_by_item.items():
+            [item] = plain_ids((key,), f"L1 item {key!r}", error=ContractViolationError)
+            name = f"TID list for item {item}"
+            found[item] = plain_ids(tids, name, num_transactions, ContractViolationError)
+        self._tids = dict(sorted(found.items()))
         # Rank by (support, id), so the smallest rank is the min-support item;
         # `by_support`, the items in descending rank, is the lane layout.
         by_support = sorted(self._tids, key=lambda item: (len(self._tids[item]), item))
@@ -62,11 +64,11 @@ class L1Index:
         self._slot: dict[int, tuple[int, int]] = {}
         # Every lane starts all ones, every item missing; each item's bit is
         # then cleared in the lanes of the transactions its TID list names.
-        self._words: list[array] = []
+        self._words: list[bytearray] = []
         for i, item in enumerate(self.by_support):
             page, bit = divmod(i, LANE_ITEMS)
             if page == len(self._words):
-                self._words.append(array("Q", [LANE_LOW]) * num_transactions)
+                self._words.append(bytearray([LANE_LOW]) * num_transactions)
             lanes, mask = self._words[page], 1 << bit
             self._slot[item] = (page, mask)
             for tid in self._tids[item]:
@@ -111,7 +113,7 @@ class L1Index:
             tids, ones, guards, packed = self._sets[item]
         except KeyError:
             tids = range(self.num_transactions) if item is None else self.tids(item)
-            ones = int.from_bytes(b"\1\0\0\0\0\0\0\0" * len(tids), "little")
+            ones = int.from_bytes(b"\1" * len(tids), "little")
             guards, packed = ones << LANE_ITEMS, {}
             self._sets[item] = (tids, ones, guards, packed)
         passed = guards
@@ -119,8 +121,8 @@ class L1Index:
             try:
                 lanes = packed[page]
             except KeyError:
-                words = array("Q", map(self._words[page].__getitem__, tids))
-                lanes = packed[page] = int.from_bytes(words, sys.byteorder)
+                words = bytes(map(self._words[page].__getitem__, tids))
+                lanes = packed[page] = int.from_bytes(words, "little")
             passed &= guards - ((bits * ones) & lanes)
         return passed.bit_count()
 

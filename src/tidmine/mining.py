@@ -112,7 +112,7 @@ class MiningResult:
     """Frequent itemsets per level plus the scan ledger and a config echo.
 
     `levels[k]` maps each frequent k-itemset, a strictly increasing tuple of
-    plain int ids, to its support, a plain int, in canonical order; levels
+    k plain int ids, to its support, a plain int, in canonical order; levels
     run contiguously from 1 to the last non-empty level. `min_support_count`,
     the support floor, is a plain int of at least 1. Treat as immutable.
     """
@@ -140,6 +140,8 @@ class MiningResult:
         for k, level in self.levels.items():
             name = f"level-{k} itemset"
             itemsets = [plain_ids(itemset, name, error=ContractViolationError) for itemset in level]
+            if set(map(len, itemsets)) != {k}:
+                raise ContractViolationError(f"level {k} holds an itemset of another size")
             if any(ids is not itemset for ids, itemset in zip(itemsets, level)) or any(
                 type(n) is not int for n in level.values()
             ):
@@ -197,27 +199,37 @@ def generate_candidates_join(prev: Iterable[Itemset]) -> CandidateSet:
 
     Two (k-1)-itemsets sharing their first k-2 items merge into a k-itemset.
     Candidates having any (k-1)-subset absent from `prev` are dropped (no such
-    subset could be frequent, so neither can the candidate). A level that
-    passes MAX_CANDIDATES raises ResourceLimitError after the prefix group
-    that passed it, so the level never holds more than the budget and one
-    group.
+    subset could be frequent, so neither can the candidate). The join groups
+    `prev` by prefix, as Eclat's prefix classes do: each prefix maps to its
+    sorted last items. For a left item `a` of a group, the right items are the
+    group's later items that also follow `prefix + (a,)` less any one prefix
+    item in `prev`: one set intersection per prefix item, stopping at the
+    first empty one. A level that passes MAX_CANDIDATES raises
+    ResourceLimitError after the prefix group that passed it, so the level
+    never holds more than the budget and one group.
     """
-    prev_set = set(map(tuple, prev))
-    if not prev_set:
+    prev = sorted(set(map(tuple, prev)))
+    if not prev:
         return CandidateSet(2, ())
-    size = len(next(iter(prev_set)))
-    if any(len(p) != size for p in prev_set):
+    size = len(prev[0])
+    if any(len(p) != size for p in prev):
         raise ContractViolationError("itemsets to join must all have the same size")
     if size < 1:
         raise ContractViolationError("cannot join empty itemsets")
+    lasts_by_prefix: dict[Itemset, list[int]] = {}
+    for itemset in prev:
+        lasts_by_prefix.setdefault(itemset[:-1], []).append(itemset[-1])
     out = []
-    for _, group in itertools.groupby(sorted(prev_set), key=lambda p: p[:-1]):
-        for left, right in itertools.combinations(group, 2):
-            cand = left + right[-1:]
-            # Dropping either of the last two items leaves a parent, in prev
-            # by construction; only the other size-1 subsets need a lookup.
-            if all(cand[:i] + cand[i + 1 :] in prev_set for i in range(size - 1)):
-                out.append(cand)
+    for prefix, lasts in lasts_by_prefix.items():
+        for j, a in enumerate(lasts):
+            head, allowed = prefix + (a,), set(lasts[j + 1 :])
+            # Dropping `a` or the right item leaves a parent, in `prev` by
+            # construction; dropping each prefix item must leave one too.
+            for i in range(size - 1):
+                if not allowed:
+                    break
+                allowed.intersection_update(lasts_by_prefix.get(head[:i] + head[i + 1 :], ()))
+            out.extend(head + (b,) for b in sorted(allowed))
         if len(out) > MAX_CANDIDATES:
             raise ResourceLimitError(
                 f"the join strategy passed the budget of {MAX_CANDIDATES} "

@@ -1,5 +1,6 @@
 import ast
 import doctest
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -13,6 +14,7 @@ import pytest
 from tidmine import cli, mining
 from tidmine.cli import main
 from tidmine.dataset import GeneratorConfig, generate_synthetic
+from tidmine.errors import ContractViolationError
 
 
 def run_cli(capsys, *argv):
@@ -351,6 +353,54 @@ def test_machine_output_deterministic_across_runs(golden_path, capsys):
     )
     outputs = [run_cli(capsys, *base_args)[1] for _ in range(3)]
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# 74 frequent items: more than one lane page at any page width up to 63. The
+# digests were recorded with 63-item pages of 64-bit lanes; the machine output
+# must not depend on how the lanes are laid out.
+MANY_PAGES = ("--generate", "400,300,8", "--seed", "1", "--min-support", "8")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ("mine", "--variant", "classic"),
+            "9a020e416d73e9811e21800f4a2962745a0937eb16186820d63f3326a0beb46c",
+        ),
+        (
+            ("mine", "--variant", "improved"),
+            "f4b7dcda1e3f590ea2002a42c44a3636cd988da8f8c1c2a89dd30569d2936c26",
+        ),
+        (
+            ("compare", "--reps", "0"),
+            "2cb3182ba02683941561fc2ee331f30107fe2e324770c799b20b8e92da651d6e",
+        ),
+    ],
+    ids=["mine-classic", "mine-improved", "compare"],
+)
+def test_machine_output_over_many_lane_pages_is_pinned(capsys, argv, digest):
+    argv = (*argv, *MANY_PAGES, "--candidates", "join", "--format", "machine")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    if argv[0] == "mine":
+        assert len(json.loads(out)["levels"][0]["itemsets"]) == 74
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [("compare", "--reps", "0"), ("bench", "--reps", "1")])
+def test_compare_refuses_variants_that_find_other_itemsets(golden_path, capsys, monkeypatch, argv):
+    # compare and bench print only ledgers and times, so a kernel that
+    # miscounts must stop the run rather than pass unseen.
+    counted = mining.count_support_restricted
+    monkeypatch.setattr(
+        mining,
+        "count_support_restricted",
+        lambda cand, l1, ledger=None: counted(cand, l1, ledger) + 1,
+    )
+    with pytest.raises(ContractViolationError, match="'improved' found other itemsets"):
+        main([*argv, "--input", str(golden_path), "--min-support", "2"])
+    assert capsys.readouterr().out == ""
 
 
 def test_combinations_budget_exits_1(golden_path, capsys, monkeypatch):

@@ -18,6 +18,7 @@ from tidmine.errors import (
     ResourceLimitError,
     UnknownItemError,
 )
+from tidmine.lanes import LANE_ITEMS
 from tidmine.mining import VARIANTS, L1Index, run_apriori
 
 
@@ -148,14 +149,14 @@ def test_lane_pages_are_cached_and_decode_to_transactions(monkeypatch):
     for l1 in built:
         laid_out = l1._slot
         assert list(laid_out) == list(built[0]._slot)
-        assert len(l1._words) == -(-len(laid_out) // 63) >= 2
+        assert len(l1._words) == -(-len(laid_out) // LANE_ITEMS) >= 2
         held = [set() for _ in txns]
         for item, (page, bit) in laid_out.items():
             for tid, lane in enumerate(l1._words[page]):
                 if not lane & bit:
                     held[tid].add(item)
         assert held == [set(txn) & set(laid_out) for txn in txns]
-        assert not any(lane >> 63 for words in l1._words for lane in words)  # guard
+        assert not any(lane >> LANE_ITEMS for words in l1._words for lane in words)  # guard
 
 
 def test_byte_order_mark_is_skipped(tmp_path):

@@ -10,6 +10,7 @@ from oracle import bruteforce_frequent, bruteforce_support, iset, random_db, tid
 from tidmine import mining
 from tidmine.dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
 from tidmine.errors import ConfigurationError, ContractViolationError, ResourceLimitError, plain_ids
+from tidmine.lanes import LANE_ITEMS
 from tidmine.mining import (
     CandidateSet,
     L1Index,
@@ -288,6 +289,21 @@ def test_l1_index_stores_numpy_tids_as_ints():
     assert {type(t) for t in (*l1.tids(0), *l1.tids(1), l1.num_transactions)} == {int}
 
 
+@pytest.mark.parametrize(
+    "tids", [{"a": (0,)}, {"a": (0,), 1.5: (1,)}, {-1: ()}, {None: (0,)}, {0: (0,), 1.0: (1,)}]
+)
+def test_l1_index_refuses_items_that_are_not_ids(tids):
+    with pytest.raises(ContractViolationError, match="L1 item"):
+        L1Index(tids, 2)
+
+
+def test_l1_index_reads_a_bool_or_numpy_item_as_its_int():
+    l1 = L1Index({np.int64(2): (1,), True: (0, 1)}, 2)
+    assert l1.items == (1, 2) and l1.by_support == (1, 2)
+    assert {type(item) for item in (*l1.items, *l1.by_support)} == {int}
+    assert l1.count((1, 2)) == count_support_restricted((1, 2), l1) == 1
+
+
 def test_lane_pages_hold_no_reference_cycle():
     # A run's index, with its lanes and packed ints, is freed when the run
     # drops it, not at the next cyclic collection, so its TID lists never
@@ -457,15 +473,16 @@ def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
     monkeypatch.setattr(mining, "L1Index", counting_index)
     for variant in mining.VARIANTS:
         result = mining.run_apriori(db, 10, variant=variant)
-        assert 63 < len(result.levels[1]) <= 70 and result.ledger.per_level[2]
+        assert LANE_ITEMS < len(result.levels[1]) <= 70 and result.ledger.per_level[2]
     support = {item: n for (item,), n in result.levels[1].items()}
     assert len(built) == len(mining.VARIANTS)  # one per run
     for l1 in built:
         laid_out = list(l1._slot)
         assert set(laid_out) == set(support)
         assert [support[item] for item in laid_out] == sorted(support.values(), reverse=True)
-        assert [page for page, _ in l1._slot.values()] == [0] * 63 + [1] * (len(support) - 63)
-        assert len(l1._words) == 2
+        pages = [i // LANE_ITEMS for i in range(len(support))]
+        assert [page for page, _ in l1._slot.values()] == pages
+        assert len(l1._words) == pages[-1] + 1 >= 2
 
 
 def test_a_run_builds_one_index_of_any_size(monkeypatch):
@@ -620,6 +637,15 @@ def test_mining_result_refuses_itemsets_that_are_not_id_tuples(itemset):
     # `mine_report` printed token B for (1.0,), and the last token for (-1,).
     with pytest.raises(ContractViolationError, match="itemset"):
         MiningResult({1: {(0,): 2}, 2: {itemset: 2}}, ScanLedger(), 2, 2, "improved", "join")
+
+
+@pytest.mark.parametrize(
+    "levels", [{1: {(0, 1): 2}}, {1: {(0,): 2, (1,): 2}, 2: {(0, 1): 2, (1,): 2}}]
+)
+def test_mining_result_refuses_an_itemset_of_another_size(levels):
+    # `mine_report` printed the pair as the one entry of "L1: 1 itemsets".
+    with pytest.raises(ContractViolationError, match="level .* another size"):
+        MiningResult(levels, ScanLedger(), 2, 2, "improved", "join")
 
 
 def test_mining_result_holds_plain_int_itemsets():

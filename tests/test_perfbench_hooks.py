@@ -68,3 +68,29 @@ def test_traced_rules_records_every_hooked_layer(golden_path, tmp_path, src_env)
     assert names["rules.generate_rules"] == 1
     (main_span,) = [span for span in spans if span["name"] == "cli.main"]
     assert main_span["attrs"]["out_bytes"] == len(proc.stdout)
+
+
+def test_traced_compare_join_records_every_candidate_level(golden_path, tmp_path, src_env):
+    # A join that stops going through the hooked name would leave the
+    # benchmark's mining.gen_s empty without failing anything else.
+    proc, spans = _traced_job(
+        tmp_path,
+        src_env,
+        "compare",
+        "--input", str(golden_path),
+        "--min-support", "2",
+        "--candidates", "join",
+        "--reps", "0",
+        "--format", "machine",
+    )
+    assert json.loads(proc.stdout)["command"] == "compare"
+    runs = {span["id"]: span["attrs"] for span in spans if span["name"] == "mining.run_apriori"}
+    generated = {run: [] for run in runs}
+    for span in spans:
+        if span["name"] == "mining.generate_candidates":
+            generated[span["parent"]].append(span["attrs"]["level"])
+    assert sorted(run["variant"] for run in runs.values()) == ["classic", "improved"]
+    for run, levels in generated.items():
+        # One candidate level past each frequent level, the last one empty.
+        assert runs[run]["frequent"] == {"1": 5, "2": 6, "3": 2}
+        assert levels == [2, 3, 4]

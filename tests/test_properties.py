@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracle import bruteforce_frequent, bruteforce_support, random_db
 from tidmine import cli, metrics
 from tidmine.dataset import TransactionDb
+from tidmine.lanes import LANE_ITEMS
 from tidmine.mining import (
     CANDIDATE_STRATEGIES,
     VARIANTS,
@@ -123,14 +124,15 @@ def test_counting_kernels_match_bruteforce(rng):
 @PROPERTY_SETTINGS
 @given(
     seed=st.integers(0, 2**32),
-    num_items=st.sampled_from((63, 126, 189)) | st.integers(64, 200),
+    num_items=st.sampled_from([LANE_ITEMS * n for n in (1, 2, 3, 28)])
+    | st.integers(LANE_ITEMS + 1, 200),
     unused=st.integers(0, 3),
 )
 def test_counting_kernels_across_lane_pages(seed, num_items, unused):
-    # Up to four lane pages of 63 items, laid out by descending support
-    # before anything is counted; `unused` interned ids are in no transaction
-    # and are laid out with empty TID lists. Sizes that fill their last page
-    # exactly are drawn often.
+    # Up to 200 items on lane pages of LANE_ITEMS items, laid out by
+    # descending support before anything is counted; `unused` interned ids are
+    # in no transaction and are laid out with empty TID lists. Sizes that fill
+    # their last page exactly are drawn often.
     # A seeded Random draws the thousands of values a corpus this wide needs
     # much faster than a Hypothesis-driven one.
     rng = random.Random(seed)
@@ -145,8 +147,8 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         {item: found.tids(item) if item in found else () for item in range(db.num_items)}, len(db)
     )
     order = l1.by_support
-    pages = [order[start : start + 63] for start in range(0, len(order), 63)]
-    cands = [tuple(sorted(order[62:65]))]
+    pages = [order[start : start + LANE_ITEMS] for start in range(0, len(order), LANE_ITEMS)]
+    cands = [tuple(sorted(order[LANE_ITEMS - 1 : LANE_ITEMS + 2]))]
     for _ in range(10):
         chosen = set()
         for page in rng.sample(pages, rng.randint(1, len(pages))):
@@ -164,7 +166,7 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         for item in order:
             inside = sum(rows[tid].issuperset(cand) for tid in l1.tids(item))
             assert l1.count(cand, item) == inside
-    for item in (-1, *range(num_items, db.num_items + 2)):
+    for item in range(num_items, db.num_items + 2):
         alone = L1Index({item: ()}, len(db))
         assert count_support_full([(item,)], alone) == {(item,): 0}
         assert count_support_restricted((item,), alone) == 0
