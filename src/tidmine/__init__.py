@@ -35,7 +35,6 @@ from .mining import (
     count_support_restricted,
     generate_candidates_combinations,
     generate_candidates_join,
-    min_support_item,
     resolve_min_support,
     run_apriori,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "load_transactions",
     "mean_rate",
     "median_seconds",
-    "min_support_item",
     "reduction_rate",
     "render_report",
     "resolve_min_support",

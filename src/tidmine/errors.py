@@ -38,7 +38,7 @@ class ResourceLimitError(TidmineError, RuntimeError):
 
 def plain_int(value, name: str, error: type[TidmineError] = ConfigurationError) -> int:
     """Any integral number but a bool, numpy's included, as a plain int; else raise `error`."""
-    # A plain int skips the ABC check, which costs the ledger's hot path.
+    # A plain int, the common case, skips the slower ABC check.
     if type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool)):
         return int(value)
     raise error(f"{name} must be an integer, got {value!r}")

@@ -25,7 +25,7 @@ byte per examined transaction, and a k-candidate touches at most k pages
 whatever their width.
 """
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import ContractViolationError, plain_ids, plain_int
 
@@ -43,9 +43,12 @@ class L1Index:
     are laid out, so the slot table and lane memory follow the counted items
     rather than every distinct item of the database. An item with an empty
     TID list counts 0.
+
+    `examined[k]` is the number of transactions `count` has tested k-itemsets
+    against, one subset test each, since the index was built.
     """
 
-    __slots__ = ("_tids", "_rank", "by_support", "num_transactions", "_slot", "_words", "_sets")
+    __slots__ = ("_tids", "by_support", "num_transactions", "examined", "_slot", "_words", "_sets")
 
     def __init__(self, tids_by_item: Mapping[int, Sequence[int]], num_transactions: int):
         num_transactions = plain_int(num_transactions, "num_transactions", ContractViolationError)
@@ -56,11 +59,12 @@ class L1Index:
             name = f"TID list for item {item}"
             found[item] = plain_ids(tids, name, num_transactions, ContractViolationError)
         self._tids = dict(sorted(found.items()))
-        # Rank by (support, id), so the smallest rank is the min-support item;
-        # `by_support`, the items in descending rank, is the lane layout.
-        by_support = sorted(self._tids, key=lambda item: (len(self._tids[item]), item))
-        self._rank = {item: rank for rank, item in enumerate(by_support)}
-        self.by_support = tuple(reversed(by_support))
+        # The lane layout, in descending (support, id) order, so the item laid
+        # out last among any itemset's members is its min-support item.
+        self.by_support = tuple(
+            sorted(self._tids, key=lambda item: (len(self._tids[item]), item), reverse=True)
+        )
+        self.examined: dict[int, int] = {}
         self._slot: dict[int, tuple[int, int]] = {}
         # Every lane starts all ones, every item missing; each item's bit is
         # then cleared in the lanes of the transactions its TID list names.
@@ -97,10 +101,21 @@ class L1Index:
         except KeyError:
             raise ContractViolationError(f"item {item} is not in the L1 index") from None
 
-    def count(self, itemset: Iterable[int], item: int | None = None) -> int:
+    def min_support_item(self, itemset: Sequence[int]) -> int:
+        """The member of `itemset` with the smallest support; ties break
+        toward the smaller item id. Every member must be indexed."""
+        if not itemset:
+            raise ContractViolationError("candidate must be non-empty")
+        try:
+            return max(itemset, key=self._slot.__getitem__)
+        except KeyError as exc:
+            raise ContractViolationError(f"item {exc.args[0]} is not in the L1 index") from None
+
+    def count(self, itemset: Sequence[int], item: int | None = None) -> int:
         """How many transactions hold every item of `itemset`: all of them
         when `item` is None, otherwise those in `item`'s TID list. Every item
-        of `itemset` must be indexed."""
+        of `itemset` must be indexed. The transactions tested are added to
+        `examined[len(itemset)]`."""
         slot = self._slot
         masks: dict[int, int] = {}
         try:
@@ -124,6 +139,8 @@ class L1Index:
                 words = bytes(map(self._words[page].__getitem__, tids))
                 lanes = packed[page] = int.from_bytes(words, "little")
             passed &= guards - ((bits * ones) & lanes)
+        size = len(itemset)
+        self.examined[size] = self.examined.get(size, 0) + len(tids)
         return passed.bit_count()
 
     def __repr__(self) -> str:

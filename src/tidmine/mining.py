@@ -37,11 +37,11 @@ class ScanLedger:
     """Per-level tally of transaction examinations during a mining run.
 
     For every candidate itemset, each transaction inspected while counting
-    that candidate adds one examination to the candidate's level. Level 1 is a
-    full pass, so it always records `num_transactions * num_distinct_items`
-    regardless of the counting variant. Entries only increase; totals are the
-    sum over levels. Levels and entries are integers, never a bool, and are
-    kept as plain ints.
+    that candidate adds one examination to the candidate's level: the run's
+    `L1Index.examined`. Level 1 is a full pass, so it always records
+    `num_transactions * num_distinct_items` regardless of the counting
+    variant. Entries only increase; totals are the sum over levels. Levels
+    and entries are integers, never a bool, and are kept as plain ints.
     """
 
     __slots__ = ("_per_level",)
@@ -74,7 +74,7 @@ class ScanLedger:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScanLedger):
             return NotImplemented
-        return self._per_level == other._per_level
+        return self.per_level == other.per_level
 
     def __repr__(self) -> str:
         return f"ScanLedger({self.per_level}, total={self.total})"
@@ -111,10 +111,11 @@ class CandidateSet:
 class MiningResult:
     """Frequent itemsets per level plus the scan ledger and a config echo.
 
-    `levels[k]` maps each frequent k-itemset, a strictly increasing tuple of
-    k plain int ids, to its support, a plain int, in canonical order; levels
-    run contiguously from 1 to the last non-empty level. `min_support_count`,
-    the support floor, is a plain int of at least 1. Treat as immutable.
+    `levels[k]`, for a plain int `k`, maps each frequent k-itemset, a strictly
+    increasing tuple of k plain int ids, to its support, a plain int, in
+    canonical order; levels run contiguously from 1 to the last non-empty
+    level. `min_support_count`, the support floor, is a plain int of at least
+    1. Treat as immutable.
     """
 
     levels: dict[int, dict[Itemset, int]]
@@ -130,14 +131,15 @@ class MiningResult:
         if count < 1:
             raise ConfigurationError(f"min_support_count must be at least 1, got {count}")
         object.__setattr__(self, "min_support_count", count)
-        if sorted(self.levels) != list(range(1, len(self.levels) + 1)):
+        keys = [plain_int(k, "level", ContractViolationError) for k in self.levels]
+        if sorted(keys) != list(range(1, len(keys) + 1)):
             raise ContractViolationError("levels must be contiguous from 1")
         if any(not level for level in self.levels.values()):
             raise ContractViolationError("levels must not contain empty entries")
         # A level is copied only when an itemset or a support was not already
         # plain; run_apriori's are kept.
         levels = {}
-        for k, level in self.levels.items():
+        for k, level in zip(keys, self.levels.values()):
             name = f"level-{k} itemset"
             itemsets = [plain_ids(itemset, name, error=ContractViolationError) for itemset in level]
             if set(map(len, itemsets)) != {k}:
@@ -171,15 +173,11 @@ class MiningResult:
         return sum(len(level) for level in self.levels.values())
 
 
-def compute_l1(
-    db: TransactionDb, min_support: int, ledger: ScanLedger | None = None
-) -> L1Index:
+def compute_l1(db: TransactionDb, min_support: int) -> L1Index:
     """One full pass over the database building the frequent-singleton index.
 
     Every item with support >= min_support keeps its exact support and the
-    complete sorted list of transaction ids containing it. The ledger records
-    the pass as len(db) * num_distinct_items level-1 examinations, the same
-    for both counting variants.
+    complete sorted list of transaction ids containing it.
     """
     if min_support < 1:
         raise ConfigurationError(f"min_support must be at least 1, got {min_support}")
@@ -187,8 +185,6 @@ def compute_l1(
     for tid, txn in enumerate(db.transactions):
         for item in txn:
             found.setdefault(item, []).append(tid)
-    if ledger is not None:
-        ledger.add(1, len(db) * db.num_items)
     return L1Index(
         {item: tids for item, tids in found.items() if len(tids) >= min_support}, len(db)
     )
@@ -257,59 +253,31 @@ def generate_candidates_combinations(l1: L1Index, k: int) -> CandidateSet:
     return CandidateSet(k, tuple(itertools.combinations(l1.items, k)))
 
 
-def min_support_item(candidate: Sequence[int], l1: L1Index) -> int:
-    """The candidate member with the smallest L1 support; ties break toward
-    the smaller item id."""
-    cand = tuple(candidate)
-    if not cand:
-        raise ContractViolationError("candidate must be non-empty")
-    try:
-        return min(cand, key=l1._rank.__getitem__)
-    except KeyError as exc:
-        raise ContractViolationError(f"item {exc.args[0]} is not in the L1 index") from None
-
-
 def count_support_full(
-    candidates: CandidateSet | Iterable[Itemset],
-    l1: L1Index,
-    ledger: ScanLedger | None = None,
+    candidates: CandidateSet | Iterable[Itemset], l1: L1Index
 ) -> dict[Itemset, int]:
     """Support of every candidate by scanning the whole database.
 
     Every candidate examines every transaction with one subset test, in the
-    transaction's lane, so the level gains len(candidates) *
-    l1.num_transactions ledger examinations. Every candidate item must be in
-    `l1`.
+    transaction's lane. Every candidate item must be in `l1`.
     """
     cands = tuple(map(tuple, candidates))
-    if not cands:
-        return {}
     if any(len(c) != len(cands[0]) for c in cands):
         raise ContractViolationError("candidates must all have the same size")
-    counts = {cand: l1.count(cand) for cand in cands}
-    if ledger is not None:
-        ledger.add(len(cands[0]), len(cands) * l1.num_transactions)
-    return counts
+    return {cand: l1.count(cand) for cand in cands}
 
 
-def count_support_restricted(
-    candidate: Sequence[int],
-    l1: L1Index,
-    ledger: ScanLedger | None = None,
-) -> int:
+def count_support_restricted(candidate: Sequence[int], l1: L1Index) -> int:
     """Support counted only over the TID list of the candidate's min-support member.
 
     A transaction containing the whole candidate necessarily contains that
     member, so it appears in the member's TID list and the restricted count
     equals the full-database support. Each TID in the restricted list gets
-    one subset test, in its transaction's lane, and one ledger examination;
-    the list's lanes are gathered once.
+    one subset test, in its transaction's lane; the list's lanes are
+    gathered once.
     """
     cand = tuple(candidate)
-    member = min_support_item(cand, l1)
-    if ledger is not None:
-        ledger.add(len(cand), l1.support(member))
-    return l1.count(cand, member)
+    return l1.count(cand, l1.min_support_item(cand))
 
 
 def check_threshold(value: int | float, confidence: bool = False) -> int | float:
@@ -368,8 +336,7 @@ def run_apriori(
             f"got {candidate_strategy!r}"
         )
     support_floor = resolve_min_support(min_support, len(db))
-    ledger = ScanLedger()
-    l1 = compute_l1(db, support_floor, ledger)
+    l1 = compute_l1(db, support_floor)
     levels: dict[int, dict[Itemset, int]] = {}
     if len(l1):
         levels[1] = {(item,): l1.support(item) for item in l1.items}
@@ -380,16 +347,18 @@ def run_apriori(
         else:
             candidates = generate_candidates_join(levels[k - 1])
         if variant == "classic":
-            counts = count_support_full(candidates, l1, ledger)
+            counts = count_support_full(candidates, l1)
         else:
-            counts = {c: count_support_restricted(c, l1, ledger) for c in candidates}
+            counts = {c: count_support_restricted(c, l1) for c in candidates}
         frequent = {c: n for c, n in counts.items() if n >= support_floor}
         if frequent:
             levels[k] = frequent
         k += 1
     return MiningResult(
         levels=levels,
-        ledger=ledger,
+        # Level 1 is the one full pass, every item of every transaction; each
+        # later level is what the index's counts tested.
+        ledger=ScanLedger({1: len(db) * db.num_items, **l1.examined}),
         min_support=min_support,
         min_support_count=support_floor,
         variant=variant,

@@ -23,7 +23,6 @@ from tidmine.mining import (
     count_support_restricted,
     generate_candidates_combinations,
     generate_candidates_join,
-    min_support_item,
     run_apriori,
 )
 from tidmine.rules import generate_rules
@@ -137,7 +136,7 @@ def test_criterion_min_item_and_tid_columns(golden_db):
         "I2 I3 I4": ("I4", tids(2, 3, 4)),
     }
     for itemset_tokens, (min_token, found_in) in rows.items():
-        item = min_support_item(iset(golden_db, itemset_tokens), l1)
+        item = l1.min_support_item(iset(golden_db, itemset_tokens))
         assert golden_db.lookup_token(item) == min_token
         assert l1.tids(item) == found_in
     print("ACCEPTANCE min_item_and_tid_columns: PASS")
@@ -202,7 +201,7 @@ def test_criterion_scan_dominance(corpus):
                 else:
                     candidates = generate_candidates_join(levels[k - 1])
                 some_restricted = any(
-                    l1.support(min_support_item(cand, l1)) < len(db)
+                    l1.support(l1.min_support_item(cand)) < len(db)
                     for cand in candidates
                 )
                 if some_restricted:

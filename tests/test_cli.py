@@ -396,7 +396,7 @@ def test_compare_refuses_variants_that_find_other_itemsets(golden_path, capsys, 
     monkeypatch.setattr(
         mining,
         "count_support_restricted",
-        lambda cand, l1, ledger=None: counted(cand, l1, ledger) + 1,
+        lambda cand, l1: counted(cand, l1) + 1,
     )
     with pytest.raises(ContractViolationError, match="'improved' found other itemsets"):
         main([*argv, "--input", str(golden_path), "--min-support", "2"])
@@ -849,6 +849,43 @@ def test_unused_import_check_reads_what_the_package_uses(source, unused):
     assert _unused_imports(source) == unused
 
 
+def _private_reads(source: str) -> set[str]:
+    """Underscore attributes `source` reads on an object other than `self` or
+    `cls`, as written; dunder names are exempt."""
+    return {
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    }
+
+
+def test_modules_read_no_private_attribute_of_another_object():
+    private = {
+        path.name: sorted(names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _private_reads(path.read_text(encoding="utf-8")))
+    }
+    assert private == {}
+
+
+@pytest.mark.parametrize(
+    "source, read",
+    [
+        ("min(c, key=l1._rank.__getitem__)\n", {"l1._rank"}),
+        ("other._per_level == 1\n", {"other._per_level"}),
+        ("self._slot[x]\ncls._cache\n", set()),
+        ("f(x).__class__\nx.__getitem__\n", set()),
+        ("self.l1._tids\n", {"self.l1._tids"}),
+        ("from ._x import y\nx._\n", {"x._"}),
+    ],
+)
+def test_private_read_check_reads_every_attribute(source, read):
+    assert _private_reads(source) == read
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -875,4 +912,4 @@ def test_readme_library_examples_run_as_doctests(golden_path, monkeypatch):
     assert golden_path.read_text(encoding="utf-8") in README.read_text(encoding="utf-8")
     monkeypatch.chdir(golden_path.parent)
     failed, attempted = doctest.testfile(str(README), module_relative=False, report=False)
-    assert (failed, attempted) == (0, 15)
+    assert (failed, attempted) == (0, 17)

@@ -21,7 +21,6 @@ from tidmine.mining import (
     count_support_restricted,
     generate_candidates_combinations,
     generate_candidates_join,
-    min_support_item,
     resolve_min_support,
     run_apriori,
 )
@@ -47,9 +46,13 @@ def test_l1_supports_and_tid_lists_golden(golden_db):
 
 
 def test_l1_ledger_accounting(golden_db):
-    ledger = ScanLedger()
-    compute_l1(golden_db, 3, ledger)
-    assert ledger.per_level == {1: 45}  # 9 transactions x 5 distinct items
+    # Level 1 is the one full pass, whatever the variant and strategy.
+    for variant in mining.VARIANTS:
+        for strategy in mining.CANDIDATE_STRATEGIES:
+            ledger = run_apriori(golden_db, 3, variant, strategy).ledger
+            assert ledger.level(1) == 45  # 9 transactions x 5 distinct items
+    empty = load_transactions(io.StringIO(""))
+    assert run_apriori(empty, 1).ledger.per_level == {1: 0}
 
 
 def test_l1_empty_db():
@@ -226,7 +229,7 @@ def test_min_item_level2_rows_golden(golden_db):
         "I3 I4": "I4",
     }
     for pair, min_token in rows.items():
-        got = min_support_item(iset(golden_db, pair), l1)
+        got = l1.min_support_item(iset(golden_db, pair))
         assert golden_db.lookup_token(got) == min_token
 
 
@@ -239,14 +242,14 @@ def test_min_item_level3_rows_golden(golden_db):
         "I2 I3 I4": "I4",
     }
     for triple, min_token in rows.items():
-        got = min_support_item(iset(golden_db, triple), l1)
+        got = l1.min_support_item(iset(golden_db, triple))
         assert golden_db.lookup_token(got) == min_token
 
 
 def test_min_item_tie_breaks_to_smaller_id():
     l1 = L1Index({3: (0, 1), 5: (2, 4)}, 5)  # equal supports
-    assert min_support_item((3, 5), l1) == 3
-    assert min_support_item((5, 3), l1) == 3
+    assert l1.min_support_item((3, 5)) == 3
+    assert l1.min_support_item((5, 3)) == 3
 
 
 def test_l1_index_rejects_negative_tids():
@@ -335,7 +338,7 @@ def test_kernels_reject_items_without_a_lane_slot():
 def test_kernels_refuse_an_empty_or_mixed_size_candidate(golden_db):
     l1 = compute_l1(golden_db, 3)
     with pytest.raises(ContractViolationError):
-        min_support_item((), l1)
+        l1.min_support_item(())
     with pytest.raises(ContractViolationError):
         count_support_full([(0, 1), (0, 1, 2)], l1)
 
@@ -343,7 +346,7 @@ def test_kernels_refuse_an_empty_or_mixed_size_candidate(golden_db):
 def test_min_item_missing_from_l1(golden_db):
     l1 = compute_l1(golden_db, 3)
     with pytest.raises(ContractViolationError):
-        min_support_item((golden_db.item_id("I5"),), l1)
+        l1.min_support_item((golden_db.item_id("I5"),))
 
 
 def test_l1_tids_missing_item(golden_db):
@@ -373,40 +376,50 @@ LEVEL3_SUPPORTS = {
 
 def test_full_count_level2_golden(golden_db):
     l1 = compute_l1(golden_db, 3)
-    ledger = ScanLedger()
-    counts = count_support_full(generate_candidates_combinations(l1, 2), l1, ledger)
+    counts = count_support_full(generate_candidates_combinations(l1, 2), l1)
     assert counts == {iset(golden_db, k): v for k, v in LEVEL2_SUPPORTS.items()}
-    assert ledger.per_level == {2: 54}  # 6 candidates x 9 transactions
+    assert l1.examined == {2: 54}  # 6 candidates x 9 transactions
 
 
 def test_full_count_level3_golden(golden_db):
     l1 = compute_l1(golden_db, 3)
-    ledger = ScanLedger()
-    counts = count_support_full(generate_candidates_combinations(l1, 3), l1, ledger)
+    counts = count_support_full(generate_candidates_combinations(l1, 3), l1)
     assert counts == {iset(golden_db, k): v for k, v in LEVEL3_SUPPORTS.items()}
-    assert ledger.per_level == {3: 36}  # 4 candidates x 9 transactions
+    assert l1.examined == {3: 36}  # 4 candidates x 9 transactions
 
 
 def test_full_count_empty_candidates(golden_db):
-    ledger = ScanLedger()
-    assert count_support_full([], L1Index({}, len(golden_db)), ledger) == {}
-    assert ledger.total == 0
+    l1 = L1Index({}, len(golden_db))
+    assert count_support_full([], l1) == {}
+    assert l1.examined == {}
 
 
 def test_restricted_count_scans_min_item_tids(golden_db):
     l1 = compute_l1(golden_db, 3)
-    ledger = ScanLedger()
-    support = count_support_restricted(iset(golden_db, "I1 I2"), l1, ledger)
+    support = count_support_restricted(iset(golden_db, "I1 I2"), l1)
     assert support == 4
-    assert ledger.per_level == {2: 6}  # I1's six transactions only
+    assert l1.examined == {2: 6}  # I1's six transactions only
 
 
 def test_restricted_count_zero_support_row(golden_db):
     l1 = compute_l1(golden_db, 3)
-    ledger = ScanLedger()
-    support = count_support_restricted(iset(golden_db, "I3 I4"), l1, ledger)
+    support = count_support_restricted(iset(golden_db, "I3 I4"), l1)
     assert support == 0
-    assert ledger.per_level == {2: 3}  # I4's three transactions only
+    assert l1.examined == {2: 3}  # I4's three transactions only
+
+
+def test_examined_tally_is_exact_per_size_and_per_run(golden_db):
+    l1 = compute_l1(golden_db, 3)
+    assert l1.examined == {}
+    item = golden_db.item_id("I4")
+    assert l1.count(iset(golden_db, "I1 I2")) == 4
+    assert l1.count(iset(golden_db, "I1 I2 I4"), item) == 1
+    assert l1.examined == {2: len(golden_db), 3: len(l1.tids(item))}
+    # Each run builds its own index, so its ledger holds that run's tests only.
+    for variant in mining.VARIANTS:
+        for strategy in mining.CANDIDATE_STRATEGIES:
+            first, second = (run_apriori(golden_db, 2, variant, strategy) for _ in range(2))
+            assert first.ledger == second.ledger
 
 
 def test_restricted_equals_full_randomized():
@@ -450,9 +463,9 @@ def test_lane_caches_stay_with_their_database():
     # own lanes, however the calls alternate.
     cases = [(L1Index({0: tids, 1: (0, 1, 2)}, 3), want) for tids, want in (((0, 2), 2), ((1,), 1))]
     for l1, want in cases * 2:
-        ledger = ScanLedger()
-        assert count_support_restricted((0, 1), l1, ledger) == want
-        assert ledger.per_level == {2: len(l1.tids(0))}
+        before = l1.examined.get(2, 0)
+        assert count_support_restricted((0, 1), l1) == want
+        assert l1.examined == {2: before + len(l1.tids(0))}
 
 
 def test_counting_builds_only_the_pages_of_frequent_items(monkeypatch):
@@ -650,8 +663,8 @@ def test_mining_result_refuses_an_itemset_of_another_size(levels):
 
 def test_mining_result_holds_plain_int_itemsets():
     level = {(np.int64(0),): 3, (True,): 3}
-    result = MiningResult({1: level}, ScanLedger(), 3, 3, "improved", "join")
-    assert result.levels == {1: {(0,): 3, (1,): 3}}
+    result = MiningResult({np.int64(1): level}, ScanLedger(), 3, 3, "improved", "join")
+    assert result.levels == {1: {(0,): 3, (1,): 3}} and {type(k) for k in result.levels} == {int}
     assert {type(item) for itemset in result.levels[1] for item in itemset} == {int}
 
 
@@ -659,6 +672,19 @@ def test_mining_result_holds_plain_int_itemsets():
 def test_mining_result_refuses_a_support_that_is_not_an_integer(support):
     with pytest.raises(ConfigurationError, match=r"support of \(0,\)"):
         MiningResult({1: {(0,): support}}, ScanLedger(), 3, 3, "improved", "join")
+
+
+@pytest.mark.parametrize(
+    "levels",
+    [{key: {(0,): 2}} for key in (True, np.True_, 1.0, np.float64(1.0))]
+    + [{1: {(0,): 2}, "2": {(0, 1): 2}}],
+)
+def test_mining_result_refuses_a_level_key_that_is_not_an_integer(levels):
+    # Machine `mine` printed `"k": True` for a `True` key, which is not JSON,
+    # and the human form `LTrue: 1 itemsets`; a 1.0 key printed `L1.0`, and
+    # a string key beside an int one raised a bare TypeError from `sorted`.
+    with pytest.raises(ContractViolationError, match="level"):
+        MiningResult(levels, ScanLedger({1: 4}), 2, 2, "improved", "join")
 
 
 # --- run_apriori ------------------------------------------------------------

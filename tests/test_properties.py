@@ -23,12 +23,10 @@ from tidmine.mining import (
     CANDIDATE_STRATEGIES,
     VARIANTS,
     L1Index,
-    ScanLedger,
     compute_l1,
     count_support_full,
     count_support_restricted,
     generate_candidates_join,
-    min_support_item,
     run_apriori,
 )
 from tidmine.rules import AssociationRule, generate_rules
@@ -159,9 +157,10 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         want = bruteforce_support(db, cand)
         assert l1.count(cand) == want
         assert count_support_full([cand], l1) == {cand: want}
-        ledger = ScanLedger()
-        assert count_support_restricted(cand, l1, ledger) == want
-        assert ledger.per_level == {len(cand): l1.support(min_support_item(cand, l1))}
+        tally = dict(l1.examined)
+        assert count_support_restricted(cand, l1) == want
+        tally[len(cand)] += l1.support(l1.min_support_item(cand))
+        assert l1.examined == tally
         # Counted inside any laid-out item's TID list, not only the member's.
         for item in order:
             inside = sum(rows[tid].issuperset(cand) for tid in l1.tids(item))
