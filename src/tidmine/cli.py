@@ -24,9 +24,10 @@ EXIT_USAGE = 2
 
 # Chunks joined per write, for every report: large enough that writes stay
 # few, small enough that a big report is never held as one string. A chunk is
-# one human-format line, one machine-format itemset or rule entry (about 200
-# bytes), one top-level member of a `bench` report, or a whole `compare` report.
-JSON_BATCH_CHUNKS = 4_096
+# one human-format line (about 55 bytes for a rule), one machine-format itemset
+# or rule entry (about 210 bytes), one top-level member of a `bench` report, or
+# a whole `compare` report. A batch of machine rule entries is about 110 KB.
+JSON_BATCH_CHUNKS = 512
 
 
 def main(argv: Sequence[str] | None = None) -> int:

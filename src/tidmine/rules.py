@@ -5,8 +5,14 @@ import operator
 from fractions import Fraction
 from typing import Callable
 
-from .errors import ContractViolationError, plain_float, plain_ids, plain_int
+from .errors import ContractViolationError, ResourceLimitError
+from .errors import plain_float, plain_ids, plain_int
 from .mining import Itemset, MiningResult, check_threshold
+
+# Most rules one `generate_rules` call keeps. Each n-itemset splits into
+# 2**n - 2 candidate rules, so rules can outgrow memory long after the
+# itemsets fit; a run stops instead.
+MAX_RULES = 1_000_000
 
 
 class AssociationRule(tuple):
@@ -69,7 +75,10 @@ def generate_rules(
     decimal it prints as (0.1 is exactly 1/10) and compared by integer
     cross-multiplication, so boundary confidences never misclassify from
     float rounding. Output is sorted by (itemset size, itemset, antecedent),
-    since `result.levels` holds each level in canonical order.
+    since `result.levels` holds each level in canonical order. Once the rules
+    kept pass MAX_RULES, ResourceLimitError is raised after the itemset that
+    passed it, so the list never holds more than the budget and one itemset's
+    rules.
     """
     threshold = Fraction(str(check_threshold(min_confidence, confidence=True)))
     num, den = threshold.numerator, threshold.denominator
@@ -84,6 +93,10 @@ def generate_rules(
     # Splits are non-empty, disjoint and kept only at confidence <= 1, so the
     # records skip the constructor's checks.
     new = tuple.__new__
+    # Equal (support, antecedent support) pairs divide to equal floats, so
+    # the rules of one pair share one confidence float, kept here by support
+    # and then by antecedent support.
+    shared: dict[int, dict[int, float]] = {}
     out = []
     append = out.append
     for size in sorted(result.levels):
@@ -94,6 +107,8 @@ def generate_rules(
         # without a sort.
         splits = _splits(size)
         for itemset, support in result.levels[size].items():
+            limit = support * den
+            confidences = shared.setdefault(support, {})
             for antecedent_of, consequent_of in splits:
                 key = antecedent_of(itemset)
                 try:
@@ -103,13 +118,19 @@ def generate_rules(
                         f"support of antecedent {key} missing from the "
                         "mining result; downward closure violated"
                     ) from None
-                if support * den >= num * a_support:
+                if num * a_support <= limit:
                     key = consequent_of(itemset)
                     side = sides.get(key)
                     consequent = key if side is None else side[0]
-                    append(
-                        new(AssociationRule, (antecedent, consequent, support, support / a_support))
-                    )
+                    confidence = confidences.get(a_support)
+                    if confidence is None:
+                        confidence = confidences[a_support] = support / a_support
+                    append(new(AssociationRule, (antecedent, consequent, support, confidence)))
+            if len(out) > MAX_RULES:
+                raise ResourceLimitError(
+                    f"rule generation passed the budget of {MAX_RULES} rules; "
+                    "use a higher min_confidence or min_support"
+                )
     return out
 
 

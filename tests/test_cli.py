@@ -4,14 +4,16 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from tidmine import cli, mining
+from tidmine import cli, metrics, mining, rules
 from tidmine.cli import main
 from tidmine.dataset import GeneratorConfig, generate_synthetic
 from tidmine.errors import ContractViolationError
@@ -388,6 +390,49 @@ def test_machine_output_over_many_lane_pages_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# The `many-rules` benchmark job: 87,240 rules.
+MANY_RULES = (
+    "rules", "--generate", "500,50,8", "--seed", "1",
+    "--min-support", "0.05", "--min-confidence", "0.5",
+)
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("machine", "ecd48a51b14f04b6b2be720c761155e611ccaa59afafafb006ea6694161f7eb3"),
+        ("human", "dd3cc0c01403f7192dcfc98419c1488d3297f936c5c8f8fedb855b55ada50906"),
+    ],
+    ids=["machine", "human"],
+)
+def test_many_rules_output_is_pinned(capsys, fmt, digest):
+    code, out, _ = run_cli(capsys, *MANY_RULES, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_writing_many_rules_holds_little_beyond_the_rules(monkeypatch):
+    # The report's memos of side and confidence texts hold about 0.8 MB for
+    # the whole write, and each batch of 512 machine entries about 0.4 MB
+    # more: its chunk list, its joined text and the encoded bytes. Batches of
+    # 4,096 entries raised the peak by 3.9 MB.
+    db = generate_synthetic(GeneratorConfig(500, 50, 8, seed=1))
+    tracemalloc.start()
+    try:
+        result = mining.run_apriori(db, 0.05)
+        found = rules.generate_rules(result, 0.5)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            cli._write(metrics.rules_report(db, "g", result, found, 0.5, "machine"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 87_240
+    assert peak - held < 1.5 * 2**20
+
+
 @pytest.mark.parametrize("argv", [("compare", "--reps", "0"), ("bench", "--reps", "1")])
 def test_compare_refuses_variants_that_find_other_itemsets(golden_path, capsys, monkeypatch, argv):
     # compare and bench print only ledgers and times, so a kernel that
@@ -444,6 +489,34 @@ def test_join_budget_exits_1_within_a_memory_cap(src_env):
     assert proc.stderr == (
         "error: the join strategy passed the budget of 1000000 level-5 candidates;"
         " use a higher min_support\n"
+    )
+
+
+def test_rule_budget_exits_1_within_a_memory_cap(src_env):
+    # At 2% support these 1,500 rows give 28,929,290 rules at confidence 0.5,
+    # about 2.3 GB of records. The real budget stops the run after about 6 s
+    # at about 210 MB peak RSS. The child's address space is capped, so a run
+    # without a budget fails with MemoryError instead of exhausting the
+    # machine.
+    pytest.importorskip("resource")
+    script = (
+        "import resource, runpy, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))\n"
+        "sys.argv = ['tidmine', 'rules', '--generate', '1500,50,8', '--seed', '1',"
+        " '--min-support', '0.02', '--min-confidence', '0.5']\n"
+        "runpy.run_module('tidmine', run_name='__main__')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**src_env, "OPENBLAS_NUM_THREADS": "1"},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: rule generation passed the budget of 1000000 rules;"
+        " use a higher min_confidence or min_support\n"
     )
 
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from oracle import bruteforce_support, iset, random_db
-from tidmine.dataset import load_transactions
-from tidmine.errors import ConfigurationError, ContractViolationError
+from tidmine import rules as rules_module
+from tidmine.dataset import GeneratorConfig, generate_synthetic, load_transactions
+from tidmine.errors import ConfigurationError, ContractViolationError, ResourceLimitError
 from tidmine.metrics import ScanLedger, rules_report
 from tidmine.mining import MiningResult, run_apriori
 from tidmine.rules import AssociationRule, generate_rules
@@ -210,6 +211,32 @@ def test_missing_antecedent_violates_contract():
         candidate_strategy="join",
     )
     with pytest.raises(ContractViolationError, match=r"antecedent \(1,\) missing"):
+        generate_rules(result, EPSILON)
+
+
+def test_rules_of_one_support_pair_share_one_confidence_float():
+    # The `many-rules` benchmark input: 87,240 rules over 2,144 distinct
+    # (support, antecedent support) pairs.
+    db = generate_synthetic(GeneratorConfig(500, 50, 8, seed=1))
+    result = run_apriori(db, 0.05)
+    found = generate_rules(result, 0.5)
+    supports = {itemset: support for itemset, support in result.frequent()}
+    pairs = {(r.support, supports[r.antecedent]) for r in found}
+    assert (len(found), len(pairs)) == (87_240, 2_144)
+    assert len({id(r.confidence) for r in found}) <= len(pairs)
+    assert all(r.confidence == r.support / supports[r.antecedent] for r in found)
+
+
+def test_rule_budget_keeps_exactly_the_budget(golden_db, monkeypatch):
+    result = run_apriori(golden_db, 2)
+    found = generate_rules(result, EPSILON)
+    monkeypatch.setattr(rules_module, "MAX_RULES", len(found))
+    assert generate_rules(result, EPSILON) == found
+    monkeypatch.setattr(rules_module, "MAX_RULES", len(found) - 1)
+    with pytest.raises(
+        ResourceLimitError,
+        match=f"budget of {len(found) - 1} rules; use a higher min_confidence or min_support",
+    ):
         generate_rules(result, EPSILON)
 
 
