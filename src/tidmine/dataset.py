@@ -8,7 +8,6 @@ order, and every stored transaction is a strictly increasing tuple of ids.
 
 import operator
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -37,6 +36,8 @@ class TransactionDb:
         self.tokens: tuple[str, ...] = tuple(tokens)
         self._id_of: dict[str, int] = {}
         for item_id, token in enumerate(self.tokens):
+            if not isinstance(token, str):
+                raise ConfigurationError(f"token {item_id} is not a string: {token!r}")
             if token in self._id_of:
                 raise ConfigurationError(f"duplicate token in intern table: {token!r}")
             self._id_of[token] = item_id
@@ -96,27 +97,24 @@ class TransactionDb:
         )
 
 
-@dataclass(frozen=True)
 class GeneratorConfig:
     """Parameters for a reproducible synthetic transaction database."""
 
-    num_transactions: int
-    num_items: int
-    avg_transaction_len: float
-    seed: int
+    __slots__ = ("num_transactions", "num_items", "avg_transaction_len", "seed")
 
-    def __post_init__(self):
+    def __init__(
+        self, num_transactions: int, num_items: int, avg_transaction_len: float, seed: int
+    ):
         # The fields keep the numbers given, so numpy sizes give the same database.
-        plain_int(self.num_transactions, "num_transactions")
-        plain_int(self.num_items, "num_items")
-        plain_float(self.avg_transaction_len, "avg_transaction_len")
-        plain_int(self.seed, "seed")
+        plain_int(num_transactions, "num_transactions")
+        plain_int(num_items, "num_items")
+        plain_float(avg_transaction_len, "avg_transaction_len")
+        plain_int(seed, "seed")
         # Each size is the length of an array of 8-byte elements. numpy refuses
         # one whose byte size passes its index type's maximum, sys.maxsize, so a
         # size that long stops here, before numpy is imported.
         longest = sys.maxsize // 8
-        for name in ("num_transactions", "num_items"):
-            size = getattr(self, name)
+        for name, size in (("num_transactions", num_transactions), ("num_items", num_items)):
             if size < 1:
                 raise ConfigurationError(f"{name} must be positive")
             if size > longest:
@@ -124,13 +122,15 @@ class GeneratorConfig:
                     f"{name} {size} exceeds the longest array numpy can address "
                     f"({longest} 8-byte elements)"
                 )
-        if not 1.0 <= self.avg_transaction_len <= self.num_items:
+        if not 1.0 <= avg_transaction_len <= num_items:
             raise ConfigurationError(
                 "avg_transaction_len must lie in [1, num_items]; got "
-                f"{self.avg_transaction_len} with num_items={self.num_items}"
+                f"{avg_transaction_len} with num_items={num_items}"
             )
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= seed < 2**64:
             raise ConfigurationError("seed must be an unsigned 64-bit integer")
+        self.num_transactions, self.num_items = num_transactions, num_items
+        self.avg_transaction_len, self.seed = avg_transaction_len, seed
 
 
 def _split_line(line: str, delimiter: str) -> list[str]:

@@ -9,19 +9,12 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .dataset import TransactionDb
-from .errors import (
-    ArithmeticDomainError,
-    ConfigurationError,
-    ContractViolationError,
-    plain_float,
-    plain_int,
-)
-from .mining import MiningResult, ScanLedger, check_threshold
+from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError, plain_float
+from .mining import MiningResult, ScanLedger, check_support_floor, check_threshold
 from .rules import AssociationRule
 
 REPORT_SCHEMA_VERSION = 2
@@ -82,23 +75,18 @@ def median_seconds(fn: Callable[[], T], repetitions: int = 5) -> tuple[T, float 
     return result, statistics.median(laps)
 
 
-@dataclass(frozen=True)
 class VariantRun:
     """Scan ledger and median wall seconds (None when untimed) of one variant."""
 
-    variant: str
-    ledger: ScanLedger
-    wall_seconds: float | None
+    __slots__ = ("variant", "ledger", "wall_seconds")
 
-    def __post_init__(self):
-        if self.wall_seconds is not None:
-            wall = plain_float(self.wall_seconds, "wall_seconds")
-            if not 0 <= wall < math.inf:
-                raise ConfigurationError(f"wall_seconds must be finite and >= 0, got {wall!r}")
-            object.__setattr__(self, "wall_seconds", wall)
+    def __init__(self, variant: str, ledger: ScanLedger, wall_seconds: float | None):
+        wall = None if wall_seconds is None else plain_float(wall_seconds, "wall_seconds")
+        if wall is not None and not 0 <= wall < math.inf:
+            raise ConfigurationError(f"wall_seconds must be finite and >= 0, got {wall!r}")
+        self.variant, self.ledger, self.wall_seconds = variant, ledger, wall
 
 
-@dataclass(frozen=True)
 class ComparisonReport:
     """Runs of several counting variants on one database and min_support.
 
@@ -107,24 +95,21 @@ class ComparisonReport:
     those two. `min_support_count` is a plain int of at least 1.
     """
 
-    dataset: str
-    min_support: int | float
-    min_support_count: int
-    candidate_strategy: str
-    runs: tuple[VariantRun, ...]
+    __slots__ = ("dataset", "min_support", "min_support_count", "candidate_strategy", "runs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "min_support", check_threshold(self.min_support))
-        count = plain_int(self.min_support_count, "min_support_count")
-        if count < 1:
-            raise ConfigurationError(f"min_support_count must be at least 1, got {count}")
-        object.__setattr__(self, "min_support_count", count)
-        variants = [run.variant for run in self.runs]
+    def __init__(
+        self, dataset: str, min_support: int | float, min_support_count: int,
+        candidate_strategy: str, runs: tuple[VariantRun, ...],
+    ):
+        min_support, min_support_count = check_support_floor(min_support, min_support_count)
+        variants = [run.variant for run in runs]
         if len(set(variants)) < len(variants) or not {"classic", "improved"} <= set(variants):
             raise ConfigurationError(
                 "a report holds one run per variant, classic and improved among them; "
                 f"got {variants}"
             )
+        self.dataset, self.candidate_strategy, self.runs = dataset, candidate_strategy, runs
+        self.min_support, self.min_support_count = min_support, min_support_count
 
     def run(self, variant: str) -> VariantRun:
         """The run of `variant`."""

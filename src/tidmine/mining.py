@@ -14,7 +14,6 @@ with the same members are the same tuple.
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -40,25 +39,21 @@ class ScanLedger:
     that candidate adds one examination to the candidate's level: the run's
     `L1Index.examined`. Level 1 is a full pass, so it always records
     `num_transactions * num_distinct_items` regardless of the counting
-    variant. Entries only increase; totals are the sum over levels. Levels
-    and entries are integers, never a bool, and are kept as plain ints.
+    variant. Built once, immutable by contract; totals are the sum over
+    levels. Levels and entries are integers, never a bool, kept as plain ints.
     """
 
     __slots__ = ("_per_level",)
 
     def __init__(self, per_level: Mapping[int, int] | None = None):
         self._per_level: dict[int, int] = {}
-        if per_level:
-            for level, scanned in per_level.items():
-                self.add(level, scanned)
-
-    def add(self, level: int, scanned: int) -> None:
-        level, scanned = plain_int(level, "ledger level"), plain_int(scanned, "ledger entry")
-        if level < 1:
-            raise ConfigurationError(f"ledger level must be >= 1, got {level}")
-        if scanned < 0:
-            raise ConfigurationError("ledger entries only increase")
-        self._per_level[level] = self._per_level.get(level, 0) + scanned
+        for level, scanned in (per_level or {}).items():
+            level, scanned = plain_int(level, "ledger level"), plain_int(scanned, "ledger entry")
+            if level < 1:
+                raise ConfigurationError(f"ledger level must be >= 1, got {level}")
+            if scanned < 0:
+                raise ConfigurationError(f"ledger entry must be >= 0, got {scanned}")
+            self._per_level[level] = scanned
 
     def level(self, k: int) -> int:
         return self._per_level.get(k, 0)
@@ -80,25 +75,24 @@ class ScanLedger:
         return f"ScanLedger({self.per_level}, total={self.total})"
 
 
-@dataclass(frozen=True)
 class CandidateSet:
     """Same-size candidate itemsets for one level, canonical and duplicate-free."""
 
-    level: int
-    candidates: tuple[Itemset, ...]
+    __slots__ = ("level", "candidates")
 
-    def __post_init__(self):
-        if self.level < 2:
+    def __init__(self, level: int, candidates: tuple[Itemset, ...]):
+        level = plain_int(level, "candidate level", ContractViolationError)
+        if level < 2:
             raise ContractViolationError("candidate level must be at least 2")
         candidates = tuple(
-            plain_ids(cand, "candidate", error=ContractViolationError) for cand in self.candidates
+            plain_ids(cand, "candidate", error=ContractViolationError) for cand in candidates
         )
-        object.__setattr__(self, "candidates", candidates)
         for cand in candidates:
-            if len(cand) != self.level:
-                raise ContractViolationError(f"candidate {cand} does not match level {self.level}")
+            if len(cand) != level:
+                raise ContractViolationError(f"candidate {cand} does not match level {level}")
         if any(b <= a for a, b in zip(candidates, candidates[1:])):
             raise ContractViolationError("candidates must be unique and ordered")
+        self.level, self.candidates = level, candidates
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -107,7 +101,6 @@ class CandidateSet:
         return iter(self.candidates)
 
 
-@dataclass(frozen=True)
 class MiningResult:
     """Frequent itemsets per level plus the scan ledger and a config echo.
 
@@ -115,31 +108,27 @@ class MiningResult:
     increasing tuple of k plain int ids, to its support, a plain int, in
     canonical order; levels run contiguously from 1 to the last non-empty
     level. `min_support_count`, the support floor, is a plain int of at least
-    1. Treat as immutable.
+    1. Immutable by contract; two results are equal when every field is.
     """
 
-    levels: dict[int, dict[Itemset, int]]
-    ledger: ScanLedger
-    min_support: int | float
-    min_support_count: int
-    variant: str
-    candidate_strategy: str
+    __slots__ = (
+        "levels", "ledger", "min_support", "min_support_count", "variant", "candidate_strategy"
+    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "min_support", check_threshold(self.min_support))
-        count = plain_int(self.min_support_count, "min_support_count")
-        if count < 1:
-            raise ConfigurationError(f"min_support_count must be at least 1, got {count}")
-        object.__setattr__(self, "min_support_count", count)
-        keys = [plain_int(k, "level", ContractViolationError) for k in self.levels]
+    def __init__(
+        self, levels: dict[int, dict[Itemset, int]], ledger: ScanLedger, min_support: int | float,
+        min_support_count: int, variant: str, candidate_strategy: str,
+    ):
+        min_support, min_support_count = check_support_floor(min_support, min_support_count)
+        keys = [plain_int(k, "level", ContractViolationError) for k in levels]
         if sorted(keys) != list(range(1, len(keys) + 1)):
             raise ContractViolationError("levels must be contiguous from 1")
-        if any(not level for level in self.levels.values()):
+        if any(not level for level in levels.values()):
             raise ContractViolationError("levels must not contain empty entries")
         # A level is copied only when an itemset or a support was not already
         # plain; run_apriori's are kept.
-        levels = {}
-        for k, level in zip(keys, self.levels.values()):
+        checked = {}
+        for k, level in zip(keys, levels.values()):
             name = f"level-{k} itemset"
             itemsets = [plain_ids(itemset, name, error=ContractViolationError) for itemset in level]
             if set(map(len, itemsets)) != {k}:
@@ -151,8 +140,15 @@ class MiningResult:
                     ids: plain_int(n, f"support of {itemset}")
                     for ids, (itemset, n) in zip(itemsets, level.items())
                 }
-            levels[k] = level
-        object.__setattr__(self, "levels", levels)
+            checked[k] = level
+        self.levels, self.ledger, self.variant = checked, ledger, variant
+        self.min_support, self.min_support_count = min_support, min_support_count
+        self.candidate_strategy = candidate_strategy
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MiningResult):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def support_of(self, itemset: Sequence[int]) -> int | None:
         """Support of a frequent itemset, or None if it is not frequent."""
@@ -179,6 +175,7 @@ def compute_l1(db: TransactionDb, min_support: int) -> L1Index:
     Every item with support >= min_support keeps its exact support and the
     complete sorted list of transaction ids containing it.
     """
+    min_support = plain_int(min_support, "min_support")
     if min_support < 1:
         raise ConfigurationError(f"min_support must be at least 1, got {min_support}")
     found: dict[int, list[int]] = {}
@@ -241,6 +238,7 @@ def generate_candidates_combinations(l1: L1Index, k: int) -> CandidateSet:
     error. A level of more than MAX_CANDIDATES combinations raises
     ResourceLimitError before any candidate is built.
     """
+    k = plain_int(k, "combination level", ContractViolationError)
     if k < 2:
         raise ContractViolationError(f"combination level must be at least 2, got {k}")
     size = math.comb(len(l1), k)
@@ -298,6 +296,16 @@ def check_threshold(value: int | float, confidence: bool = False) -> int | float
     if not 0.0 < value <= 1.0:
         raise ConfigurationError(f"fractional {name} must lie in (0, 1], got {value}")
     return float(value)
+
+
+def check_support_floor(min_support: int | float, count: int) -> tuple[int | float, int]:
+    """A record's `min_support`, under `check_threshold`, and its support floor
+    `count`, a plain int of at least 1; anything else raises ConfigurationError."""
+    min_support = check_threshold(min_support)
+    count = plain_int(count, "min_support_count")
+    if count < 1:
+        raise ConfigurationError(f"min_support_count must be at least 1, got {count}")
+    return min_support, count
 
 
 def resolve_min_support(min_support: int | float, num_transactions: int) -> int:

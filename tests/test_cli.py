@@ -775,8 +775,8 @@ def test_module_entry_point(golden_path, src_env):
     assert "8 frequent itemsets" in proc.stdout
 
 
-def test_input_jobs_never_import_numpy(golden_path, src_env):
-    # numpy is only for --generate; file jobs should not pay for importing it.
+def _input_job_modules(golden_path, src_env) -> set[str]:
+    """The modules loaded by a `mine --input` job run in a child interpreter."""
     script = (
         "import runpy, sys\n"
         "sys.argv = ['tidmine', 'mine', '--input', sys.argv[1], '--min-support', '3']\n"
@@ -784,7 +784,7 @@ def test_input_jobs_never_import_numpy(golden_path, src_env):
         "    runpy.run_module('tidmine', run_name='__main__')\n"
         "except SystemExit as exc:\n"
         "    assert exc.code == 0, exc.code\n"
-        "print('numpy' in sys.modules)\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script, str(golden_path)],
@@ -794,7 +794,19 @@ def test_input_jobs_never_import_numpy(golden_path, src_env):
     )
     assert proc.returncode == 0, proc.stderr
     assert "8 frequent itemsets" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "False"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_input_jobs_never_import_numpy(golden_path, src_env):
+    # numpy is only for --generate; file jobs should not pay for importing it.
+    assert "numpy" not in _input_job_modules(golden_path, src_env)
+
+
+def test_input_jobs_never_import_dataclasses(golden_path, src_env):
+    # The records are plain __slots__ classes: `dataclasses` would load
+    # `inspect`, `ast`, `dis` and `tokenize` that nothing else in a job needs.
+    loaded = _input_job_modules(golden_path, src_env)
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
 
 
 @pytest.mark.parametrize("spec", ["100000000000000000000,50,8", "10,100000000000000000000,8"])

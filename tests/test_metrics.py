@@ -112,22 +112,18 @@ def test_a_rate_that_rounds_to_zero_prints_without_a_sign():
 
 
 def test_ledger_totals_and_levels():
-    ledger = ScanLedger()
-    ledger.add(1, 45)
-    ledger.add(2, 20)
-    ledger.add(2, 5)
-    assert ledger.per_level == {1: 45, 2: 25}
+    ledger = ScanLedger({2: 25, 1: 45})
+    assert list(ledger.per_level.items()) == [(1, 45), (2, 25)]
     assert ledger.level(2) == 25
     assert ledger.level(9) == 0
     assert ledger.total == 70
 
 
 def test_ledger_entries_only_increase():
-    ledger = ScanLedger()
-    with pytest.raises(ConfigurationError):
-        ledger.add(1, -1)
-    with pytest.raises(ConfigurationError):
-        ledger.add(0, 5)
+    with pytest.raises(ConfigurationError, match="entry"):
+        ScanLedger({1: -1})
+    with pytest.raises(ConfigurationError, match="level"):
+        ScanLedger({0: 5})
 
 
 def test_ledger_equality():
@@ -361,6 +357,19 @@ def test_reports_refuse_item_ids_outside_the_database(format):
     rule = AssociationRule((0,), (2,), 1, 0.5)
     with pytest.raises(ContractViolationError, match="item id 2 "):
         "".join(rules_report(db, "x", result, [rule], 0.5, format))
+
+
+@pytest.mark.parametrize("output", ["human", "machine", "text"])
+def test_a_database_refuses_a_token_that_is_not_a_string(output):
+    # Machine `mine` printed `"items": [1]` and `null` where the schema has
+    # strings; human `mine` and `to_text` raised a bare TypeError.
+    for tokens, index in (([1, None], 0), (["A", None], 1)):
+        with pytest.raises(ConfigurationError, match=f"token {index} is not a string"):
+            db = TransactionDb([(0, 1), (0,)], tokens)
+            if output == "text":
+                db.to_text()
+            else:
+                "".join(mine_report(db, "x", run_apriori(db, 1), output))
 
 
 @pytest.mark.parametrize("format", FORMATS)

@@ -75,6 +75,13 @@ def test_l1_rejects_min_support_below_one(golden_db):
         compute_l1(golden_db, 0)
 
 
+@pytest.mark.parametrize("floor", [2.5, True, "3", None])
+def test_l1_refuses_a_floor_that_is_not_a_count(golden_db, floor):
+    # 2.5 filtered at 3 and True at 1; "3" and None raised a bare TypeError.
+    with pytest.raises(ConfigurationError, match="min_support"):
+        compute_l1(golden_db, floor)
+
+
 def test_l1_tid_fidelity_random():
     rng = random.Random(5)
     for _ in range(20):
@@ -152,8 +159,11 @@ def test_combinations_not_enough_items():
 
 
 def test_combinations_rejects_level_below_two(golden_db):
-    with pytest.raises(ContractViolationError):
-        generate_candidates_combinations(compute_l1(golden_db, 3), 1)
+    l1 = compute_l1(golden_db, 3)
+    # A float or string level raised a bare TypeError.
+    for k in (1, 2.0, "3", True):
+        with pytest.raises(ContractViolationError):
+            generate_candidates_combinations(l1, k)
 
 
 def test_combinations_budget(golden_db, monkeypatch):
@@ -192,6 +202,10 @@ def test_candidate_set_validates():
         CandidateSet(2, ((1, 0),))  # not canonical
     with pytest.raises(ContractViolationError):
         CandidateSet(1, ((0,),))  # level below 2
+    with pytest.raises(ContractViolationError):
+        CandidateSet(2.0, ((0, 1),))  # float level, which was accepted
+    with pytest.raises(ContractViolationError):
+        CandidateSet("3", ())  # string level, which raised a bare TypeError
     with pytest.raises(ContractViolationError):
         CandidateSet(2, ((0.0, 1.0),))  # float ids
     with pytest.raises(ContractViolationError):
@@ -832,3 +846,13 @@ def test_result_support_lookup(golden_db):
     result = run_apriori(golden_db, 3, candidate_strategy="combinations")
     assert result.support_of(iset(golden_db, "I1 I2")) == 4
     assert result.support_of(iset(golden_db, "I3 I4")) is None
+
+
+def test_results_compare_by_field(golden_db):
+    result = run_apriori(golden_db, 3)
+    fields = (result.levels, result.ledger, 3, 3, "improved", "join")
+    assert MiningResult(*fields) == result
+    others = ({1: {(0,): 3}}, ScanLedger(), 0.5, 4, "classic", "combinations")
+    for i, other in enumerate(others):
+        assert MiningResult(*fields[:i], other, *fields[i + 1 :]) != result
+    assert result != fields
