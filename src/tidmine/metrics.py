@@ -7,15 +7,15 @@ check the format when first iterated; `render_report` returns one string.
 
 import json
 import math
-import statistics
 import time
+from collections.abc import Sequence
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .dataset import TransactionDb
 from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError, plain_float
 from .mining import MiningResult, ScanLedger, check_support_floor, check_threshold
-from .rules import AssociationRule
+from .rules import AssociationRule, RuleTable
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -46,7 +46,7 @@ def mean_rate(rates: Sequence[float]) -> float:
     """Arithmetic mean of a non-empty sequence of percentages, full precision."""
     if not rates:
         raise ArithmeticDomainError("mean_rate needs at least one rate")
-    return statistics.fmean(rates)
+    return math.fsum(rates) / len(rates)
 
 
 def round_percent(value: float) -> float:
@@ -64,6 +64,10 @@ def median_seconds(fn: Callable[[], T], repetitions: int = 5) -> tuple[T, float 
         raise ConfigurationError("repetitions must be non-negative")
     if repetitions == 0:
         return fn(), None
+    # Imported here so that jobs that time nothing never load `statistics`:
+    # about 100 KB less heap at import.
+    import statistics
+
     result = None
     laps = []
     for i in range(repetitions):
@@ -228,20 +232,25 @@ def rules_report(
     db: TransactionDb,
     label: str,
     result: MiningResult,
-    found: list[AssociationRule],
+    found: Sequence[AssociationRule],
     min_confidence: float,
     format: str = "human",
 ) -> Iterator[str]:
     """Chunks of the `rules` report: the rules `found` in `result` at `min_confidence`.
 
-    `found` holds `AssociationRule` records only. Each distinct side and
-    confidence is rendered once, so confidences that compare equal print
-    alike: in a caller-built list, the first of 0.0 and -0.0 sets the text of
-    both.
+    `found` is the RuleTable of `generate_rules`, trusted by its type, or a
+    sequence (sized and re-iterable, unlike an iterator) of `AssociationRule`
+    records only, each checked. Each distinct side and confidence is rendered
+    once, so confidences that compare equal print alike: in a caller-built
+    list, the first of 0.0 and -0.0 sets the text of both.
     """
     min_confidence = check_threshold(min_confidence, confidence=True)
-    if not set(map(type, found)) <= {AssociationRule}:
-        raise ContractViolationError("rules to report must be AssociationRule records")
+    if type(found) is not RuleTable and not (
+        isinstance(found, Sequence) and set(map(type, found)) <= {AssociationRule}
+    ):
+        raise ContractViolationError(
+            "rules to report must be a sequence of AssociationRule records"
+        )
     if _is_machine(format):
         json_tokens = _ItemTexts(map(json.dumps, db.tokens))
         yield from json_report(
@@ -375,7 +384,7 @@ def _levels_json(result: MiningResult, json_tokens: Mapping[int, str]) -> Iterat
     yield "\n  ]"
 
 
-def _rules_json(found: list[AssociationRule], json_tokens: Mapping[int, str]) -> Iterator[str]:
+def _rules_json(found: Sequence[AssociationRule], json_tokens: Mapping[int, str]) -> Iterator[str]:
     """The `rules` member: antecedent, confidence, consequent, support."""
     if not found:
         yield "[]"

@@ -3,7 +3,7 @@
 import itertools
 import operator
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .errors import ContractViolationError, ResourceLimitError
 from .errors import plain_float, plain_ids, plain_int
@@ -64,10 +64,104 @@ class AssociationRule(tuple):
         )
 
 
-def generate_rules(
-    result: MiningResult, min_confidence: float
-) -> list[AssociationRule]:
-    """All rules A -> F\\A over frequent itemsets F of size >= 2.
+class RuleTable:
+    """The rules kept from a mining result: an immutable sequence of AssociationRule.
+
+    `RuleTable(result, min_confidence)` splits every frequent itemset of
+    `result` (see `generate_rules`). The table holds the result's itemsets
+    once, the very tuples in `result.levels`, with their supports, and each
+    rule as three indices into them in one `array("I")`: its itemset,
+    antecedent and consequent, 12 bytes a rule. Indexing and iteration build
+    each record on the fly, its confidence the float support / support of the
+    antecedent. A table equals a list or table of equal records, and copies
+    and pickles are lists of records, rebuilt through their checks.
+    """
+
+    __slots__ = ("_itemsets", "_supports", "_rows")
+
+    def __init__(self, result: MiningResult, min_confidence: float):
+        # Imported here so that jobs that make no rules never load this
+        # extension module, about 50 KB of resident memory.
+        from array import array
+
+        threshold = Fraction(str(check_threshold(min_confidence, confidence=True)))
+        num, den = threshold.numerator, threshold.denominator
+        levels = result.levels.values()
+        self._itemsets = itemsets = [itemset for level in levels for itemset in level]
+        self._supports = supports = [support for level in levels for support in level.values()]
+        index = {itemset: i for i, itemset in enumerate(itemsets)}
+        self._rows = rows = array("I")
+        extend = rows.extend
+        budget = 3 * MAX_RULES
+        for size in sorted(result.levels):
+            if size < 2:
+                continue
+            # Sizes, itemsets and antecedents are each visited in canonical
+            # order, so rules come out in (size, itemset, antecedent) order
+            # without a sort.
+            antecedents, complements = _splits(size)
+            for itemset, support in result.levels[size].items():
+                # Every consequent is the antecedent of another split, so
+                # finding every antecedent first checks downward closure
+                # before any rule of the itemset is kept.
+                try:
+                    sides = [index[antecedent_of(itemset)] for antecedent_of in antecedents]
+                except KeyError as missing:
+                    raise ContractViolationError(
+                        f"support of antecedent {missing.args[0]} missing from the "
+                        "mining result; downward closure violated"
+                    ) from None
+                limit = support * den
+                whole = index[itemset]
+                for antecedent, complement in zip(sides, complements):
+                    if num * supports[antecedent] <= limit:
+                        extend((whole, antecedent, sides[complement]))
+            if len(rows) > budget:
+                raise ResourceLimitError(
+                    f"rule generation passed the budget of {MAX_RULES} rules; "
+                    "use a higher min_confidence or min_support"
+                )
+
+    def __len__(self) -> int:
+        return len(self._rows) // 3
+
+    def __iter__(self) -> Iterator[AssociationRule]:
+        return self._records(self._rows)
+
+    def __getitem__(self, position: int) -> AssociationRule:
+        i = operator.index(position)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("rule index out of range")
+        (rule,) = self._records(self._rows[3 * i : 3 * i + 3])
+        return rule
+
+    def _records(self, rows: Iterable[int]) -> Iterator[AssociationRule]:
+        """The records of `rows`, (itemset, antecedent, consequent) index triples."""
+        itemsets, supports = self._itemsets, self._supports
+        # Splits are non-empty, disjoint and kept only at confidence <= 1, so
+        # the records skip the constructor's checks.
+        new = tuple.__new__
+        rows = iter(rows)
+        for whole, antecedent, consequent in zip(rows, rows, rows):
+            support = supports[whole]
+            confidence = support / supports[antecedent]
+            yield new(
+                AssociationRule, (itemsets[antecedent], itemsets[consequent], support, confidence)
+            )
+
+    def __eq__(self, other):
+        if isinstance(other, (RuleTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
+def generate_rules(result: MiningResult, min_confidence: float) -> RuleTable:
+    """All rules A -> F\\A over frequent itemsets F of size >= 2, as a RuleTable.
 
     Every non-empty proper subset A of F yields a candidate rule, so each
     n-itemset contributes 2**n - 2 candidates; a rule is kept when
@@ -75,77 +169,31 @@ def generate_rules(
     decimal it prints as (0.1 is exactly 1/10) and compared by integer
     cross-multiplication, so boundary confidences never misclassify from
     float rounding. Output is sorted by (itemset size, itemset, antecedent),
-    since `result.levels` holds each level in canonical order. Once the rules
-    kept pass MAX_RULES, ResourceLimitError is raised after the itemset that
-    passed it, so the list never holds more than the budget and one itemset's
-    rules.
+    since `result.levels` holds each level in canonical order. A rule's sides
+    are the tuples that key their supports in `result.levels`, not copies,
+    and it costs 12 bytes until a record is built from it. A subset of F
+    missing from `result` raises ContractViolationError before any rule of F
+    is kept. Once the rules kept pass MAX_RULES, ResourceLimitError is raised
+    after the itemset that passed it, so the table never holds more than the
+    budget and one itemset's rules.
     """
-    threshold = Fraction(str(check_threshold(min_confidence, confidence=True)))
-    num, den = threshold.numerator, threshold.denominator
-    # Each frequent itemset maps to (its tuple in `result.levels`, support):
-    # one lookup gives a side's support, and rules hold those tuples instead
-    # of fresh copies.
-    sides = {
-        itemset: (itemset, support)
-        for level in result.levels.values()
-        for itemset, support in level.items()
-    }
-    # Splits are non-empty, disjoint and kept only at confidence <= 1, so the
-    # records skip the constructor's checks.
-    new = tuple.__new__
-    # Equal (support, antecedent support) pairs divide to equal floats, so
-    # the rules of one pair share one confidence float, kept here by support
-    # and then by antecedent support.
-    shared: dict[int, dict[int, float]] = {}
-    out = []
-    append = out.append
-    for size in sorted(result.levels):
-        if size < 2:
-            continue
-        # Sizes, itemsets and antecedents are each visited in canonical
-        # order, so rules come out in (size, itemset, antecedent) order
-        # without a sort.
-        splits = _splits(size)
-        for itemset, support in result.levels[size].items():
-            limit = support * den
-            confidences = shared.setdefault(support, {})
-            for antecedent_of, consequent_of in splits:
-                key = antecedent_of(itemset)
-                try:
-                    antecedent, a_support = sides[key]
-                except KeyError:
-                    raise ContractViolationError(
-                        f"support of antecedent {key} missing from the "
-                        "mining result; downward closure violated"
-                    ) from None
-                if num * a_support <= limit:
-                    key = consequent_of(itemset)
-                    side = sides.get(key)
-                    consequent = key if side is None else side[0]
-                    confidence = confidences.get(a_support)
-                    if confidence is None:
-                        confidence = confidences[a_support] = support / a_support
-                    append(new(AssociationRule, (antecedent, consequent, support, confidence)))
-            if len(out) > MAX_RULES:
-                raise ResourceLimitError(
-                    f"rule generation passed the budget of {MAX_RULES} rules; "
-                    "use a higher min_confidence or min_support"
-                )
-    return out
+    return RuleTable(result, min_confidence)
 
 
-def _splits(size: int) -> list[tuple[Callable[[Itemset], Itemset], Callable[[Itemset], Itemset]]]:
-    """(antecedent, consequent) getters of every split of a `size`-itemset into
-    two non-empty parts, antecedents in lexicographic order of positions. Each
-    getter takes an itemset to the tuple of its items at that part's positions."""
+def _splits(size: int) -> tuple[list[Callable[[Itemset], Itemset]], list[int]]:
+    """Antecedent getters of every split of a `size`-itemset into two non-empty
+    parts, in lexicographic order of positions, and for each split the index of
+    the split whose antecedent is its consequent. Each getter takes an itemset
+    to the tuple of its items at that antecedent's positions."""
     every = range(size)
     antecedents = sorted(
         a_pos for a_size in range(1, size) for a_pos in itertools.combinations(every, a_size)
     )
-    return [
-        (_items_at(a_pos), _items_at(tuple(i for i in every if i not in a_pos)))
-        for a_pos in antecedents
-    ]
+    where = {a_pos: j for j, a_pos in enumerate(antecedents)}
+    return (
+        [_items_at(a_pos) for a_pos in antecedents],
+        [where[tuple(i for i in every if i not in a_pos)] for a_pos in antecedents],
+    )
 
 
 def _items_at(positions: tuple[int, ...]) -> Callable[[Itemset], Itemset]:

@@ -494,14 +494,17 @@ def test_join_budget_exits_1_within_a_memory_cap(src_env):
 
 def test_rule_budget_exits_1_within_a_memory_cap(src_env):
     # At 2% support these 1,500 rows give 28,929,290 rules at confidence 0.5,
-    # about 2.3 GB of records. The real budget stops the run after about 6 s
-    # at about 210 MB peak RSS. The child's address space is capped, so a run
+    # about 2.3 GB as records and about 350 MB as rule-table rows. The real
+    # budget stops the run after 5 to 6 s at about 144 MB peak RSS and 220 MB
+    # of address space. The child's address space is capped, so a run
     # without a budget fails with MemoryError instead of exhausting the
-    # machine.
+    # machine or writing gigabytes of rules into this process's capture:
+    # under a 768 MB cap such a run held all the rows and wrote them, at
+    # 465 MB peak RSS, and under 448 MB it fails.
     pytest.importorskip("resource")
     script = (
         "import resource, runpy, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (768 << 20, 768 << 20))\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (448 << 20, 448 << 20))\n"
         "sys.argv = ['tidmine', 'rules', '--generate', '1500,50,8', '--seed', '1',"
         " '--min-support', '0.02', '--min-confidence', '0.5']\n"
         "runpy.run_module('tidmine', run_name='__main__')\n"
@@ -807,6 +810,12 @@ def test_input_jobs_never_import_dataclasses(golden_path, src_env):
     # `inspect`, `ast`, `dis` and `tokenize` that nothing else in a job needs.
     loaded = _input_job_modules(golden_path, src_env)
     assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+
+def test_untimed_jobs_never_import_statistics_or_array(golden_path, src_env):
+    # Only timed runs take a median and only rule tables need `array`; at
+    # import, `statistics` alone held about 100 KB of heap.
+    assert _input_job_modules(golden_path, src_env).isdisjoint({"statistics", "array"})
 
 
 @pytest.mark.parametrize("spec", ["100000000000000000000,50,8", "10,100000000000000000000,8"])

@@ -382,6 +382,19 @@ def test_rules_report_refuses_entries_that_are_not_rule_records(golden_db, forma
         next(rules_report(golden_db, "golden", result, found, 0.6, format))
 
 
+@pytest.mark.parametrize("one_shot", [iter, lambda found: (rule for rule in found), set])
+@pytest.mark.parametrize("format", FORMATS)
+def test_rules_report_refuses_rules_that_are_not_a_sequence(golden_db, format, one_shot):
+    # The record check used up an iterator: machine `rules` then wrote
+    # `"rules": \n  ]`, which is not JSON, and human `rules` raised a bare
+    # TypeError from `len`. A set has no order to report in.
+    result = run_apriori(golden_db, 3)
+    found = one_shot(list(generate_rules(result, 0.6)))
+    with pytest.raises(ContractViolationError, match="sequence of AssociationRule"):
+        next(rules_report(golden_db, "golden", result, found, 0.6, format))
+    assert "".join(rules_report(golden_db, "golden", result, (), 0.6, format))
+
+
 def test_render_rejects_unknown_format(golden_db):
     with pytest.raises(ConfigurationError):
         render_report(_golden_report(), "yaml")

@@ -1,8 +1,10 @@
 import copy
+import gc
 import io
 import json
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -214,17 +216,71 @@ def test_missing_antecedent_violates_contract():
         generate_rules(result, EPSILON)
 
 
-def test_rules_of_one_support_pair_share_one_confidence_float():
-    # The `many-rules` benchmark input: 87,240 rules over 2,144 distinct
-    # (support, antecedent support) pairs.
-    db = generate_synthetic(GeneratorConfig(500, 50, 8, seed=1))
-    result = run_apriori(db, 0.05)
-    found = generate_rules(result, 0.5)
-    supports = {itemset: support for itemset, support in result.frequent()}
+@pytest.fixture(scope="module")
+def many_rules_result():
+    """The mining result of the `many-rules` benchmark input at 5% support."""
+    return run_apriori(generate_synthetic(GeneratorConfig(500, 50, 8, seed=1)), 0.05)
+
+
+def test_rule_confidence_is_support_over_antecedent_support(many_rules_result):
+    # 87,240 rules over 2,144 distinct (support, antecedent support) pairs.
+    found = generate_rules(many_rules_result, 0.5)
+    supports = {itemset: support for itemset, support in many_rules_result.frequent()}
     pairs = {(r.support, supports[r.antecedent]) for r in found}
     assert (len(found), len(pairs)) == (87_240, 2_144)
-    assert len({id(r.confidence) for r in found}) <= len(pairs)
     assert all(r.confidence == r.support / supports[r.antecedent] for r in found)
+
+
+def test_a_rule_table_holds_about_twelve_bytes_a_rule(many_rules_result):
+    # Three 4-byte indices a rule, about 14.6 bytes with the itemset and
+    # support lists and the array's spare room; a list of records held 91.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        found = generate_rules(many_rules_result, 0.5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 20 * len(found)
+
+
+def test_a_rule_table_is_an_immutable_sequence_of_records(golden_db):
+    result = run_apriori(golden_db, 2)
+    table = generate_rules(result, EPSILON)
+    records = list(table)
+    assert len(table) == len(records) > 2
+    assert list(table) == records and all(type(r) is AssociationRule for r in table)
+    assert [table[i] for i in range(len(table))] == records
+    assert [table[-i] for i in range(1, len(table) + 1)] == records[::-1]
+    for outside in (len(table), -len(table) - 1):
+        with pytest.raises(IndexError):
+            table[outside]
+    for not_an_index in (1.0, "1", slice(1, 2)):
+        with pytest.raises(TypeError):
+            table[not_an_index]
+    assert table == records and records == table and not table != records
+    assert table == generate_rules(result, EPSILON) and table != records[:-1]
+    assert table != generate_rules(result, 0.9) and generate_rules(result, 0.9) != table
+    assert table != tuple(records) and tuple(records) != table
+    with pytest.raises(TypeError):
+        hash(table)
+    with pytest.raises(AttributeError):
+        table.rows = None
+
+
+def test_rule_table_copies_are_lists_of_checked_records(golden_db):
+    table = generate_rules(run_apriori(golden_db, 2), EPSILON)
+    copies = [copy.copy(table), copy.deepcopy(table)]
+    copies += [pickle.loads(pickle.dumps(table, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert type(twin) is list and twin == table
+        assert all(type(rule) is AssociationRule for rule in twin)
+    # Each record of the list unpickles through the record's constructor.
+    tampered = pickle.dumps(table, 0).replace(b"F1.0\n", b"F1.5\n", 1)
+    assert tampered != pickle.dumps(table, 0)
+    with pytest.raises(ContractViolationError, match="confidence must lie in"):
+        pickle.loads(tampered)
 
 
 def test_rule_budget_keeps_exactly_the_budget(golden_db, monkeypatch):
