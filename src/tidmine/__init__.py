@@ -38,7 +38,7 @@ from .mining import (
     resolve_min_support,
     run_apriori,
 )
-from .rules import AssociationRule, generate_rules
+from .rules import AssociationRule, RuleTable, generate_rules
 
 __version__ = "0.1.0"
 
@@ -55,6 +55,7 @@ __all__ = [
     "L1Index",
     "MiningResult",
     "ResourceLimitError",
+    "RuleTable",
     "ScanLedger",
     "TidmineError",
     "TransactionDb",

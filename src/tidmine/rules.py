@@ -116,11 +116,11 @@ class RuleTable:
                 for antecedent, complement in zip(sides, complements):
                     if num * supports[antecedent] <= limit:
                         extend((whole, antecedent, sides[complement]))
-            if len(rows) > budget:
-                raise ResourceLimitError(
-                    f"rule generation passed the budget of {MAX_RULES} rules; "
-                    "use a higher min_confidence or min_support"
-                )
+                if len(rows) > budget:
+                    raise ResourceLimitError(
+                        f"rule generation passed the budget of {MAX_RULES} rules; "
+                        "use a higher min_confidence or min_support"
+                    )
 
     def __len__(self) -> int:
         return len(self._rows) // 3

@@ -495,7 +495,7 @@ def test_join_budget_exits_1_within_a_memory_cap(src_env):
 def test_rule_budget_exits_1_within_a_memory_cap(src_env):
     # At 2% support these 1,500 rows give 28,929,290 rules at confidence 0.5,
     # about 2.3 GB as records and about 350 MB as rule-table rows. The real
-    # budget stops the run after 5 to 6 s at about 144 MB peak RSS and 220 MB
+    # budget stops the run after 5 to 7 s at about 127 MB peak RSS and 200 MB
     # of address space. The child's address space is capped, so a run
     # without a budget fails with MemoryError instead of exhausting the
     # machine or writing gigabytes of rules into this process's capture:

@@ -296,6 +296,23 @@ def test_rule_budget_keeps_exactly_the_budget(golden_db, monkeypatch):
         generate_rules(result, EPSILON)
 
 
+def test_rule_budget_stops_after_the_itemset_that_passed_it(monkeypatch):
+    # (0, 1) yields two rules and passes a budget of one; the next itemset of
+    # the same level, (0, 3), breaks downward closure. Stopping right after
+    # (0, 1) never reaches it, so the table never holds a whole level.
+    result = MiningResult(
+        levels={1: {(0,): 3, (1,): 3}, 2: {(0, 1): 2, (0, 3): 2}},
+        ledger=ScanLedger(),
+        min_support=2,
+        min_support_count=2,
+        variant="improved",
+        candidate_strategy="join",
+    )
+    monkeypatch.setattr(rules_module, "MAX_RULES", 1)
+    with pytest.raises(ResourceLimitError, match="budget of 1 rules"):
+        generate_rules(result, EPSILON)
+
+
 def test_rule_is_a_tuple_record():
     rule = AssociationRule((0,), (1, 2), 3, 0.75)
     antecedent, consequent, support, confidence = rule
