@@ -76,22 +76,12 @@ class ScanLedger:
 
 
 class CandidateSet:
-    """Same-size candidate itemsets for one level, canonical and duplicate-free."""
+    """Same-size candidate itemsets for one level, canonical and duplicate-free
+    by construction: only the two generators build one, so it stores them as given."""
 
     __slots__ = ("level", "candidates")
 
     def __init__(self, level: int, candidates: tuple[Itemset, ...]):
-        level = plain_int(level, "candidate level", ContractViolationError)
-        if level < 2:
-            raise ContractViolationError("candidate level must be at least 2")
-        candidates = tuple(
-            plain_ids(cand, "candidate", error=ContractViolationError) for cand in candidates
-        )
-        for cand in candidates:
-            if len(cand) != level:
-                raise ContractViolationError(f"candidate {cand} does not match level {level}")
-        if any(b <= a for a, b in zip(candidates, candidates[1:])):
-            raise ContractViolationError("candidates must be unique and ordered")
         self.level, self.candidates = level, candidates
 
     def __len__(self) -> int:
@@ -199,9 +189,10 @@ def generate_candidates_join(prev: Iterable[Itemset]) -> CandidateSet:
     item in `prev`: one set intersection per prefix item, stopping at the
     first empty one. A level that passes MAX_CANDIDATES raises
     ResourceLimitError after the prefix group that passed it, so the level
-    never holds more than the budget and one group.
+    never holds more than the budget and one group. A `prev` itemset that
+    `plain_ids` refuses raises ContractViolationError before the join runs.
     """
-    prev = sorted(set(map(tuple, prev)))
+    prev = sorted({plain_ids(p, "itemset to join", error=ContractViolationError) for p in prev})
     if not prev:
         return CandidateSet(2, ())
     size = len(prev[0])

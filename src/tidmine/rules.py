@@ -99,7 +99,7 @@ class RuleTable:
             # Sizes, itemsets and antecedents are each visited in canonical
             # order, so rules come out in (size, itemset, antecedent) order
             # without a sort.
-            antecedents, complements = _splits(size)
+            antecedents, complements, parents = _splits(size)
             for itemset, support in result.levels[size].items():
                 # Every consequent is the antecedent of another split, so
                 # finding every antecedent first checks downward closure
@@ -111,6 +111,10 @@ class RuleTable:
                         f"support of antecedent {missing.args[0]} missing from the "
                         "mining result; downward closure violated"
                     ) from None
+                # Sizes run upward, so a support bounded by each (size-1)-subset's
+                # is bounded by every subset's: each confidence lies in (0, 1].
+                if not 0 < support <= min([supports[sides[j]] for j in parents]):
+                    raise ContractViolationError(f"{itemset}: support under 1 or over a subset's")
                 limit = support * den
                 whole = index[itemset]
                 for antecedent, complement in zip(sides, complements):
@@ -140,8 +144,8 @@ class RuleTable:
     def _records(self, rows: Iterable[int]) -> Iterator[AssociationRule]:
         """The records of `rows`, (itemset, antecedent, consequent) index triples."""
         itemsets, supports = self._itemsets, self._supports
-        # Splits are non-empty, disjoint and kept only at confidence <= 1, so
-        # the records skip the constructor's checks.
+        # Splits are non-empty and disjoint, and __init__ bounds each support
+        # by 1 and its subsets', so the records skip AssociationRule's checks.
         new = tuple.__new__
         rows = iter(rows)
         for whole, antecedent, consequent in zip(rows, rows, rows):
@@ -172,19 +176,20 @@ def generate_rules(result: MiningResult, min_confidence: float) -> RuleTable:
     since `result.levels` holds each level in canonical order. A rule's sides
     are the tuples that key their supports in `result.levels`, not copies,
     and it costs 12 bytes until a record is built from it. A subset of F
-    missing from `result` raises ContractViolationError before any rule of F
-    is kept. Once the rules kept pass MAX_RULES, ResourceLimitError is raised
-    after the itemset that passed it, so the table never holds more than the
-    budget and one itemset's rules.
+    missing from `result`, or a support of F below 1 or above a subset's,
+    raises ContractViolationError before any rule of F is kept. Once the
+    rules kept pass MAX_RULES, ResourceLimitError is raised after the itemset
+    that passed it, so the table never holds more than the budget and one
+    itemset's rules.
     """
     return RuleTable(result, min_confidence)
 
 
-def _splits(size: int) -> tuple[list[Callable[[Itemset], Itemset]], list[int]]:
+def _splits(size: int) -> tuple[list[Callable[[Itemset], Itemset]], list[int], list[int]]:
     """Antecedent getters of every split of a `size`-itemset into two non-empty
-    parts, in lexicographic order of positions, and for each split the index of
-    the split whose antecedent is its consequent. Each getter takes an itemset
-    to the tuple of its items at that antecedent's positions."""
+    parts, in lexicographic order of positions; for each split, the index of the
+    split whose antecedent is its consequent; and the splits whose antecedent has
+    size-1 items. Each getter takes an itemset to its items at those positions."""
     every = range(size)
     antecedents = sorted(
         a_pos for a_size in range(1, size) for a_pos in itertools.combinations(every, a_size)
@@ -193,6 +198,7 @@ def _splits(size: int) -> tuple[list[Callable[[Itemset], Itemset]], list[int]]:
     return (
         [_items_at(a_pos) for a_pos in antecedents],
         [where[tuple(i for i in every if i not in a_pos)] for a_pos in antecedents],
+        [j for j, a_pos in enumerate(antecedents) if len(a_pos) == size - 1],
     )
 
 

@@ -980,6 +980,45 @@ def test_private_read_check_reads_every_attribute(source, read):
     assert _private_reads(source) == read
 
 
+def _candidate_set_builders(source: str) -> set[str]:
+    """The top-level definitions of `source` that call `CandidateSet`, by name
+    or as an attribute; "<module>" for a call outside any definition."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in ast.parse(source).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and "CandidateSet" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+def test_only_the_generators_build_candidate_sets():
+    # A CandidateSet stores its candidates unchecked, so its only producers
+    # are the two generators, which test_properties holds to its invariant.
+    builders = {
+        path.name: sorted(names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _candidate_set_builders(path.read_text(encoding="utf-8")))
+    }
+    assert builders == {
+        "mining.py": ["generate_candidates_combinations", "generate_candidates_join"]
+    }
+
+
+@pytest.mark.parametrize(
+    "source, builders",
+    [
+        ("def f():\n    return CandidateSet(2, ())\n", {"f"}),
+        ("x = mining.CandidateSet(2, ())\n", {"<module>"}),
+        ("class C:\n    def m(self):\n        CandidateSet(2, ())\n", {"C"}),
+        ("def f():\n    def g():\n        return CandidateSet(2, ())\n", {"f"}),
+        ("def f(c: CandidateSet) -> CandidateSet:\n    return c\n", set()),
+    ],
+)
+def test_candidate_set_check_reads_every_call(source, builders):
+    assert _candidate_set_builders(source) == builders
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

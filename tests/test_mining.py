@@ -12,7 +12,6 @@ from tidmine.dataset import GeneratorConfig, TransactionDb, generate_synthetic, 
 from tidmine.errors import ConfigurationError, ContractViolationError, ResourceLimitError, plain_ids
 from tidmine.lanes import LANE_ITEMS
 from tidmine.mining import (
-    CandidateSet,
     L1Index,
     MiningResult,
     ScanLedger,
@@ -130,6 +129,21 @@ def test_join_rejects_mixed_sizes():
             generate_candidates_join(prev)
 
 
+@pytest.mark.parametrize(
+    "prev",
+    [
+        [(1, 0), (2, 0), (2, 1)],  # unordered ids, which joined to nothing
+        [(0.5,), (1.5,)],  # float ids
+        [(-1,), (0,)],  # a negative id
+        [("a",), ("b",)],  # strings
+    ],
+)
+def test_join_refuses_itemsets_that_are_not_plain_ids(prev):
+    # The one id rule, plain_ids, refuses each before the join runs.
+    with pytest.raises(ContractViolationError, match="itemset to join"):
+        generate_candidates_join(prev)
+
+
 def test_combinations_level3_golden(golden_db):
     l1 = compute_l1(golden_db, 3)
     got = generate_candidates_combinations(l1, 3)
@@ -193,33 +207,11 @@ def test_join_budget(golden_db, monkeypatch):
         generate_candidates_join((item,) for item in l1.items)
 
 
-def test_candidate_set_validates():
-    with pytest.raises(ContractViolationError):
-        CandidateSet(2, ((0, 1), (0,)))  # size mismatch
-    with pytest.raises(ContractViolationError):
-        CandidateSet(2, ((0, 1), (0, 1)))  # duplicate
-    with pytest.raises(ContractViolationError):
-        CandidateSet(2, ((1, 0),))  # not canonical
-    with pytest.raises(ContractViolationError):
-        CandidateSet(1, ((0,),))  # level below 2
-    with pytest.raises(ContractViolationError):
-        CandidateSet(2.0, ((0, 1),))  # float level, which was accepted
-    with pytest.raises(ContractViolationError):
-        CandidateSet("3", ())  # string level, which raised a bare TypeError
-    with pytest.raises(ContractViolationError):
-        CandidateSet(2, ((0.0, 1.0),))  # float ids
-    with pytest.raises(ContractViolationError):
-        CandidateSet(2, (("a", "b"),))  # strings
-    with pytest.raises(ContractViolationError):
-        CandidateSet(2, ((-1, 0),))  # negative id
-
-
 def test_id_tuples_of_plain_ints_are_kept_not_copied():
     ids = (0, 2, 5)
     assert plain_ids(ids, "ids") is ids
     assert TransactionDb([ids], "ABCDEF").transactions[0] is ids
     assert L1Index({0: ids}, 6).tids(0) is ids
-    assert CandidateSet(3, (ids,)).candidates[0] is ids
     assert AssociationRule(ids, (6,), 1, 1.0).antecedent is ids
     # Anything else comes back as a new tuple of plain ints.
     for given in ([0, 2, 5], (np.int64(0), 2, 5), np.array([0, 2, 5]), iter([0, 2, 5])):

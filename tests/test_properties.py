@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle import bruteforce_frequent, bruteforce_support, random_db
-from tidmine import cli, metrics
+from tidmine import cli, metrics, mining
 from tidmine.dataset import TransactionDb
 from tidmine.lanes import LANE_ITEMS
 from tidmine.mining import (
@@ -91,6 +91,41 @@ def test_run_matches_oracle_and_ledger(rng, variant, strategy, data):
             # The min-support member's TID list is as long as its support.
             ledger[k] = sum(min(single[item] for item in cand) for cand in cands)
     assert result.ledger.per_level == ledger
+
+
+@PROPERTY_SETTINGS
+@given(
+    rng=st.randoms(use_true_random=False),
+    variant=st.sampled_from(VARIANTS),
+    strategy=st.sampled_from(CANDIDATE_STRATEGIES),
+    data=st.data(),
+)
+def test_every_candidate_level_is_canonical_and_complete(rng, variant, strategy, data):
+    # CandidateSet stores the generators' candidates unchecked, so the
+    # generators are held here to its invariant on every level a run asks for.
+    db = random_db(rng)
+    min_support = data.draw(st.integers(1, max(1, len(db))), label="min_support")
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("generate_candidates_join", "generate_candidates_combinations"):
+
+            def spy(*args, generate=getattr(mining, name)):
+                built.append(generate(*args))
+                return built[-1]
+
+            patch.setattr(mining, name, spy)
+        result = run_apriori(db, min_support, variant=variant, candidate_strategy=strategy)
+    expected = bruteforce_frequent(db, min_support)
+    assert len(built) == result.max_level
+    for k, got in enumerate(built, start=2):
+        assert got.level == k
+        cands = list(got)
+        for cand in cands:
+            assert type(cand) is tuple and len(cand) == k
+            assert all(type(i) is int for i in cand) and 0 <= cand[0]
+            assert all(a < b for a, b in zip(cand, cand[1:]))
+        assert all(a < b for a, b in zip(cands, cands[1:]))
+        assert cands == _expected_candidates(strategy, expected, k)
 
 
 @PROPERTY_SETTINGS

@@ -216,6 +216,23 @@ def test_missing_antecedent_violates_contract():
         generate_rules(result, EPSILON)
 
 
+@pytest.mark.parametrize(
+    "levels",
+    [
+        # Above both its items' supports: its rules read confidence 2.5.
+        {1: {(0,): 2, (1,): 2}, 2: {(0, 1): 5}},
+        # A support of 0: reading its rules divided by zero.
+        {1: {(0,): 0, (1,): 0}, 2: {(0, 1): 0}},
+        # Above one (k-1)-subset's only: (0, 2) -> (1,) read confidence 1.5.
+        {1: {(0,): 4, (1,): 4, (2,): 4}, 2: {(0, 1): 3, (0, 2): 2, (1, 2): 3}, 3: {(0, 1, 2): 3}},
+    ],
+)
+def test_support_outside_its_subsets_bound_violates_contract(levels):
+    result = MiningResult(levels, ScanLedger(), 2, 2, "improved", "join")
+    with pytest.raises(ContractViolationError, match="under 1 or over a subset's"):
+        generate_rules(result, EPSILON)
+
+
 @pytest.fixture(scope="module")
 def many_rules_result():
     """The mining result of the `many-rules` benchmark input at 5% support."""
