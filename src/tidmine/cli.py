@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import dataset, metrics, rules
 from .dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
-from .errors import ConfigurationError, ContractViolationError, IngestionError, ResourceLimitError
-from .metrics import ComparisonReport, VariantRun
+from .errors import ConfigurationError, IngestionError, ResourceLimitError
+from .metrics import ComparisonReport
 from .mining import CANDIDATE_STRATEGIES, VARIANTS, MiningResult, check_threshold, run_apriori
 
 EXIT_OK = 0
@@ -230,36 +230,26 @@ def _cmd_mine(args: argparse.Namespace) -> Iterable[str]:
 
 def _cmd_rules(args: argparse.Namespace) -> Iterable[str]:
     db, label, result = _mine(args)
-    found = rules.generate_rules(result, args.min_confidence)
-    return metrics.rules_report(db, label, result, found, args.min_confidence, args.format)
+    table = rules.generate_rules(result, args.min_confidence)
+    return metrics.rules_report(db, label, table, args.format)
 
 
 def _compare_on(db: TransactionDb, label: str, args: argparse.Namespace) -> ComparisonReport:
-    """Run every variant on `db`; a variant whose itemsets or supports differ
-    from the first's raises ContractViolationError, since the report holds
-    only ledgers and times."""
-    runs, first = [], None
-    for variant in VARIANTS:
-        result, wall = metrics.median_seconds(
-            functools.partial(
-                run_apriori, db, args.min_support, variant=variant,
-                candidate_strategy=args.candidates,
-            ),
-            args.reps,
-        )
-        if first is None:
-            first = result
-        elif result.levels != first.levels:
-            raise ContractViolationError(
-                f"variant {variant!r} found other itemsets than {first.variant!r} on {label}"
-            )
-        runs.append(VariantRun(variant, result.ledger, wall))
+    """Run every variant on `db`, timed over `args.reps` repetitions, and build
+    the report from their results; it refuses, with ContractViolationError, a
+    variant whose itemsets or supports differ from the first's."""
     return ComparisonReport(
-        dataset=label,
-        min_support=args.min_support,
-        min_support_count=result.min_support_count,
-        candidate_strategy=args.candidates,
-        runs=tuple(runs),
+        label,
+        [
+            metrics.median_seconds(
+                functools.partial(
+                    run_apriori, db, args.min_support, variant=variant,
+                    candidate_strategy=args.candidates,
+                ),
+                args.reps,
+            )
+            for variant in VARIANTS
+        ],
     )
 
 

@@ -63,7 +63,8 @@ def plain_ids(values, name: str, end=None, error=ConfigurationError) -> tuple[in
             ids = tuple(map(operator.index, values))
         except TypeError:
             raise error(f"{name} is not a sequence of integers") from None
-    if not all(map(operator.lt, (-1, *ids), ids)) or ids and end is not None and ids[-1] >= end:
+    ordered = not ids or ids[0] >= 0 and all(map(operator.lt, ids, ids[1:]))
+    if not ordered or ids and end is not None and ids[-1] >= end:
         bound = "from 0" if end is None else f"within [0, {end})"
         raise error(f"{name} does not strictly increase {bound}")
     return ids

@@ -13,9 +13,10 @@ from decimal import ROUND_HALF_UP, Decimal
 from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .dataset import TransactionDb
-from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError, plain_float
-from .mining import MiningResult, ScanLedger, check_support_floor, check_threshold
-from .rules import AssociationRule, RuleTable
+from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
+from .errors import plain_float, plain_int
+from .mining import MiningResult, ScanLedger
+from .rules import RuleTable
 
 REPORT_SCHEMA_VERSION = 2
 
@@ -60,6 +61,7 @@ def median_seconds(fn: Callable[[], T], repetitions: int = 5) -> tuple[T, float 
 
     With repetitions=0 the callable runs once untimed and the median is None.
     """
+    repetitions = plain_int(repetitions, "repetitions")
     if repetitions < 0:
         raise ConfigurationError("repetitions must be non-negative")
     if repetitions == 0:
@@ -92,28 +94,43 @@ class VariantRun:
 
 
 class ComparisonReport:
-    """Runs of several counting variants on one database and min_support.
+    """Runs of several counting variants on one database, built from each one's
+    `(MiningResult, wall_seconds)` pair, as `median_seconds` returns it.
 
-    All runs used the same candidate strategy. The runs name each variant at
-    most once, `classic` and `improved` always: the paper's two rates compare
-    those two. `min_support_count` is a plain int of at least 1.
+    The runs name each variant at most once, `classic` and `improved` always:
+    the paper's two rates compare those two. Runs that differ in min_support
+    (by repr: the count 1 is not the fraction 1.0), min_support_count,
+    candidate strategy or itemsets raise ContractViolationError. The report
+    takes those settings from the first run and keeps one VariantRun per run.
     """
 
     __slots__ = ("dataset", "min_support", "min_support_count", "candidate_strategy", "runs")
 
-    def __init__(
-        self, dataset: str, min_support: int | float, min_support_count: int,
-        candidate_strategy: str, runs: tuple[VariantRun, ...],
-    ):
-        min_support, min_support_count = check_support_floor(min_support, min_support_count)
-        variants = [run.variant for run in runs]
+    def __init__(self, dataset: str, runs: Sequence[tuple[MiningResult, float | None]]):
+        variants = [result.variant for result, _ in runs]
         if len(set(variants)) < len(variants) or not {"classic", "improved"} <= set(variants):
             raise ConfigurationError(
                 "a report holds one run per variant, classic and improved among them; "
                 f"got {variants}"
             )
-        self.dataset, self.candidate_strategy, self.runs = dataset, candidate_strategy, runs
-        self.min_support, self.min_support_count = min_support, min_support_count
+        settings = {
+            (repr(result.min_support), result.min_support_count, result.candidate_strategy)
+            for result, _ in runs
+        }
+        if len(settings) > 1:
+            raise ContractViolationError(
+                f"the runs on {dataset} differ in min_support, support floor or candidate strategy"
+            )
+        first = runs[0][0]
+        for result, _ in runs[1:]:
+            if result.levels != first.levels:
+                raise ContractViolationError(
+                    f"variant {result.variant!r} found other itemsets than {first.variant!r} "
+                    f"on {dataset}"
+                )
+        self.dataset, self.candidate_strategy = dataset, first.candidate_strategy
+        self.min_support, self.min_support_count = first.min_support, first.min_support_count
+        self.runs = tuple(VariantRun(result.variant, result.ledger, wall) for result, wall in runs)
 
     def run(self, variant: str) -> VariantRun:
         """The run of `variant`."""
@@ -229,42 +246,32 @@ def mine_report(
 
 
 def rules_report(
-    db: TransactionDb,
-    label: str,
-    result: MiningResult,
-    found: Sequence[AssociationRule],
-    min_confidence: float,
-    format: str = "human",
+    db: TransactionDb, label: str, table: RuleTable, format: str = "human"
 ) -> Iterator[str]:
-    """Chunks of the `rules` report: the rules `found` in `result` at `min_confidence`.
+    """Chunks of the `rules` report of `table`: its rules, under the header of
+    the result they were split from and the min_confidence they were kept at.
 
-    `found` is the RuleTable of `generate_rules`, trusted by its type, or a
-    sequence (sized and re-iterable, unlike an iterator) of `AssociationRule`
-    records only, each checked. Each distinct side and confidence is rendered
-    once, so confidences that compare equal print alike: in a caller-built
-    list, the first of 0.0 and -0.0 sets the text of both.
+    `table` is the RuleTable of `generate_rules`, that type exactly: anything
+    else, a list of records or a table's copy among them, raises
+    ContractViolationError. Each distinct side and confidence is rendered once.
     """
-    min_confidence = check_threshold(min_confidence, confidence=True)
-    if type(found) is not RuleTable and not (
-        isinstance(found, Sequence) and set(map(type, found)) <= {AssociationRule}
-    ):
-        raise ContractViolationError(
-            "rules to report must be a sequence of AssociationRule records"
-        )
+    if type(table) is not RuleTable:
+        raise ContractViolationError("rules to report must be the RuleTable of generate_rules")
+    result, min_confidence = table.result, table.min_confidence
     if _is_machine(format):
         json_tokens = _ItemTexts(map(json.dumps, db.tokens))
         yield from json_report(
             "rules",
             {**_mining_fields(db, label, result), "min_confidence": min_confidence},
             levels=_levels_json(result, json_tokens),
-            rules=_rules_json(found, json_tokens),
+            rules=_rules_json(table, json_tokens),
         )
         return
     yield _header(db, label, result, f"min_confidence: {format_threshold(min_confidence)}")
-    yield f"{len(found)} rules\n"
+    yield f"{len(table)} rules\n"
     side = _side_text(_ItemTexts(db.tokens), ", ")
     confidence_text = _Memo("{:.2f}".format)
-    for antecedent, consequent, support, confidence in found:
+    for antecedent, consequent, support, confidence in table:
         yield (
             f"{side[antecedent]} => {side[consequent]} "
             f"(support {support}, confidence {confidence_text[confidence]})\n"
@@ -384,15 +391,15 @@ def _levels_json(result: MiningResult, json_tokens: Mapping[int, str]) -> Iterat
     yield "\n  ]"
 
 
-def _rules_json(found: Sequence[AssociationRule], json_tokens: Mapping[int, str]) -> Iterator[str]:
+def _rules_json(table: RuleTable, json_tokens: Mapping[int, str]) -> Iterator[str]:
     """The `rules` member: antecedent, confidence, consequent, support."""
-    if not found:
+    if not table:
         yield "[]"
         return
     side = _side_text(json_tokens, _RULE_ITEM_SEP)
     confidence_text = _Memo(repr)
     opening = "[\n"
-    for antecedent, consequent, support, confidence in found:
+    for antecedent, consequent, support, confidence in table:
         yield (
             f'{opening}    {{\n      "antecedent": [\n        {side[antecedent]}\n      ],\n'
             f'      "confidence": {confidence_text[confidence]},\n'

@@ -109,7 +109,12 @@ class MiningResult:
         self, levels: dict[int, dict[Itemset, int]], ledger: ScanLedger, min_support: int | float,
         min_support_count: int, variant: str, candidate_strategy: str,
     ):
-        min_support, min_support_count = check_support_floor(min_support, min_support_count)
+        min_support = check_threshold(min_support)
+        min_support_count = plain_int(min_support_count, "min_support_count")
+        if min_support_count < 1:
+            raise ConfigurationError(
+                f"min_support_count must be at least 1, got {min_support_count}"
+            )
         keys = [plain_int(k, "level", ContractViolationError) for k in levels]
         if sorted(keys) != list(range(1, len(keys) + 1)):
             raise ContractViolationError("levels must be contiguous from 1")
@@ -287,16 +292,6 @@ def check_threshold(value: int | float, confidence: bool = False) -> int | float
     if not 0.0 < value <= 1.0:
         raise ConfigurationError(f"fractional {name} must lie in (0, 1], got {value}")
     return float(value)
-
-
-def check_support_floor(min_support: int | float, count: int) -> tuple[int | float, int]:
-    """A record's `min_support`, under `check_threshold`, and its support floor
-    `count`, a plain int of at least 1; anything else raises ConfigurationError."""
-    min_support = check_threshold(min_support)
-    count = plain_int(count, "min_support_count")
-    if count < 1:
-        raise ConfigurationError(f"min_support_count must be at least 1, got {count}")
-    return min_support, count
 
 
 def resolve_min_support(min_support: int | float, num_transactions: int) -> int:

@@ -73,18 +73,21 @@ class RuleTable:
     rule as three indices into them in one `array("I")`: its itemset,
     antecedent and consequent, 12 bytes a rule. Indexing and iteration build
     each record on the fly, its confidence the float support / support of the
-    antecedent. A table equals a list or table of equal records, and copies
-    and pickles are lists of records, rebuilt through their checks.
+    antecedent. It keeps `result` and `min_confidence` (a plain float under
+    `check_threshold`) for its report. A table equals a list or table of equal
+    records, and copies and pickles are lists of records, rebuilt through
+    their checks.
     """
 
-    __slots__ = ("_itemsets", "_supports", "_rows")
+    __slots__ = ("result", "min_confidence", "_itemsets", "_supports", "_rows")
 
     def __init__(self, result: MiningResult, min_confidence: float):
         # Imported here so that jobs that make no rules never load this
         # extension module, about 50 KB of resident memory.
         from array import array
 
-        threshold = Fraction(str(check_threshold(min_confidence, confidence=True)))
+        self.result, self.min_confidence = result, check_threshold(min_confidence, confidence=True)
+        threshold = Fraction(str(self.min_confidence))
         num, den = threshold.numerator, threshold.denominator
         levels = result.levels.values()
         self._itemsets = itemsets = [itemset for level in levels for itemset in level]

@@ -425,7 +425,7 @@ def test_writing_many_rules_holds_little_beyond_the_rules(monkeypatch):
         tracemalloc.reset_peak()
         with open(os.devnull, "w", encoding="utf-8") as sink:
             monkeypatch.setattr(sys, "stdout", sink)
-            cli._write(metrics.rules_report(db, "g", result, found, 0.5, "machine"))
+            cli._write(metrics.rules_report(db, "g", found, "machine"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -23,7 +23,7 @@ from tidmine.metrics import (
     rules_report,
 )
 from tidmine.mining import VARIANTS, MiningResult, run_apriori
-from tidmine.rules import AssociationRule, generate_rules
+from tidmine.rules import generate_rules
 
 # Frozen reference timings and their reduction rates: one sweep over
 # transaction counts, one over support thresholds.
@@ -134,7 +134,7 @@ def test_ledger_equality():
 def test_ledger_holds_plain_ints_from_numpy_integers():
     ledger = ScanLedger({1: np.int64(3)})
     assert [type(n) for n in (*ledger.per_level, ledger.total)] == [int, int]
-    report = _report([VariantRun("classic", ledger, None), VariantRun("improved", ledger, None)])
+    report = _report([_run("classic", ledger), _run("improved", ledger)])
     variants = json.loads(render_report(report, "machine"))["variants"]
     assert variants[0]["per_level_scans"] == {"1": 3}
 
@@ -171,18 +171,33 @@ def test_median_seconds_refuses_negative_repetitions():
     assert calls == []
 
 
+@pytest.mark.parametrize("repetitions", [True, 2.5, "3", None])
+def test_median_seconds_refuses_repetitions_that_are_not_an_integer(repetitions):
+    # True timed one run; 2.5 and "3" raised a bare TypeError from `range`
+    # or `<`.
+    calls = []
+    with pytest.raises(ConfigurationError, match="repetitions"):
+        median_seconds(lambda: calls.append(1), repetitions)
+    assert calls == []
+    assert median_seconds(lambda: calls.append(1), np.int64(2))[1] >= 0
+    assert len(calls) == 2
+
+
 def test_run_timing_validation():
     # A time that is not finite would render as NaN or Infinity, not JSON; a
     # bool would render as true.
     for wall in (-0.1, float("nan"), float("inf"), float("-inf"), True, "1", 10**400):
         with pytest.raises(ConfigurationError):
             VariantRun("classic", ScanLedger(), wall)
+        with pytest.raises(ConfigurationError, match="wall_seconds"):
+            _report([_run("classic", wall=wall), _run("improved")])
 
 
 def test_run_timing_is_held_as_a_plain_float():
     run = VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), np.float32(0.5))
     assert type(run.wall_seconds) is float
-    report = _report([run, VariantRun("improved", ScanLedger(GOLDEN_IMPROVED), 0.25)])
+    report = _report([_run("classic", wall=np.float32(0.5)), _run("improved", wall=0.25)])
+    assert type(report.run("classic").wall_seconds) is float
     assert json.loads(render_report(report, "machine"))["variants"][0]["wall_seconds"] == 0.5
 
 
@@ -190,25 +205,23 @@ def test_run_timing_is_held_as_a_plain_float():
 
 GOLDEN_CLASSIC = {1: 45, 2: 54, 3: 36}
 GOLDEN_IMPROVED = {1: 45, 2: 25, 3: 14}
+GOLDEN_LEDGERS = {"classic": GOLDEN_CLASSIC, "improved": GOLDEN_IMPROVED}
+
+
+def _run(variant, ledger=None, wall=None, min_support=3, count=3, strategy="combinations"):
+    """A `(MiningResult, wall_seconds)` pair of `variant`, as `median_seconds`
+    returns it: a hand-built result with no itemsets and, unless `ledger` is
+    given, the golden ledger of its variant."""
+    ledger = ScanLedger(GOLDEN_LEDGERS[variant]) if ledger is None else ledger
+    return MiningResult({}, ledger, min_support, count, variant, strategy), wall
 
 
 def _report(runs):
-    return ComparisonReport(
-        dataset="golden.txt",
-        min_support=3,
-        min_support_count=3,
-        candidate_strategy="combinations",
-        runs=tuple(runs),
-    )
+    return ComparisonReport("golden.txt", runs)
 
 
 def _golden_report(classic_wall=None, improved_wall=None):
-    return _report(
-        [
-            VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), classic_wall),
-            VariantRun("improved", ScanLedger(GOLDEN_IMPROVED), improved_wall),
-        ]
-    )
+    return _report([_run("classic", wall=classic_wall), _run("improved", wall=improved_wall)])
 
 
 def test_human_report_has_sum_row():
@@ -222,10 +235,7 @@ def test_human_report_has_sum_row():
 
 def test_identical_runs_reduce_zero():
     report = _report(
-        [
-            VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), 1.5),
-            VariantRun("improved", ScanLedger(GOLDEN_CLASSIC), 1.5),
-        ]
+        [_run("classic", wall=1.5), _run("improved", ScanLedger(GOLDEN_CLASSIC), 1.5)]
     )
     assert report.reduction_rate_percent == 0.0
     assert report.scan_reduction_percent == 0.0
@@ -274,22 +284,15 @@ def test_numpy_scalar_thresholds_give_the_same_reports(golden_db, format, plain,
     assert "".join(mine_report(golden_db, "golden", got, format)) == "".join(
         mine_report(golden_db, "golden", want, format)
     )
-    confidence = np.float64(0.6)
-    found = generate_rules(got, confidence)
-    assert found == generate_rules(want, 0.6)
-    assert "".join(rules_report(golden_db, "golden", got, found, confidence, format)) == "".join(
-        rules_report(golden_db, "golden", want, found, 0.6, format)
+    found = generate_rules(got, np.float64(0.6))
+    assert found == generate_rules(want, 0.6) and type(found.min_confidence) is float
+    assert "".join(rules_report(golden_db, "golden", found, format)) == "".join(
+        rules_report(golden_db, "golden", generate_rules(want, 0.6), format)
     )
 
 
 def test_hand_built_report_with_a_numpy_count_renders_plain():
-    report = ComparisonReport(
-        dataset="golden.txt",
-        min_support=np.int64(3),
-        min_support_count=3,
-        candidate_strategy="combinations",
-        runs=_golden_report().runs,
-    )
+    report = _report([_run(v, min_support=np.int64(3)) for v in VARIANTS])
     assert type(report.min_support) is int
     assert json.loads(render_report(report, "machine"))["min_support"] == 3
     for format in FORMATS:
@@ -298,7 +301,7 @@ def test_hand_built_report_with_a_numpy_count_renders_plain():
 
 @pytest.mark.parametrize("format", FORMATS)
 def test_hand_built_report_holds_a_plain_support_count(format):
-    report = ComparisonReport("golden.txt", 3, np.int64(3), "combinations", _golden_report().runs)
+    report = _report([_run(v, count=np.int64(3)) for v in VARIANTS])
     assert type(report.min_support_count) is int
     assert render_report(report, format) == render_report(_golden_report(), format)
 
@@ -313,6 +316,10 @@ def test_hand_built_mining_result_with_numpy_numbers_renders_plain(golden_db, fo
     assert "".join(mine_report(golden_db, "golden", got, format)) == "".join(
         mine_report(golden_db, "golden", want, format)
     )
+    # The supports a rule reads come from the result, kept plain.
+    assert "".join(rules_report(golden_db, "golden", generate_rules(got, 0.6), format)) == "".join(
+        rules_report(golden_db, "golden", generate_rules(want, 0.6), format)
+    )
 
 
 @pytest.mark.parametrize("count", [True, 2.5, 0, "3", None])
@@ -320,16 +327,16 @@ def test_records_refuse_a_support_count_that_is_not_a_plain_count(golden_db, cou
     result = run_apriori(golden_db, 3)
     with pytest.raises(ConfigurationError, match="min_support_count"):
         MiningResult(result.levels, result.ledger, 3, count, "improved", "join")
-    with pytest.raises(ConfigurationError, match="min_support_count"):
-        ComparisonReport("golden.txt", 3, count, "combinations", _golden_report().runs)
 
 
 @pytest.mark.parametrize("bad", [np.float32(0.6), True, Fraction(1, 3), "0.5", 0, 1.5])
 @pytest.mark.parametrize("format", FORMATS)
 def test_rules_report_refuses_a_confidence_that_is_not_a_plain_fraction(golden_db, format, bad):
+    # A report reads its min_confidence from its table, whose constructor is
+    # where the threshold is checked, so no report can be made with it.
     result = run_apriori(golden_db, 3)
     with pytest.raises(ConfigurationError, match="min_confidence"):
-        next(rules_report(golden_db, "golden", result, [], bad, format))
+        "".join(rules_report(golden_db, "golden", generate_rules(result, bad), format))
 
 
 @pytest.mark.parametrize("one", [1, np.int64(1)])
@@ -338,9 +345,9 @@ def test_an_integral_confidence_of_one_reports_as_a_float(golden_db, format, one
     # As `--min-confidence 1` does: the header or member reads 1.0, not 1.
     result = run_apriori(golden_db, 3)
     found = generate_rules(result, one)
-    assert found == generate_rules(result, 1.0)
-    assert "".join(rules_report(golden_db, "golden", result, found, one, format)) == "".join(
-        rules_report(golden_db, "golden", result, found, 1.0, format)
+    assert found == generate_rules(result, 1.0) and found.min_confidence == 1.0
+    assert "".join(rules_report(golden_db, "golden", found, format)) == "".join(
+        rules_report(golden_db, "golden", generate_rules(result, 1.0), format)
     )
 
 
@@ -353,10 +360,10 @@ def test_reports_refuse_item_ids_outside_the_database(format):
         result = MiningResult({1: {(item,): 2}}, ScanLedger(), 2, 2, "improved", "join")
         with pytest.raises(ContractViolationError, match=f"item id {item} "):
             "".join(mine_report(db, "x", result, format))
-    result = MiningResult({1: {(0,): 2, (1,): 2}}, ScanLedger(), 2, 2, "improved", "join")
-    rule = AssociationRule((0,), (2,), 1, 0.5)
+    levels = {1: {(0,): 2, (2,): 2}, 2: {(0, 2): 1}}
+    result = MiningResult(levels, ScanLedger(), 1, 1, "improved", "join")
     with pytest.raises(ContractViolationError, match="item id 2 "):
-        "".join(rules_report(db, "x", result, [rule], 0.5, format))
+        "".join(rules_report(db, "x", generate_rules(result, 0.5), format))
 
 
 @pytest.mark.parametrize("output", ["human", "machine", "text"])
@@ -375,24 +382,26 @@ def test_a_database_refuses_a_token_that_is_not_a_string(output):
 @pytest.mark.parametrize("format", FORMATS)
 def test_rules_report_refuses_entries_that_are_not_rule_records(golden_db, format):
     # A plain tuple skips the record's checks: its numpy numbers printed as
-    # `np.int64(4)`, which is not JSON.
-    result = run_apriori(golden_db, 3)
-    found = [*generate_rules(result, 0.6), ((0,), (1,), np.int64(4), np.float64(0.5))]
-    with pytest.raises(ContractViolationError, match="AssociationRule"):
-        next(rules_report(golden_db, "golden", result, found, 0.6, format))
+    # `np.int64(4)`, which is not JSON. A list of records, a table's copy
+    # among them, has no result or threshold to head the report with.
+    table = generate_rules(run_apriori(golden_db, 3), 0.6)
+    for found in ([*table, ((0,), (1,), np.int64(4), np.float64(0.5))], list(table)):
+        with pytest.raises(ContractViolationError, match="RuleTable"):
+            next(rules_report(golden_db, "golden", found, format))
 
 
 @pytest.mark.parametrize("one_shot", [iter, lambda found: (rule for rule in found), set])
 @pytest.mark.parametrize("format", FORMATS)
 def test_rules_report_refuses_rules_that_are_not_a_sequence(golden_db, format, one_shot):
-    # The record check used up an iterator: machine `rules` then wrote
+    # A record check once used up an iterator: machine `rules` then wrote
     # `"rules": \n  ]`, which is not JSON, and human `rules` raised a bare
     # TypeError from `len`. A set has no order to report in.
-    result = run_apriori(golden_db, 3)
-    found = one_shot(list(generate_rules(result, 0.6)))
-    with pytest.raises(ContractViolationError, match="sequence of AssociationRule"):
-        next(rules_report(golden_db, "golden", result, found, 0.6, format))
-    assert "".join(rules_report(golden_db, "golden", result, (), 0.6, format))
+    found = one_shot(generate_rules(run_apriori(golden_db, 3), 0.6))
+    with pytest.raises(ContractViolationError, match="RuleTable"):
+        next(rules_report(golden_db, "golden", found, format))
+    # A table without rules still reports its header and levels.
+    empty = generate_rules(run_apriori(golden_db, 6), 0.6)
+    assert len(empty) == 0 and "".join(rules_report(golden_db, "golden", empty, format))
 
 
 def test_render_rejects_unknown_format(golden_db):
@@ -401,7 +410,7 @@ def test_render_rejects_unknown_format(golden_db):
     result = run_apriori(golden_db, 3)
     for chunks in (
         mine_report(golden_db, "golden", result, "yaml"),
-        rules_report(golden_db, "golden", result, [], 0.5, "yaml"),
+        rules_report(golden_db, "golden", generate_rules(result, 0.5), "yaml"),
         bench_report([_golden_report(1.0, 0.5)], 1, "yaml"),
     ):
         with pytest.raises(ConfigurationError):
@@ -425,9 +434,7 @@ def test_bench_report_refuses_no_reports_or_an_untimed_run(reports, format):
 
 
 def _timed_report(min_support=3, strategy="combinations", variants=VARIANTS):
-    ledgers = {"classic": GOLDEN_CLASSIC, "improved": GOLDEN_IMPROVED}
-    runs = tuple(VariantRun(v, ScanLedger(ledgers[v]), 1.0) for v in variants)
-    return ComparisonReport("golden.txt", min_support, 3, strategy, runs)
+    return _report([_run(v, None, 1.0, min_support, strategy=strategy) for v in variants])
 
 
 @pytest.mark.parametrize("format", FORMATS)
@@ -453,9 +460,9 @@ def test_report_renders_every_run_and_rates_by_name():
     # compare `classic` with `improved`, wherever those runs sit in the list.
     report = _report(
         [
-            VariantRun("improved", ScanLedger(GOLDEN_IMPROVED), 1.0),
-            VariantRun("bitset", ScanLedger({1: 45}), 0.5),
-            VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), 4.0),
+            _run("improved", wall=1.0),
+            _run("bitset", ScanLedger({1: 45}), 0.5),
+            _run("classic", wall=4.0),
         ]
     )
     assert report.run("classic").wall_seconds == 4.0
@@ -472,7 +479,7 @@ def test_report_renders_every_run_and_rates_by_name():
 
 def test_report_needs_both_paper_variants_for_rates():
     with pytest.raises(ConfigurationError):
-        _report([VariantRun("classic", ScanLedger(GOLDEN_CLASSIC), None)])
+        _report([_run("classic")])
     with pytest.raises(ContractViolationError):
         _golden_report().run("bitset")
 
@@ -483,6 +490,38 @@ def test_report_needs_both_paper_variants_for_rates():
     ids=["no-classic", "classic-twice", "no-improved", "none"],
 )
 def test_report_refuses_runs_without_one_of_each_paper_variant(variants):
-    runs = [VariantRun(v, ScanLedger(GOLDEN_CLASSIC), None) for v in variants]
+    runs = [_run(v, ScanLedger(GOLDEN_CLASSIC)) for v in variants]
     with pytest.raises(ConfigurationError):
         _report(runs)
+
+
+@pytest.mark.parametrize(
+    "first, other",
+    [({"min_support": 1}, {"min_support": 1.0}), ({}, {"count": 4}), ({}, {"strategy": "join"})],
+    ids=["count-or-fraction", "support-floor", "strategy"],
+)
+def test_report_refuses_runs_at_other_settings_than_the_first(first, other):
+    # The report's header comes from the first run; repr tells the count 1
+    # from the fraction 1.0.
+    with pytest.raises(ContractViolationError, match="differ in min_support"):
+        _report([_run("classic", **first), _run("improved", **other)])
+
+
+def test_report_refuses_runs_that_find_other_itemsets():
+    # The report keeps only ledgers and times, so a kernel that miscounts
+    # must stop the report rather than pass unseen.
+    runs = [
+        (MiningResult({1: {(0,): n}}, ScanLedger(), 3, 3, variant, "join"), None)
+        for variant, n in (("classic", 3), ("improved", 4))
+    ]
+    with pytest.raises(ContractViolationError, match="'improved' found other itemsets than"):
+        _report(runs)
+
+
+def test_report_keeps_the_runs_ledgers_and_times_not_their_results():
+    report = _timed_report()
+    assert [type(run) for run in report.runs] == [VariantRun, VariantRun]
+    assert (report.min_support, report.min_support_count, report.candidate_strategy) == (
+        3, 3, "combinations"
+    )
+    assert report.run("improved").ledger == ScanLedger(GOLDEN_IMPROVED)

@@ -308,9 +308,16 @@ def _machine_reports(db, min_support, min_confidence, variant, label="corpus \"1
         _reference_text(_reference_payload(result, db, label)),
     )
     rules = (
-        _captured(metrics.rules_report(db, label, result, found, min_confidence, "machine")),
+        _captured(metrics.rules_report(db, label, found, "machine")),
         _reference_text(_reference_rules_payload(result, found, min_confidence, db, label)),
     )
+    # The report's header comes from the table, so every rule it lists was
+    # kept at its min_confidence and split from one of its itemsets.
+    payload = json.loads(rules[0])
+    itemsets = {frozenset(s["items"]) for level in payload["levels"] for s in level["itemsets"]}
+    for rule in payload["rules"]:
+        assert rule["confidence"] >= payload["min_confidence"]
+        assert frozenset(rule["antecedent"] + rule["consequent"]) in itemsets
     return mine, rules
 
 
