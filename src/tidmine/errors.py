@@ -58,7 +58,7 @@ def plain_ids(values, name: str, end=None, error=ConfigurationError) -> tuple[in
     """`values` as strictly increasing `operator.index` ids in [0, end), else raise
     `error`. A bool reads as its int; a tuple of plain ints comes back uncopied."""
     ids = values
-    if type(ids) is not tuple or not set(map(type, ids)) <= {int}:
+    if type(ids) is not tuple or not {int}.issuperset(map(type, ids)):
         try:
             ids = tuple(map(operator.index, values))
         except TypeError:

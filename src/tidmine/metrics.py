@@ -10,7 +10,7 @@ import math
 import time
 from collections.abc import Sequence
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .dataset import TransactionDb
 from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
@@ -95,7 +95,8 @@ class VariantRun:
 
 class ComparisonReport:
     """Runs of several counting variants on one database, built from each one's
-    `(MiningResult, wall_seconds)` pair, as `median_seconds` returns it.
+    `(MiningResult, wall_seconds)` pair, as `median_seconds` returns it; any
+    other entry raises ContractViolationError.
 
     The runs name each variant at most once, `classic` and `improved` always:
     the paper's two rates compare those two. Runs that differ in min_support
@@ -106,7 +107,14 @@ class ComparisonReport:
 
     __slots__ = ("dataset", "min_support", "min_support_count", "candidate_strategy", "runs")
 
-    def __init__(self, dataset: str, runs: Sequence[tuple[MiningResult, float | None]]):
+    def __init__(self, dataset: str, runs: Iterable[tuple[MiningResult, float | None]]):
+        runs = tuple(runs)
+        for position, run in enumerate(runs):
+            if type(run) is not tuple or len(run) != 2 or not isinstance(run[0], MiningResult):
+                got = [type(x).__name__ for x in run] if type(run) is tuple else type(run).__name__
+                raise ContractViolationError(
+                    f"run {position} must be a (MiningResult, wall_seconds) pair, got {got}"
+                )
         variants = [result.variant for result, _ in runs]
         if len(set(variants)) < len(variants) or not {"classic", "improved"} <= set(variants):
             raise ConfigurationError(
@@ -160,11 +168,6 @@ class ComparisonReport:
         return sorted({k for run in self.runs for k in run.ledger.per_level})
 
 
-def format_threshold(value: int | float) -> str:
-    """Display form of a plain threshold: floats by repr, counts as integers."""
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def format_percent(value: float | None) -> str:
     """Display form of a rate: two decimals and a percent sign, or n/a."""
     return "n/a" if value is None else f"{round_percent(value):.2f}%"
@@ -179,7 +182,7 @@ def _is_machine(format: str) -> bool:
 def _min_support_line(source: MiningResult | ComparisonReport, settings: str) -> str:
     """The `min_support:` line of a `mine`, `rules` or `compare` report; `settings` ends it."""
     return (
-        f"min_support: {format_threshold(source.min_support)} "
+        f"min_support: {source.min_support!r} "
         f"(count {source.min_support_count})  {settings}"
     )
 
@@ -222,8 +225,10 @@ def mine_report(
     db: TransactionDb, label: str, result: MiningResult, format: str = "human"
 ) -> Iterator[str]:
     """Chunks of the `mine` report of `result`, mined from `db` named `label`."""
-    if _is_machine(format):
-        json_tokens = _ItemTexts(map(json.dumps, db.tokens))
+    machine = _is_machine(format)
+    _check_item_ids(db, result)
+    if machine:
+        json_tokens = tuple(map(json.dumps, db.tokens))
         yield from json_report(
             "mine", _mining_fields(db, label, result), levels=_levels_json(result, json_tokens)
         )
@@ -232,7 +237,7 @@ def mine_report(
         db, label, result, f"variant: {result.variant}  candidates: {result.candidate_strategy}"
     )
     yield "\n"
-    token = _ItemTexts(db.tokens).__getitem__
+    token = db.tokens.__getitem__
     for k in sorted(result.levels):
         level = result.levels[k]
         yield f"L{k}: {len(level)} itemsets\n"
@@ -258,8 +263,10 @@ def rules_report(
     if type(table) is not RuleTable:
         raise ContractViolationError("rules to report must be the RuleTable of generate_rules")
     result, min_confidence = table.result, table.min_confidence
-    if _is_machine(format):
-        json_tokens = _ItemTexts(map(json.dumps, db.tokens))
+    machine = _is_machine(format)
+    _check_item_ids(db, result)
+    if machine:
+        json_tokens = tuple(map(json.dumps, db.tokens))
         yield from json_report(
             "rules",
             {**_mining_fields(db, label, result), "min_confidence": min_confidence},
@@ -267,9 +274,9 @@ def rules_report(
             rules=_rules_json(table, json_tokens),
         )
         return
-    yield _header(db, label, result, f"min_confidence: {format_threshold(min_confidence)}")
+    yield _header(db, label, result, f"min_confidence: {min_confidence!r}")
     yield f"{len(table)} rules\n"
-    side = _side_text(_ItemTexts(db.tokens), ", ")
+    side = _side_text(db.tokens, ", ")
     confidence_text = _Memo("{:.2f}".format)
     for antecedent, consequent, support, confidence in table:
         yield (
@@ -284,10 +291,14 @@ def bench_report(
     """Chunks of the `bench` report: one row per `compare` report, and the means.
 
     The reports, at least one, share one min_support, candidate strategy and
-    variant order, and every run is timed. A rate is None when its classic run
+    variant order, and every run is timed, over `repetitions`, a plain integer
+    of at least 1, else ConfigurationError. A rate is None when its classic run
     took no measurable time or did no scans; each mean covers the rates that
     exist, and is None when none does.
     """
+    repetitions = plain_int(repetitions, "repetitions")
+    if repetitions < 1:
+        raise ConfigurationError(f"repetitions must be at least 1, got {repetitions}")
     if not reports:
         raise ConfigurationError("a bench report needs at least one comparison")
     if any(run.wall_seconds is None for report in reports for run in report.runs):
@@ -321,7 +332,7 @@ def bench_report(
         return
     width = max(len("dataset"), max(len(r.dataset) for r in reports)) + 2
     yield (
-        f"min_support: {format_threshold(first.min_support)}  "
+        f"min_support: {first.min_support!r}  "
         f"candidates: {first.candidate_strategy}  reps: {repetitions}\n\n"
     )
     yield (
@@ -354,6 +365,16 @@ def _header(db: TransactionDb, label: str, result: MiningResult, settings: str) 
     )
 
 
+def _check_item_ids(db: TransactionDb, result: MiningResult) -> None:
+    """Refuse an itemset of `result`, rule sides included, naming an item outside
+    `db`; a MiningResult's itemsets strictly increase, so the last id is the largest."""
+    top = max((itemset[-1] for level in result.levels.values() for itemset in level), default=-1)
+    if top >= db.num_items:
+        raise ContractViolationError(
+            f"item id {top} is outside the database's {db.num_items} items"
+        )
+
+
 def _mining_fields(db: TransactionDb, label: str, result: MiningResult) -> dict:
     """The members a machine `mine` or `rules` report holds besides its lists."""
     return {
@@ -369,7 +390,7 @@ def _mining_fields(db: TransactionDb, label: str, result: MiningResult) -> dict:
     }
 
 
-def _levels_json(result: MiningResult, json_tokens: Mapping[int, str]) -> Iterator[str]:
+def _levels_json(result: MiningResult, json_tokens: Sequence[str]) -> Iterator[str]:
     """The `levels` member: one entry per level, holding `itemsets[]`."""
     if not result.levels:
         yield "[]"
@@ -391,7 +412,7 @@ def _levels_json(result: MiningResult, json_tokens: Mapping[int, str]) -> Iterat
     yield "\n  ]"
 
 
-def _rules_json(table: RuleTable, json_tokens: Mapping[int, str]) -> Iterator[str]:
+def _rules_json(table: RuleTable, json_tokens: Sequence[str]) -> Iterator[str]:
     """The `rules` member: antecedent, confidence, consequent, support."""
     if not table:
         yield "[]"
@@ -408,19 +429,6 @@ def _rules_json(table: RuleTable, json_tokens: Mapping[int, str]) -> Iterator[st
         )
         opening = ",\n"
     yield "\n  ]"
-
-
-class _ItemTexts(dict):
-    """`texts[i]` of each item id `i`. An id outside `texts` raises
-    ContractViolationError; indexing `texts` would wrap a negative id."""
-
-    __slots__ = ()
-
-    def __init__(self, texts: Iterable[str]):
-        super().__init__(enumerate(texts))
-
-    def __missing__(self, item):
-        raise ContractViolationError(f"item id {item!r} is outside the database's {len(self)} items")
 
 
 class _Memo(dict):
@@ -441,7 +449,7 @@ class _Memo(dict):
         return text
 
 
-def _side_text(tokens: Mapping[int, str], sep: str) -> _Memo:
+def _side_text(tokens: Sequence[str], sep: str) -> _Memo:
     """Memo of the text of each rule side: its items' `tokens` joined by `sep`."""
     token = tokens.__getitem__
     return _Memo(lambda side: sep.join(map(token, side)))

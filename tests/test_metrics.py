@@ -354,16 +354,24 @@ def test_an_integral_confidence_of_one_reports_as_a_float(golden_db, format, one
 @pytest.mark.parametrize("format", FORMATS)
 def test_reports_refuse_item_ids_outside_the_database(format):
     # Indexing the token table raised a bare IndexError for 7. A negative id,
-    # which printed the last token, is refused by MiningResult itself.
+    # which printed the last token, is refused by MiningResult itself. Each
+    # report refuses at its first chunk: every kind wrote part of itself
+    # first, and human `rules` printed an id that no rule names.
     db = TransactionDb([(0,), (0, 1), (1,)], ["A", "B"])
     for item in (7, 2):
         result = MiningResult({1: {(item,): 2}}, ScanLedger(), 2, 2, "improved", "join")
+        outside = f"item id {item} is outside the database's 2 items"
+        with pytest.raises(ContractViolationError, match=outside):
+            next(mine_report(db, "x", result, format))
+        # The table has no rules, so no rule names the id.
+        table = generate_rules(result, 0.5)
+        assert len(table) == 0
         with pytest.raises(ContractViolationError, match=f"item id {item} "):
-            "".join(mine_report(db, "x", result, format))
+            next(rules_report(db, "x", table, format))
     levels = {1: {(0,): 2, (2,): 2}, 2: {(0, 2): 1}}
     result = MiningResult(levels, ScanLedger(), 1, 1, "improved", "join")
     with pytest.raises(ContractViolationError, match="item id 2 "):
-        "".join(rules_report(db, "x", generate_rules(result, 0.5), format))
+        next(rules_report(db, "x", generate_rules(result, 0.5), format))
 
 
 @pytest.mark.parametrize("output", ["human", "machine", "text"])
@@ -431,6 +439,21 @@ def test_bench_report_refuses_no_reports_or_an_untimed_run(reports, format):
     chunks = bench_report(reports, 1, format)
     with pytest.raises(ConfigurationError):
         next(chunks)
+
+
+@pytest.mark.parametrize("format", FORMATS)
+@pytest.mark.parametrize("repetitions", [True, 2.5, "3", 0, -1, None])
+def test_bench_report_refuses_repetitions_that_are_not_a_count(repetitions, format):
+    # Each was printed as given: `reps: True`, `"repetitions": true`.
+    chunks = bench_report([_golden_report(1.0, 0.5)], repetitions, format)
+    with pytest.raises(ConfigurationError, match="repetitions must be"):
+        next(chunks)
+
+
+def test_bench_report_prints_a_numpy_repetition_count_plain():
+    text = "".join(bench_report([_golden_report(1.0, 0.5)], np.int64(2), "machine"))
+    assert type(json.loads(text)["repetitions"]) is int
+    assert "reps: 2\n" in "".join(bench_report([_golden_report(1.0, 0.5)], np.int64(2)))
 
 
 def _timed_report(min_support=3, strategy="combinations", variants=VARIANTS):
@@ -516,6 +539,23 @@ def test_report_refuses_runs_that_find_other_itemsets():
     ]
     with pytest.raises(ContractViolationError, match="'improved' found other itemsets than"):
         _report(runs)
+
+
+def test_report_refuses_runs_that_are_not_result_pairs():
+    # Old run records raised a bare AttributeError, and a bare result a
+    # bare TypeError when unpacked.
+    old = [(VariantRun(v, ScanLedger(GOLDEN_LEDGERS[v]), 1.0), 1.0) for v in VARIANTS]
+    with pytest.raises(ContractViolationError, match=r"run 0 .* got \['VariantRun', 'float'\]"):
+        _report(old)
+    with pytest.raises(ContractViolationError, match="run 1 .* got MiningResult"):
+        _report([_run("classic"), _run("improved")[0]])
+
+
+def test_report_takes_any_iterable_of_runs():
+    # An iterator of pairs raised a bare TypeError from `runs[0]`.
+    runs = [_run("classic", wall=2.0), _run("improved", wall=1.0)]
+    for format in FORMATS:
+        assert render_report(_report(iter(runs)), format) == render_report(_report(runs), format)
 
 
 def test_report_keeps_the_runs_ledgers_and_times_not_their_results():

@@ -266,6 +266,8 @@ def test_a_rule_table_is_an_immutable_sequence_of_records(golden_db):
     assert list(table) == records and all(type(r) is AssociationRule for r in table)
     assert [table[i] for i in range(len(table))] == records
     assert [table[-i] for i in range(1, len(table) + 1)] == records[::-1]
+    # Any integer index works, a bool or numpy's included.
+    assert table[True] == records[1] and table[np.int64(-1)] == records[-1]
     for outside in (len(table), -len(table) - 1):
         with pytest.raises(IndexError):
             table[outside]
