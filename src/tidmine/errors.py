@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the plain-number and id rules."""
 
+import itertools
 import numbers
 import operator
 
@@ -68,3 +69,18 @@ def plain_ids(values, name: str, end=None, error=ConfigurationError) -> tuple[in
         bound = "from 0" if end is None else f"within [0, {end})"
         raise error(f"{name} does not strictly increase {bound}")
     return ids
+
+
+def plain_id_rows(rows, name: str, error=ConfigurationError):
+    """The collection `rows` of id tuples, each under `plain_ids`: checked in whole
+    passes, and returned itself, when its rows are tuples of plain ints of one size,
+    else put through `plain_ids` row by row into a new list."""
+    if {tuple}.issuperset(map(type, rows)) and len(sizes := set(map(len, rows))) <= 1:
+        at = [operator.itemgetter(i) for i in range(max(sizes, default=0))]
+        if (
+            {int}.issuperset(map(type, itertools.chain.from_iterable(rows)))
+            and all(all(map(operator.lt, map(a, rows), map(b, rows))) for a, b in zip(at, at[1:]))
+            and (not at or min(map(at[0], rows)) >= 0)
+        ):
+            return rows
+    return [plain_ids(row, name, error=error) for row in rows]

@@ -5,12 +5,13 @@ Each report kind has one entry, which takes a `format` from FORMATS. The
 check the format when first iterated; `render_report` returns one string.
 """
 
+import functools
 import json
 import math
 import time
 from collections.abc import Sequence
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .dataset import TransactionDb
 from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
@@ -258,7 +259,9 @@ def rules_report(
 
     `table` is the RuleTable of `generate_rules`, that type exactly: anything
     else, a list of records or a table's copy among them, raises
-    ContractViolationError. Each distinct side and confidence is rendered once.
+    ContractViolationError. Rules are rendered from the table's columns: each
+    itemset's text once, and each (support, antecedent support) pair's
+    confidence once.
     """
     if type(table) is not RuleTable:
         raise ContractViolationError("rules to report must be the RuleTable of generate_rules")
@@ -276,12 +279,12 @@ def rules_report(
         return
     yield _header(db, label, result, f"min_confidence: {min_confidence!r}")
     yield f"{len(table)} rules\n"
-    side = _side_text(db.tokens, ", ")
-    confidence_text = _Memo("{:.2f}".format)
-    for antecedent, consequent, support, confidence in table:
+    side, supports, rows, confidence = _rule_texts(table, db.tokens, ", ", "{:.2f}".format)
+    for whole, antecedent, consequent in zip(rows, rows, rows):
+        support = supports[whole]
         yield (
-            f"{side[antecedent]} => {side[consequent]} "
-            f"(support {support}, confidence {confidence_text[confidence]})\n"
+            f"{side[antecedent]} => {side[consequent]} (support {support}, "
+            f"confidence {confidence(support, supports[antecedent])})\n"
         )
 
 
@@ -417,13 +420,13 @@ def _rules_json(table: RuleTable, json_tokens: Sequence[str]) -> Iterator[str]:
     if not table:
         yield "[]"
         return
-    side = _side_text(json_tokens, _RULE_ITEM_SEP)
-    confidence_text = _Memo(repr)
+    side, supports, rows, confidence = _rule_texts(table, json_tokens, _RULE_ITEM_SEP, repr)
     opening = "[\n"
-    for antecedent, consequent, support, confidence in table:
+    for whole, antecedent, consequent in zip(rows, rows, rows):
+        support = supports[whole]
         yield (
             f'{opening}    {{\n      "antecedent": [\n        {side[antecedent]}\n      ],\n'
-            f'      "confidence": {confidence_text[confidence]},\n'
+            f'      "confidence": {confidence(support, supports[antecedent])},\n'
             f'      "consequent": [\n        {side[consequent]}\n      ],\n'
             f'      "support": {support!r}\n    }}'
         )
@@ -431,28 +434,15 @@ def _rules_json(table: RuleTable, json_tokens: Sequence[str]) -> Iterator[str]:
     yield "\n  ]"
 
 
-class _Memo(dict):
-    """`render(key)` of each key looked up, rendered on the first lookup only.
-
-    Rules share their side tuples and repeat a few confidences, so a large
-    rule list renders most of its text from memos.
-    """
-
-    __slots__ = ("_render",)
-
-    def __init__(self, render: Callable[[Any], str]):
-        super().__init__()
-        self._render = render
-
-    def __missing__(self, key) -> str:
-        self[key] = text = self._render(key)
-        return text
-
-
-def _side_text(tokens: Sequence[str], sep: str) -> _Memo:
-    """Memo of the text of each rule side: its items' `tokens` joined by `sep`."""
-    token = tokens.__getitem__
-    return _Memo(lambda side: sep.join(map(token, side)))
+def _rule_texts(table: RuleTable, tokens: Sequence[str], sep: str, render: Callable) -> tuple:
+    """The columns of `table` as its rules print: each itemset's `tokens` joined
+    by `sep`, in a list indexed by row; the supports; an iterator over the rows;
+    and the `render`ed confidence of a (support, antecedent support) pair, made
+    once per pair."""
+    itemsets, supports, rows = table.columns
+    confidence = functools.cache(lambda support, antecedent: render(support / antecedent))
+    side = [sep.join(map(tokens.__getitem__, itemset)) for itemset in itemsets]
+    return side, supports, iter(rows), confidence
 
 
 def report_payload(report: ComparisonReport) -> dict:

@@ -14,12 +14,13 @@ with the same members are the same tuple.
 import itertools
 import math
 import numbers
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dataset import TransactionDb
 from .errors import ConfigurationError, ContractViolationError, ResourceLimitError
-from .errors import plain_ids, plain_int
+from .errors import plain_id_rows, plain_int
 from .lanes import L1Index
 
 Itemset = tuple[int, ...]
@@ -124,13 +125,10 @@ class MiningResult:
         # plain; run_apriori's are kept.
         checked = {}
         for k, level in zip(keys, levels.values()):
-            name = f"level-{k} itemset"
-            itemsets = [plain_ids(itemset, name, error=ContractViolationError) for itemset in level]
+            itemsets = plain_id_rows(level, f"level-{k} itemset", ContractViolationError)
             if set(map(len, itemsets)) != {k}:
                 raise ContractViolationError(f"level {k} holds an itemset of another size")
-            if any(ids is not itemset for ids, itemset in zip(itemsets, level)) or any(
-                type(n) is not int for n in level.values()
-            ):
+            if itemsets is not level or not {int}.issuperset(map(type, level.values())):
                 level = {
                     ids: plain_int(n, f"support of {itemset}")
                     for ids, (itemset, n) in zip(itemsets, level.items())
@@ -197,11 +195,13 @@ def generate_candidates_join(prev: Iterable[Itemset]) -> CandidateSet:
     never holds more than the budget and one group. A `prev` itemset that
     `plain_ids` refuses raises ContractViolationError before the join runs.
     """
-    prev = sorted({plain_ids(p, "itemset to join", error=ContractViolationError) for p in prev})
+    prev = plain_id_rows(list(prev), "itemset to join", ContractViolationError)
+    if not all(map(operator.lt, prev, itertools.islice(prev, 1, None))):
+        prev = sorted(set(prev))
     if not prev:
         return CandidateSet(2, ())
     size = len(prev[0])
-    if any(len(p) != size for p in prev):
+    if set(map(len, prev)) != {size}:
         raise ContractViolationError("itemsets to join must all have the same size")
     if size < 1:
         raise ContractViolationError("cannot join empty itemsets")

@@ -82,11 +82,12 @@ class RuleTable:
     The table holds the result's itemsets once, the very tuples in
     `result.levels`, with their supports, and each rule as three indices into
     them in one `array("I")`: its itemset, antecedent and consequent, 12 bytes
-    a rule. Indexing and iteration build each record on the fly, its
-    confidence the float support / support of the antecedent. It keeps
-    `result` and `min_confidence` (a plain float under `check_threshold`) for
-    its report. A table equals a list or table of equal records, and copies
-    and pickles are lists of records, rebuilt through their checks.
+    a rule; `columns` reads these out, immutable. Indexing and iteration
+    build each record on the fly, its confidence the float support / support
+    of the antecedent. It keeps `result` and `min_confidence` (a plain float
+    under `check_threshold`) for its report. A table equals a list or table
+    of equal records, and copies and pickles are lists of records, rebuilt
+    through their checks.
     """
 
     __slots__ = ("result", "min_confidence", "_itemsets", "_supports", "_rows")
@@ -99,45 +100,59 @@ class RuleTable:
         self.result, self.min_confidence = result, check_threshold(min_confidence, confidence=True)
         threshold = Fraction(str(self.min_confidence))
         num, den = threshold.numerator, threshold.denominator
-        levels = result.levels.values()
-        self._itemsets = itemsets = [itemset for level in levels for itemset in level]
-        self._supports = supports = [support for level in levels for support in level.values()]
+        levels = [result.levels[size] for size in sorted(result.levels)]
+        self._itemsets = itemsets = tuple(itertools.chain.from_iterable(levels))
+        self._supports = supports = tuple(
+            itertools.chain.from_iterable(level.values() for level in levels)
+        )
         index = {itemset: i for i, itemset in enumerate(itemsets)}
         self._rows = rows = array("I")
-        extend = rows.extend
         budget = 3 * MAX_RULES
-        for size in sorted(result.levels):
-            if size < 2:
-                continue
+        # Levels run contiguously from size 1, whose itemsets split into no rule.
+        for size, level in enumerate(levels[1:], 2):
             # Sizes, itemsets and antecedents are each visited in canonical
             # order, so rules come out in (size, itemset, antecedent) order
             # without a sort.
-            antecedents, complements, parents = _splits(size)
-            for itemset, support in result.levels[size].items():
+            antecedents_of, consequents_of = _splits(size)
+            parts = range(1, size)
+            for itemset, support in level.items():
                 # Every consequent is the antecedent of another split, so
-                # finding every antecedent first checks downward closure
-                # before any rule of the itemset is kept.
+                # finding every subset first checks downward closure before
+                # any rule of the itemset is kept.
+                subsets = []
                 try:
-                    sides = [index[antecedent_of(itemset)] for antecedent_of in antecedents]
+                    for part in parts:
+                        subsets += map(index.__getitem__, itertools.combinations(itemset, part))
                 except KeyError as missing:
                     raise ContractViolationError(
                         f"support of antecedent {missing.args[0]} missing from the "
                         "mining result; downward closure violated"
                     ) from None
-                # Sizes run upward, so a support bounded by each (size-1)-subset's
-                # is bounded by every subset's: each confidence lies in (0, 1].
-                if not 0 < support <= min([supports[sides[j]] for j in parents]):
+                # Sizes run upward, so a support bounded by each (size-1)-subset's,
+                # the last `size` subsets, is bounded by every subset's: each
+                # confidence lies in (0, 1].
+                if not 0 < support <= min(map(supports.__getitem__, subsets[-size:])):
                     raise ContractViolationError(f"{itemset}: support under 1 or over a subset's")
-                limit = support * den
-                whole = index[itemset]
-                for antecedent, complement in zip(sides, complements):
-                    if num * supports[antecedent] <= limit:
-                        extend((whole, antecedent, sides[complement]))
+                # num * s <= den * support, for the integer support s of an antecedent.
+                cap, whole = support * den // num, index[itemset]
+                kept = []
+                for antecedent, consequent in zip(antecedents_of(subsets), consequents_of(subsets)):
+                    if supports[antecedent] <= cap:
+                        kept += whole, antecedent, consequent
+                rows.extend(kept)
                 if len(rows) > budget:
                     raise ResourceLimitError(
                         f"rule generation passed the budget of {MAX_RULES} rules; "
                         "use a higher min_confidence or min_support"
                     )
+
+    @property
+    def columns(self) -> tuple[tuple[Itemset, ...], tuple[int, ...], memoryview]:
+        """The table as it is held: the result's itemsets, level by level, their
+        supports, and a read-only view of the flat `array("I")` of rules, an
+        (itemset, antecedent, consequent) triple of indices into both per rule,
+        in iteration order."""
+        return self._itemsets, self._supports, memoryview(self._rows).toreadonly()
 
     def __len__(self) -> int:
         return len(self._rows) // 3
@@ -178,27 +193,11 @@ class RuleTable:
 generate_rules = RuleTable
 
 
-def _splits(size: int) -> tuple[list[Callable[[Itemset], Itemset]], list[int], list[int]]:
-    """Antecedent getters of every split of a `size`-itemset into two non-empty
-    parts, in lexicographic order of positions; for each split, the index of the
-    split whose antecedent is its consequent; and the splits whose antecedent has
-    size-1 items. Each getter takes an itemset to its items at those positions."""
-    every = range(size)
-    antecedents = sorted(
-        a_pos for a_size in range(1, size) for a_pos in itertools.combinations(every, a_size)
-    )
-    where = {a_pos: j for j, a_pos in enumerate(antecedents)}
-    return (
-        [_items_at(a_pos) for a_pos in antecedents],
-        [where[tuple(i for i in every if i not in a_pos)] for a_pos in antecedents],
-        [j for j, a_pos in enumerate(antecedents) if len(a_pos) == size - 1],
-    )
-
-
-def _items_at(positions: tuple[int, ...]) -> Callable[[Itemset], Itemset]:
-    """A getter of the items at `positions` (ascending) as a tuple: a slice when
-    they are contiguous, since `itemgetter` of one position returns a bare item."""
-    first, last = positions[0], positions[-1]
-    if last - first + 1 == len(positions):
-        return operator.itemgetter(slice(first, last + 1))
-    return operator.itemgetter(*positions)
+def _splits(size: int) -> tuple[Callable[[list], tuple], Callable[[list], tuple]]:
+    """Getters that take the subsets of a `size`-itemset, listed size by size
+    in `itertools.combinations` order, to the antecedents of its splits into two
+    non-empty parts in lexicographic order, and to each one's consequent. Within
+    that listing, the complement of the subset at j is the one at -1 - j."""
+    positions = [p for part in range(1, size) for p in itertools.combinations(range(size), part)]
+    order = sorted(range(len(positions)), key=positions.__getitem__)
+    return operator.itemgetter(*order), operator.itemgetter(*[-1 - j for j in order])

@@ -412,10 +412,11 @@ def test_many_rules_output_is_pinned(capsys, fmt, digest):
 
 
 def test_writing_many_rules_holds_little_beyond_the_rules(monkeypatch):
-    # The report's memos of side and confidence texts hold about 0.8 MB for
-    # the whole write, and each batch of 512 machine entries about 0.4 MB
-    # more: its chunk list, its joined text and the encoded bytes. Batches of
-    # 4,096 entries raised the peak by 3.9 MB.
+    # The report's side texts, one per frequent itemset in a list indexed by
+    # the table's rows, hold about 0.6 MB for the whole write, and the cache
+    # of its 2,144 confidence texts about 0.2 MB; each batch of 512 machine
+    # entries holds about 0.4 MB more: its chunk list, its joined text and the
+    # encoded bytes. Batches of 4,096 entries raised the peak by 3.9 MB.
     db = generate_synthetic(GeneratorConfig(500, 50, 8, seed=1))
     tracemalloc.start()
     try:

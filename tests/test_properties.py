@@ -357,3 +357,45 @@ def test_machine_writer_edge_cases(
     assert rules[0] == rules[1]
     for fragment in shows:
         assert fragment in rules[0]
+
+
+def _reference_human_rules(db, label, result, records, min_confidence):
+    """The human `rules` report, line by line from the records."""
+    lines = [
+        f"dataset: {label} ({len(db)} transactions, {db.num_items} items)\n",
+        f"min_support: {result.min_support!r} (count {result.min_support_count})  "
+        f"min_confidence: {min_confidence!r}\n",
+        f"{len(records)} rules\n",
+    ]
+    for antecedent, consequent, support, confidence in records:
+        lines.append(
+            f"{', '.join(db.tokens_of(antecedent))} => {', '.join(db.tokens_of(consequent))} "
+            f"(support {support}, confidence {confidence:.2f})\n"
+        )
+    return "".join(lines)
+
+
+@PROPERTY_SETTINGS
+@given(
+    rng=st.randoms(use_true_random=False),
+    min_confidence=st.one_of(
+        st.sampled_from([0.1, 0.5, 2 / 3, 0.7, 1.0]), st.floats(0.001, 1.0)
+    ),
+    data=st.data(),
+)
+def test_both_rules_formats_match_a_reference_built_from_records(rng, min_confidence, data):
+    # Both formats render from the table's columns; the references read only
+    # its records, and the records are the oracle's rules at the threshold.
+    db = _escaped_tokens(random_db(rng, max_items=8))
+    min_support = data.draw(st.integers(1, len(db) + 1), label="min_support")
+    label = "corpus \"1\""
+    result = run_apriori(db, min_support)
+    table = generate_rules(result, min_confidence)
+    records = list(table)
+    expected = _bruteforce_rules(bruteforce_frequent(db, result.min_support_count), min_confidence)
+    assert [tuple(r) for r in records] == expected
+    human = _captured(metrics.rules_report(db, label, table, "human"))
+    assert human == _reference_human_rules(db, label, result, records, min_confidence)
+    machine = _captured(metrics.rules_report(db, label, table, "machine"))
+    reference = _reference_rules_payload(result, records, min_confidence, db, label)
+    assert machine == _reference_text(reference)

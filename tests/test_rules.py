@@ -1,6 +1,7 @@
 import copy
 import gc
 import io
+import operator
 import pickle
 import random
 import tracemalloc
@@ -282,6 +283,30 @@ def test_a_rule_table_is_an_immutable_sequence_of_records(golden_db):
         hash(table)
     with pytest.raises(AttributeError):
         table.rows = None
+
+
+def test_a_rule_table_reads_out_its_columns_in_iteration_order(golden_db):
+    result = run_apriori(golden_db, 2)
+    table = generate_rules(result, EPSILON)
+    itemsets, supports, rows = table.columns
+    # The result's itemsets, the very tuples, level by level, with their supports.
+    held = [itemset for k in sorted(result.levels) for itemset in result.levels[k]]
+    assert list(itemsets) == held and all(map(operator.is_, itemsets, held))
+    assert supports == tuple(result.support_of(itemset) for itemset in itemsets)
+    # One (itemset, antecedent, consequent) row per rule, in iteration order.
+    assert rows.format == "I" and len(rows) == 3 * len(table)
+    triples = zip(*[iter(rows)] * 3)
+    assert [
+        (itemsets[a], itemsets[c], supports[whole], supports[whole] / supports[a])
+        for whole, a, c in triples
+    ] == list(table)
+    # Nothing read out changes the table.
+    assert type(itemsets) is tuple and type(supports) is tuple and rows.readonly
+    with pytest.raises(TypeError):
+        rows[0] = 0
+    with pytest.raises(AttributeError):
+        table.columns = None
+    assert table == generate_rules(result, EPSILON) and table.columns[2] == rows
 
 
 def test_rule_table_copies_are_lists_of_checked_records(golden_db):
