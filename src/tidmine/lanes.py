@@ -10,10 +10,12 @@ On a page, a transaction's lane holds the complement of its items there: bit
 b is set when the transaction lacks the item in slot b. Bit 7 of every lane,
 the guard, is always clear.
 
-`L1Index.count(itemset, item)` tests a candidate against a set of
-transactions: all of them, or those in `item`'s TID list, the scan the
-paper's improved variant makes. Each set packs its transactions' lanes into
-one int per page, lane i in bits 8*i to 8*i + 7. To test a candidate, its
+`L1Index.count_all(candidates)` tests a level's candidates against every
+transaction, the scan the paper's original Apriori makes, and
+`L1Index.count(itemset, item)` tests one candidate against the transactions
+in `item`'s TID list, by default its min-support member's: the scan of the
+paper's improved variant. Each set of transactions packs its lanes into one
+int per page, lane i in bits 8*i to 8*i + 7. To test a candidate, its
 bits on a page are copied into every lane (`bits * ones`) and ANDed with the
 lanes, which leaves in each lane the candidate items that transaction lacks.
 Subtracting that from the guard, 2**7, in every lane leaves the guard set
@@ -23,8 +25,16 @@ every transaction that passes the test, so each examined transaction gets
 one subset test, in its own lane. Byte lanes keep each big-int pass at one
 byte per examined transaction, and a k-candidate touches at most k pages
 whatever their width.
+
+`count_all` tests a run of candidates that share a head, every item but
+the last, against the head once. Each candidate's last item then costs one
+shift and one AND: shifting a page left by 7 - b puts bit b of every lane on
+that lane's guard, and no other bit on any guard, so the transactions that
+pass the head but lack the last item are counted and taken from the head's.
 """
 
+import itertools
+import operator
 from typing import Mapping, Sequence
 
 from .errors import ContractViolationError, plain_ids, plain_int
@@ -77,9 +87,9 @@ class L1Index:
             self._slot[item] = (page, mask)
             for tid in self._tids[item]:
                 lanes[tid] ^= mask
-        # Per transaction set, keyed by `item` (None for all of them): its TID
-        # list, the ones and guard ints, and each page's int, packed on first use.
-        self._sets: dict[int | None, tuple[Sequence[int], int, int, dict[int, int]]] = {}
+        # Per TID list that `count` tests in, keyed by its item: the list, the
+        # ones and guard ints, and each page's int, packed on first use.
+        self._sets: dict[int, tuple[Sequence[int], int, int, dict[int, int]]] = {}
 
     @property
     def items(self) -> tuple[int, ...]:
@@ -112,22 +122,33 @@ class L1Index:
             raise ContractViolationError(f"item {exc.args[0]} is not in the L1 index") from None
 
     def count(self, itemset: Sequence[int], item: int | None = None) -> int:
-        """How many transactions hold every item of `itemset`: all of them
-        when `item` is None, otherwise those in `item`'s TID list. Every item
-        of `itemset` must be indexed. The transactions tested are added to
-        `examined[len(itemset)]`."""
+        """How many transactions in `item`'s TID list hold every item of
+        `itemset`, the paper's improved scan; `item` is by default the
+        itemset's min-support member, picked by the loop that reads its lane
+        slots. Every item of `itemset` must be indexed. The transactions
+        tested are added to `examined[len(itemset)]`."""
         slot = self._slot
         masks: dict[int, int] = {}
+        top = -1
         try:
             for member in itemset:
                 page, bit = slot[member]
                 masks[page] = masks.get(page, 0) | bit
+                if page > top:
+                    top = page
         except KeyError:
             raise ContractViolationError(f"item {member} has no lane slot") from None
+        if item is None:
+            if not masks:
+                raise ContractViolationError("candidate must be non-empty")
+            # The layout runs in descending (support, id) order, so the
+            # min-support member holds the highest bit of the last page.
+            bits = masks[top]
+            item = self.by_support[top * LANE_ITEMS + bits.bit_length() - 1]
         try:
             tids, ones, guards, packed = self._sets[item]
         except KeyError:
-            tids = range(self.num_transactions) if item is None else self.tids(item)
+            tids = self.tids(item)
             ones = int.from_bytes(b"\1" * len(tids), "little")
             guards, packed = ones << LANE_ITEMS, {}
             self._sets[item] = (tids, ones, guards, packed)
@@ -142,6 +163,48 @@ class L1Index:
         size = len(itemset)
         self.examined[size] = self.examined.get(size, 0) + len(tids)
         return passed.bit_count()
+
+    def count_all(self, candidates: Sequence[Sequence[int]]) -> dict[tuple[int, ...], int]:
+        """How many of all the transactions hold each candidate, the paper's
+        original scan; candidates are non-empty, of one size, and hold indexed
+        items only. Candidates that follow one another with the same head,
+        every item but the last, share one test of the head. `examined[k]`
+        gains the database's size for each k-candidate."""
+        sizes = set(map(len, candidates))
+        if len(sizes) > 1:
+            raise ContractViolationError("candidates must all have the same size")
+        if not sizes:
+            return {}
+        if 0 in sizes:
+            raise ContractViolationError("candidate must be non-empty")
+        ones = int.from_bytes(b"\1" * self.num_transactions, "little")
+        guards = ones << LANE_ITEMS
+        packed = [int.from_bytes(words, "little") for words in self._words]
+        slot = self._slot
+        # Each item's packed page, and the shift that puts its bit on the guards.
+        last = {
+            item: (packed[page], LANE_ITEMS + 1 - bit.bit_length())
+            for item, (page, bit) in slot.items()
+        }
+        counts = {}
+        try:
+            for head, group in itertools.groupby(candidates, operator.itemgetter(slice(-1))):
+                masks: dict[int, int] = {}
+                for member in head:
+                    page, bit = slot[member]
+                    masks[page] = masks.get(page, 0) | bit
+                passed = guards
+                for page, bits in masks.items():
+                    passed &= guards - ((bits * ones) & packed[page])
+                held = passed.bit_count()
+                for cand in group:
+                    lanes, shift = last[cand[-1]]
+                    counts[cand] = held - (passed & (lanes << shift)).bit_count()
+        except KeyError as exc:
+            raise ContractViolationError(f"item {exc.args[0]} has no lane slot") from None
+        [size] = sizes
+        self.examined[size] = self.examined.get(size, 0) + self.num_transactions * len(candidates)
+        return counts
 
     def __repr__(self) -> str:
         return f"L1Index({len(self._tids)} items)"

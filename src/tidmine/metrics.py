@@ -1,11 +1,13 @@
 """Run timing, reduction-rate arithmetic, and the layout of every report.
 
 Each report kind has one entry, which takes a `format` from FORMATS. The
-`mine`, `rules` and `bench` entries are generators of text chunks, so they
+`mine`, `rules` and `bench` entries return iterators of text chunks, which
 check the format when first iterated; `render_report` returns one string.
 """
 
+import collections
 import functools
+import itertools
 import json
 import math
 import time
@@ -222,46 +224,63 @@ def render_report(report: ComparisonReport, format: str = "human") -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _flat(parts: Callable[..., Iterator[Iterable[str]]]) -> Callable[..., Iterator[str]]:
+    """`parts`, a generator of chunk iterables, as a function returning their
+    chunks in order. `itertools.chain` resumes each iterable from C, so a
+    chunk passes through one generator frame however deep the report nests;
+    `parts` starts when the first chunk is asked for, and its checks with it."""
+
+    @functools.wraps(parts)
+    def chunks(*args, **kwargs) -> Iterator[str]:
+        return itertools.chain.from_iterable(parts(*args, **kwargs))
+
+    return chunks
+
+
+@_flat
 def mine_report(
     db: TransactionDb, label: str, result: MiningResult, format: str = "human"
-) -> Iterator[str]:
+) -> Iterator[Iterable[str]]:
     """Chunks of the `mine` report of `result`, mined from `db` named `label`."""
     machine = _is_machine(format)
     _check_item_ids(db, result)
     if machine:
         json_tokens = tuple(map(json.dumps, db.tokens))
-        yield from json_report(
+        yield json_report(
             "mine", _mining_fields(db, label, result), levels=_levels_json(result, json_tokens)
         )
         return
-    yield _header(
-        db, label, result, f"variant: {result.variant}  candidates: {result.candidate_strategy}"
-    )
-    yield "\n"
+    settings = f"variant: {result.variant}  candidates: {result.candidate_strategy}"
+    yield (_header(db, label, result, settings), "\n")
     token = db.tokens.__getitem__
     for k in sorted(result.levels):
         level = result.levels[k]
-        yield f"L{k}: {len(level)} itemsets\n"
-        for itemset, support in level.items():
-            yield f"  {', '.join(map(token, itemset))}  (support {support})\n"
+        yield (f"L{k}: {len(level)} itemsets\n",)
+        yield (
+            f"  {', '.join(map(token, itemset))}  (support {support})\n"
+            for itemset, support in level.items()
+        )
     if result.levels:
-        yield "\n"
-    yield f"{result.total_frequent} frequent itemsets\n"
+        yield ("\n",)
     scans = "".join(f"{k}-itemset {v}, " for k, v in result.ledger.per_level.items())
-    yield f"transactions scanned: {scans}total {result.ledger.total}\n"
+    yield (
+        f"{result.total_frequent} frequent itemsets\n",
+        f"transactions scanned: {scans}total {result.ledger.total}\n",
+    )
 
 
+@_flat
 def rules_report(
     db: TransactionDb, label: str, table: RuleTable, format: str = "human"
-) -> Iterator[str]:
+) -> Iterator[Iterable[str]]:
     """Chunks of the `rules` report of `table`: its rules, under the header of
     the result they were split from and the min_confidence they were kept at.
 
     `table` is the RuleTable of `generate_rules`, that type exactly: anything
     else, a list of records or a table's copy among them, raises
     ContractViolationError. Rules are rendered from the table's columns: each
-    itemset's text once, and each (support, antecedent support) pair's
-    confidence once.
+    itemset's text once, each support's text once per run of its rules, and
+    each (support, antecedent support) pair's confidence once.
     """
     if type(table) is not RuleTable:
         raise ContractViolationError("rules to report must be the RuleTable of generate_rules")
@@ -270,22 +289,31 @@ def rules_report(
     _check_item_ids(db, result)
     if machine:
         json_tokens = tuple(map(json.dumps, db.tokens))
-        yield from json_report(
+        yield json_report(
             "rules",
             {**_mining_fields(db, label, result), "min_confidence": min_confidence},
             levels=_levels_json(result, json_tokens),
             rules=_rules_json(table, json_tokens),
         )
         return
-    yield _header(db, label, result, f"min_confidence: {min_confidence!r}")
-    yield f"{len(table)} rules\n"
-    side, supports, rows, confidence = _rule_texts(table, db.tokens, ", ", "{:.2f}".format)
+    settings = f"min_confidence: {min_confidence!r}"
+    yield (_header(db, label, result, settings), f"{len(table)} rules\n")
+    yield _rule_lines(table, db.tokens)
+
+
+def _rule_lines(table: RuleTable, tokens: Sequence[str]) -> Iterator[str]:
+    """The human report's line of each rule of `table`."""
+    side, supports, rows, confidences = _rule_texts(table, tokens, ", ")
+    whole_before = None
     for whole, antecedent, consequent in zip(rows, rows, rows):
-        support = supports[whole]
-        yield (
-            f"{side[antecedent]} => {side[consequent]} (support {support}, "
-            f"confidence {confidence(support, supports[antecedent])})\n"
-        )
+        if whole != whole_before:
+            whole_before, support = whole, supports[whole]
+            texts, tail = confidences[support], f" (support {support}, confidence "
+        below = supports[antecedent]
+        confidence = texts.get(below)
+        if confidence is None:
+            confidence = texts[below] = f"{support / below:.2f}"
+        yield f"{side[antecedent]} => {side[consequent]}{tail}{confidence})\n"
 
 
 def bench_report(
@@ -420,29 +448,34 @@ def _rules_json(table: RuleTable, json_tokens: Sequence[str]) -> Iterator[str]:
     if not table:
         yield "[]"
         return
-    side, supports, rows, confidence = _rule_texts(table, json_tokens, _RULE_ITEM_SEP, repr)
-    opening = "[\n"
+    side, supports, rows, confidences = _rule_texts(table, json_tokens, _RULE_ITEM_SEP)
+    opening, whole_before = "[\n", None
     for whole, antecedent, consequent in zip(rows, rows, rows):
-        support = supports[whole]
+        if whole != whole_before:
+            whole_before, support = whole, supports[whole]
+            texts, tail = confidences[support], f'      "support": {support!r}\n    }}'
+        below = supports[antecedent]
+        confidence = texts.get(below)
+        if confidence is None:
+            confidence = texts[below] = repr(support / below)
         yield (
             f'{opening}    {{\n      "antecedent": [\n        {side[antecedent]}\n      ],\n'
-            f'      "confidence": {confidence(support, supports[antecedent])},\n'
-            f'      "consequent": [\n        {side[consequent]}\n      ],\n'
-            f'      "support": {support!r}\n    }}'
+            f'      "confidence": {confidence},\n'
+            f'      "consequent": [\n        {side[consequent]}\n      ],\n{tail}'
         )
         opening = ",\n"
     yield "\n  ]"
 
 
-def _rule_texts(table: RuleTable, tokens: Sequence[str], sep: str, render: Callable) -> tuple:
+def _rule_texts(table: RuleTable, tokens: Sequence[str], sep: str) -> tuple:
     """The columns of `table` as its rules print: each itemset's `tokens` joined
     by `sep`, in a list indexed by row; the supports; an iterator over the rows;
-    and the `render`ed confidence of a (support, antecedent support) pair, made
-    once per pair."""
+    and, for each support, a dict to hold its confidence texts, keyed by the
+    antecedent's support. Rules of one itemset come in one run, so a renderer
+    makes each support's text once per run."""
     itemsets, supports, rows = table.columns
-    confidence = functools.cache(lambda support, antecedent: render(support / antecedent))
     side = [sep.join(map(tokens.__getitem__, itemset)) for itemset in itemsets]
-    return side, supports, iter(rows), confidence
+    return side, supports, iter(rows), collections.defaultdict(dict)
 
 
 def report_payload(report: ComparisonReport) -> dict:
@@ -473,7 +506,8 @@ def ledger_payload(ledger: ScanLedger) -> dict:
     }
 
 
-def json_report(command: str, fields: dict, **lists: Iterable[str]) -> Iterator[str]:
+@_flat
+def json_report(command: str, fields: dict, **lists: Iterable[str]) -> Iterator[Iterable[str]]:
     """Chunks of one machine report: a key-sorted, indent-2 JSON object plus a newline.
 
     The report holds `schema_version`, the `command` tag, the members in
@@ -486,12 +520,13 @@ def json_report(command: str, fields: dict, **lists: Iterable[str]) -> Iterator[
     fields = {"schema_version": REPORT_SCHEMA_VERSION, "command": command, **fields}
     opening = "{\n"
     for key in sorted([*fields, *lists]):
-        yield f"{opening}  {json.dumps(key)}: "
         if key in lists:
-            yield from lists[key]
+            yield (f"{opening}  {json.dumps(key)}: ",)
+            yield lists[key]
         else:
             # JSON strings hold no raw newline, so this re-indents the value
             # by one level exactly as a nested encoding would.
-            yield json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+            value = json.dumps(fields[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+            yield (f"{opening}  {json.dumps(key)}: {value}",)
         opening = ",\n"
-    yield "\n}\n"
+    yield ("\n}\n",)

@@ -187,13 +187,14 @@ def generate_candidates_join(prev: Iterable[Itemset]) -> CandidateSet:
     Candidates having any (k-1)-subset absent from `prev` are dropped (no such
     subset could be frequent, so neither can the candidate). The join groups
     `prev` by prefix, as Eclat's prefix classes do: each prefix maps to its
-    sorted last items. For a left item `a` of a group, the right items are the
-    group's later items that also follow `prefix + (a,)` less any one prefix
-    item in `prev`: one set intersection per prefix item, stopping at the
-    first empty one. A level that passes MAX_CANDIDATES raises
-    ResourceLimitError after the prefix group that passed it, so the level
-    never holds more than the budget and one group. A `prev` itemset that
-    `plain_ids` refuses raises ContractViolationError before the join runs.
+    sorted last items. For each left item `a` of a group but the last, which
+    has none, the right items are the group's later items that also follow
+    `prefix + (a,)` less any one prefix item in `prev`: one set intersection
+    per prefix item, stopping at the first empty one. A level that passes
+    MAX_CANDIDATES raises ResourceLimitError after the prefix group that
+    passed it, so the level never holds more than the budget and one group. A
+    `prev` itemset that `plain_ids` refuses raises ContractViolationError
+    before the join runs.
     """
     prev = plain_id_rows(list(prev), "itemset to join", ContractViolationError)
     if not all(map(operator.lt, prev, itertools.islice(prev, 1, None))):
@@ -208,17 +209,23 @@ def generate_candidates_join(prev: Iterable[Itemset]) -> CandidateSet:
     lasts_by_prefix: dict[Itemset, list[int]] = {}
     for itemset in prev:
         lasts_by_prefix.setdefault(itemset[:-1], []).append(itemset[-1])
-    out = []
+    get = lasts_by_prefix.get
+    out: list[Itemset] = []
     for prefix, lasts in lasts_by_prefix.items():
-        for j, a in enumerate(lasts):
-            head, allowed = prefix + (a,), set(lasts[j + 1 :])
-            # Dropping `a` or the right item leaves a parent, in `prev` by
-            # construction; dropping each prefix item must leave one too.
-            for i in range(size - 1):
+        # Dropping `a` or the right item leaves a parent, in `prev` by
+        # construction; dropping each prefix item must leave one too, so the
+        # right items lie in the class of each `drop + (a,)`.
+        drops = [prefix[:i] + prefix[i + 1 :] for i in range(size - 1)]
+        for j in range(len(lasts) - 1):
+            a = lasts[j]
+            allowed = set(lasts[j + 1 :])
+            for drop in drops:
+                allowed.intersection_update(get(drop + (a,), ()))
                 if not allowed:
                     break
-                allowed.intersection_update(lasts_by_prefix.get(head[:i] + head[i + 1 :], ()))
-            out.extend(head + (b,) for b in sorted(allowed))
+            else:
+                head = prefix + (a,)
+                out += [head + (b,) for b in sorted(allowed)]
         if len(out) > MAX_CANDIDATES:
             raise ResourceLimitError(
                 f"the join strategy passed the budget of {MAX_CANDIDATES} "
@@ -253,12 +260,10 @@ def count_support_full(
     """Support of every candidate by scanning the whole database.
 
     Every candidate examines every transaction with one subset test, in the
-    transaction's lane. Every candidate item must be in `l1`.
+    transaction's lane; candidates next to each other that share all items
+    but the last share the test of those. Every candidate item must be in `l1`.
     """
-    cands = tuple(map(tuple, candidates))
-    if any(len(c) != len(cands[0]) for c in cands):
-        raise ContractViolationError("candidates must all have the same size")
-    return {cand: l1.count(cand) for cand in cands}
+    return l1.count_all(tuple(map(tuple, candidates)))
 
 
 def count_support_restricted(candidate: Sequence[int], l1: L1Index) -> int:
@@ -270,8 +275,7 @@ def count_support_restricted(candidate: Sequence[int], l1: L1Index) -> int:
     one subset test, in its transaction's lane; the list's lanes are
     gathered once.
     """
-    cand = tuple(candidate)
-    return l1.count(cand, l1.min_support_item(cand))
+    return l1.count(candidate)
 
 
 def check_threshold(value: int | float, confidence: bool = False) -> int | float:

@@ -418,7 +418,8 @@ def test_examined_tally_is_exact_per_size_and_per_run(golden_db):
     l1 = compute_l1(golden_db, 3)
     assert l1.examined == {}
     item = golden_db.item_id("I4")
-    assert l1.count(iset(golden_db, "I1 I2")) == 4
+    pair = iset(golden_db, "I1 I2")
+    assert l1.count_all([pair]) == {pair: 4}
     assert l1.count(iset(golden_db, "I1 I2 I4"), item) == 1
     assert l1.examined == {2: len(golden_db), 3: len(l1.tids(item))}
     # Each run builds its own index, so its ledger holds that run's tests only.

@@ -207,6 +207,47 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
 
 
 @PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32), num_items=st.integers(LANE_ITEMS + 2, 3 * LANE_ITEMS))
+def test_kernels_count_shuffled_levels(seed, num_items):
+    # The full kernel tests each head, every item but the last, once per run
+    # of candidates next to each other that share it. Each level is shuffled,
+    # and two candidates of one head stand at its two ends, with candidates of
+    # other heads between them. Each level also holds a candidate whose items
+    # share the first lane page and, at size 3, one whose head spans the
+    # first two pages.
+    rng = random.Random(seed)
+    density = rng.uniform(0.3, 0.9)
+    txns = [
+        tuple(item for item in range(num_items) if rng.random() < density) or (0,)
+        for _ in range(rng.randint(1, 30))
+    ]
+    db = TransactionDb(txns, [f"X{i}" for i in range(num_items)])
+    found = compute_l1(db, 1)
+    l1 = L1Index(
+        {item: found.tids(item) if item in found else () for item in range(num_items)}, len(db)
+    )
+    first, second = l1.by_support[:LANE_ITEMS], l1.by_support[LANE_ITEMS:]
+    for size in (1, 2, 3):
+        pool = list(combinations(range(num_items), size))
+        cands = {*rng.sample(pool, min(40, len(pool))), tuple(sorted(first[:size]))}
+        if size == 3:
+            cands.add((*sorted((min(first), min(second))), num_items - 1))
+        head = tuple(range(size - 1))
+        ends = [(*head, size - 1), (*head, num_items - 1)]
+        cands = sorted(cands - set(ends))
+        rng.shuffle(cands)
+        cands = [ends[0], *cands, ends[1]]
+        want = {cand: bruteforce_support(db, cand) for cand in cands}
+        before = dict(l1.examined)
+        assert count_support_full(cands, l1) == want
+        assert l1.examined == {**before, size: before.get(size, 0) + len(db) * len(cands)}
+        before = dict(l1.examined)
+        assert [count_support_restricted(cand, l1) for cand in cands] == list(want.values())
+        restricted = sum(l1.support(l1.min_support_item(cand)) for cand in cands)
+        assert l1.examined == {**before, size: before[size] + restricted}
+
+
+@PROPERTY_SETTINGS
 @given(
     rng=st.randoms(use_true_random=False),
     min_confidence=st.sampled_from([0.1, 0.3, 0.5, 0.7, 1.0]),
