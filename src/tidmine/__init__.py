@@ -25,14 +25,11 @@ from .metrics import (
     round_percent,
 )
 from .mining import (
-    CandidateSet,
     Itemset,
     L1Index,
     MiningResult,
     ScanLedger,
     compute_l1,
-    count_support_full,
-    count_support_restricted,
     generate_candidates_combinations,
     generate_candidates_join,
     resolve_min_support,
@@ -45,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArithmeticDomainError",
     "AssociationRule",
-    "CandidateSet",
     "ComparisonReport",
     "ConfigurationError",
     "ContractViolationError",
@@ -62,8 +58,6 @@ __all__ = [
     "UnknownItemError",
     "VariantRun",
     "compute_l1",
-    "count_support_full",
-    "count_support_restricted",
     "generate_candidates_combinations",
     "generate_candidates_join",
     "generate_rules",

@@ -71,10 +71,11 @@ def plain_ids(values, name: str, end=None, error=ConfigurationError) -> tuple[in
     return ids
 
 
-def plain_id_rows(rows, name: str, error=ConfigurationError):
+def plain_id_rows(rows, name: str):
     """The collection `rows` of id tuples, each under `plain_ids`: checked in whole
     passes, and returned itself, when its rows are tuples of plain ints of one size,
-    else put through `plain_ids` row by row into a new list."""
+    else put through `plain_ids` row by row into a new list, raising
+    ContractViolationError for a refused row."""
     if {tuple}.issuperset(map(type, rows)) and len(sizes := set(map(len, rows))) <= 1:
         at = [operator.itemgetter(i) for i in range(max(sizes, default=0))]
         if (
@@ -83,4 +84,4 @@ def plain_id_rows(rows, name: str, error=ConfigurationError):
             and (not at or min(map(at[0], rows)) >= 0)
         ):
             return rows
-    return [plain_ids(row, name, error=error) for row in rows]
+    return [plain_ids(row, name, error=ContractViolationError) for row in rows]

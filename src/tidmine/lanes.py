@@ -10,10 +10,10 @@ On a page, a transaction's lane holds the complement of its items there: bit
 b is set when the transaction lacks the item in slot b. Bit 7 of every lane,
 the guard, is always clear.
 
-`L1Index.count_all(candidates)` tests a level's candidates against every
-transaction, the scan the paper's original Apriori makes, and
-`L1Index.count(itemset, item)` tests one candidate against the transactions
-in `item`'s TID list, by default its min-support member's: the scan of the
+These are the two counting kernels. `L1Index.count_all(candidates)` tests a
+level's candidates against every transaction, the scan the paper's original
+Apriori makes, and `L1Index.count(itemset)` tests one candidate against the
+transactions in its min-support member's TID list only: the scan of the
 paper's improved variant. Each set of transactions packs its lanes into one
 int per page, lane i in bits 8*i to 8*i + 7. To test a candidate, its
 bits on a page are copied into every lane (`bits * ones`) and ANDed with the
@@ -87,8 +87,8 @@ class L1Index:
             self._slot[item] = (page, mask)
             for tid in self._tids[item]:
                 lanes[tid] ^= mask
-        # Per TID list that `count` tests in, keyed by its item: the list, the
-        # ones and guard ints, and each page's int, packed on first use.
+        # Per min-support member that `count` tests in: its TID list, the ones
+        # and guard ints, and each page's int, packed on first use.
         self._sets: dict[int, tuple[Sequence[int], int, int, dict[int, int]]] = {}
 
     @property
@@ -121,12 +121,12 @@ class L1Index:
         except KeyError as exc:
             raise ContractViolationError(f"item {exc.args[0]} is not in the L1 index") from None
 
-    def count(self, itemset: Sequence[int], item: int | None = None) -> int:
-        """How many transactions in `item`'s TID list hold every item of
-        `itemset`, the paper's improved scan; `item` is by default the
-        itemset's min-support member, picked by the loop that reads its lane
-        slots. Every item of `itemset` must be indexed. The transactions
-        tested are added to `examined[len(itemset)]`."""
+    def count(self, itemset: Sequence[int]) -> int:
+        """How many transactions hold every item of `itemset`, tested only in
+        the TID list of its min-support member, the paper's improved scan; the
+        loop that reads the members' lane slots also picks that member. Every
+        item of `itemset` must be indexed. The transactions tested are added to
+        `examined[len(itemset)]`."""
         slot = self._slot
         masks: dict[int, int] = {}
         top = -1
@@ -138,17 +138,15 @@ class L1Index:
                     top = page
         except KeyError:
             raise ContractViolationError(f"item {member} has no lane slot") from None
-        if item is None:
-            if not masks:
-                raise ContractViolationError("candidate must be non-empty")
-            # The layout runs in descending (support, id) order, so the
-            # min-support member holds the highest bit of the last page.
-            bits = masks[top]
-            item = self.by_support[top * LANE_ITEMS + bits.bit_length() - 1]
+        if not masks:
+            raise ContractViolationError("candidate must be non-empty")
+        # The layout runs in descending (support, id) order, so the
+        # min-support member holds the highest bit of the last page.
+        item = self.by_support[top * LANE_ITEMS + masks[top].bit_length() - 1]
         try:
             tids, ones, guards, packed = self._sets[item]
         except KeyError:
-            tids = self.tids(item)
+            tids = self._tids[item]
             ones = int.from_bytes(b"\1" * len(tids), "little")
             guards, packed = ones << LANE_ITEMS, {}
             self._sets[item] = (tids, ones, guards, packed)

@@ -40,32 +40,27 @@ class ScanLedger:
     that candidate adds one examination to the candidate's level: the run's
     `L1Index.examined`. Level 1 is a full pass, so it always records
     `num_transactions * num_distinct_items` regardless of the counting
-    variant. Built once, immutable by contract; totals are the sum over
-    levels. Levels and entries are integers, never a bool, kept as plain ints.
+    variant. Built once, immutable by contract: `per_level` holds the levels
+    in ascending order and `total` their sum. Levels and entries are integers,
+    never a bool, kept as plain ints.
     """
 
-    __slots__ = ("_per_level",)
+    __slots__ = ("per_level", "total")
 
     def __init__(self, per_level: Mapping[int, int] | None = None):
-        self._per_level: dict[int, int] = {}
+        checked: dict[int, int] = {}
         for level, scanned in (per_level or {}).items():
             level, scanned = plain_int(level, "ledger level"), plain_int(scanned, "ledger entry")
             if level < 1:
                 raise ConfigurationError(f"ledger level must be >= 1, got {level}")
             if scanned < 0:
                 raise ConfigurationError(f"ledger entry must be >= 0, got {scanned}")
-            self._per_level[level] = scanned
+            checked[level] = scanned
+        self.per_level = dict(sorted(checked.items()))
+        self.total = sum(checked.values())
 
     def level(self, k: int) -> int:
-        return self._per_level.get(k, 0)
-
-    @property
-    def per_level(self) -> dict[int, int]:
-        return dict(sorted(self._per_level.items()))
-
-    @property
-    def total(self) -> int:
-        return sum(self._per_level.values())
+        return self.per_level.get(k, 0)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScanLedger):
@@ -78,7 +73,8 @@ class ScanLedger:
 
 class CandidateSet:
     """Same-size candidate itemsets for one level, canonical and duplicate-free
-    by construction: only the two generators build one, so it stores them as given."""
+    by construction: only the two generators build one, so it stores them as given.
+    Not exported: it is a benchmark hook point, whose `level` the tracer reads."""
 
     __slots__ = ("level", "candidates")
 
@@ -125,7 +121,7 @@ class MiningResult:
         # plain; run_apriori's are kept.
         checked = {}
         for k, level in zip(keys, levels.values()):
-            itemsets = plain_id_rows(level, f"level-{k} itemset", ContractViolationError)
+            itemsets = plain_id_rows(level, f"level-{k} itemset")
             if set(map(len, itemsets)) != {k}:
                 raise ContractViolationError(f"level {k} holds an itemset of another size")
             if itemsets is not level or not {int}.issuperset(map(type, level.values())):
@@ -196,7 +192,7 @@ def generate_candidates_join(prev: Iterable[Itemset]) -> CandidateSet:
     `prev` itemset that `plain_ids` refuses raises ContractViolationError
     before the join runs.
     """
-    prev = plain_id_rows(list(prev), "itemset to join", ContractViolationError)
+    prev = plain_id_rows(list(prev), "itemset to join")
     if not all(map(operator.lt, prev, itertools.islice(prev, 1, None))):
         prev = sorted(set(prev))
     if not prev:
@@ -255,25 +251,21 @@ def generate_candidates_combinations(l1: L1Index, k: int) -> CandidateSet:
 
 
 def count_support_full(
-    candidates: CandidateSet | Iterable[Itemset], l1: L1Index
+    candidates: CandidateSet | Sequence[Itemset], l1: L1Index
 ) -> dict[Itemset, int]:
-    """Support of every candidate by scanning the whole database.
+    """`l1.count_all(candidates)`: the classic kernel, called once per level.
 
-    Every candidate examines every transaction with one subset test, in the
-    transaction's lane; candidates next to each other that share all items
-    but the last share the test of those. Every candidate item must be in `l1`.
+    Not exported: `run_apriori` calls it through this module's globals only
+    as a hook point, where the benchmark's tracer wraps it.
     """
-    return l1.count_all(tuple(map(tuple, candidates)))
+    return l1.count_all(candidates)
 
 
-def count_support_restricted(candidate: Sequence[int], l1: L1Index) -> int:
-    """Support counted only over the TID list of the candidate's min-support member.
+def count_support_restricted(candidate: Itemset, l1: L1Index) -> int:
+    """`l1.count(candidate)`: the improved kernel, called once per candidate.
 
-    A transaction containing the whole candidate necessarily contains that
-    member, so it appears in the member's TID list and the restricted count
-    equals the full-database support. Each TID in the restricted list gets
-    one subset test, in its transaction's lane; the list's lanes are
-    gathered once.
+    Not exported: `run_apriori` calls it through this module's globals only
+    as a hook point, where the benchmark's tracer wraps it.
     """
     return l1.count(candidate)
 

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from tidmine import cli, metrics, mining, rules
+import tidmine
+from tidmine import cli, dataset, metrics, mining, rules
 from tidmine.cli import main
 from tidmine.dataset import GeneratorConfig, generate_synthetic
 from tidmine.errors import ContractViolationError
@@ -447,6 +448,20 @@ def test_compare_refuses_variants_that_find_other_itemsets(golden_path, capsys, 
     with pytest.raises(ContractViolationError, match="'improved' found other itemsets"):
         main([*argv, "--input", str(golden_path), "--min-support", "2"])
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [None, "mine", "rules", "compare", "bench"])
+def test_help_exits_0_and_lists_each_choice(capsys, command):
+    code, out, err = run_cli(capsys, *filter(None, [command]), "--help")
+    assert (code, err) == (0, "")
+    if command is None:
+        assert "{mine,rules,compare,bench}" in out
+        return
+    choices = [mining.CANDIDATE_STRATEGIES, metrics.FORMATS, dataset.DELIMITER_POLICIES]
+    if command in ("mine", "rules"):
+        choices.append(mining.VARIANTS)
+    for values in choices:
+        assert "{%s}" % ",".join(values) in out
 
 
 def test_combinations_budget_exits_1(golden_path, capsys, monkeypatch):
@@ -1038,6 +1053,15 @@ def test_readme_examples_print_what_the_readme_shows(tmp_path, capsys, monkeypat
     assert [argv[0] for argv, _ in examples] == ["mine", "rules", "compare"]
     for argv, shown in examples:
         assert run_cli(capsys, *argv) == (0, shown, "")
+
+
+def test_readme_names_every_export_and_no_hook_point():
+    # The benchmark's hook points stay in tidmine.mining, unexported: the
+    # library's kernels are l1.count_all and l1.count.
+    text = README.read_text(encoding="utf-8")
+    assert [name for name in tidmine.__all__ if not re.search(rf"\b{name}\b", text)] == []
+    hooks = {"CandidateSet", "count_support_full", "count_support_restricted"}
+    assert hooks.isdisjoint(tidmine.__all__) and all(hasattr(mining, name) for name in hooks)
 
 
 def test_readme_library_examples_run_as_doctests(golden_path, monkeypatch):

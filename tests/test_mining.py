@@ -337,8 +337,6 @@ def test_kernels_reject_items_without_a_lane_slot():
         count_support_full([(1, 2)], l1)
     with pytest.raises(ContractViolationError):
         count_support_restricted((1, 2), l1)  # item 2 has no TID list
-    with pytest.raises(ContractViolationError):
-        l1.count((0,), 2)
 
 
 def test_kernels_refuse_an_empty_or_mixed_size_candidate(golden_db):
@@ -420,7 +418,7 @@ def test_examined_tally_is_exact_per_size_and_per_run(golden_db):
     item = golden_db.item_id("I4")
     pair = iset(golden_db, "I1 I2")
     assert l1.count_all([pair]) == {pair: 4}
-    assert l1.count(iset(golden_db, "I1 I2 I4"), item) == 1
+    assert l1.count(iset(golden_db, "I1 I2 I4")) == 1
     assert l1.examined == {2: len(golden_db), 3: len(l1.tids(item))}
     # Each run builds its own index, so its ledger holds that run's tests only.
     for variant in mining.VARIANTS:
