@@ -20,6 +20,9 @@ DELIMITER_POLICIES = ("whitespace", "comma")
 # proportional to 1 / i**ZIPF_EXPONENT, so item supports differ sharply.
 ZIPF_EXPONENT = 1.1
 
+# Uniform doubles the synthetic generator draws from the stream at a time.
+SAMPLE_BLOCK = 4096
+
 
 class TransactionDb:
     """Interned, indexed collection of transactions.
@@ -82,7 +85,9 @@ class TransactionDb:
         Re-loading the result yields an identical database, provided no token
         contains the delimiter.
         """
-        lines = (delimiter.join(self.tokens_of(txn)) for txn in self.transactions)
+        # The constructor has checked every id against the token table.
+        tokens = self.tokens
+        lines = (delimiter.join([tokens[i] for i in txn]) for txn in self.transactions)
         return "".join(line + "\n" for line in lines)
 
     def __eq__(self, other: object) -> bool:
@@ -201,6 +206,16 @@ def generate_synthetic(config: GeneratorConfig) -> TransactionDb:
     `avg_transaction_len`, clamped to [1, num_items]. Items are drawn without
     replacement under a Zipf-like popularity weighting, so per-item supports
     differ widely. The same config always yields a byte-identical database.
+
+    The stream of `numpy.random.default_rng(seed)` is read as follows: one
+    `rng.geometric` call draws every length; then `rng.random` doubles are
+    consumed row by row, round by round, as `Generator.choice(num_items,
+    length, replace=False, p=weights)` consumes them. A row's first round
+    takes `length` doubles through the cumulative weights; each later round,
+    made only when earlier ones repeated an item, takes one double per item
+    still missing, through the weights with the items found set to zero.
+    Tokens are `I{index + 1}`, interned in first-seen order as the loader
+    reads each row in ascending index order.
     """
     # Imported here so that jobs reading --input never pay numpy's import.
     import numpy as np
@@ -213,12 +228,39 @@ def generate_synthetic(config: GeneratorConfig) -> TransactionDb:
         rng.geometric(min(1.0, 1.0 / config.avg_transaction_len), size=config.num_transactions),
         1,
         config.num_items,
-    )
-    lines = []
+    ).tolist()
+    # Built as Generator.choice builds it, so each double maps to the same item.
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    # doubles[pos:] are drawn and not yet used; firsts holds their items
+    # under the full weights, for first rounds.
+    doubles, firsts, pos = np.empty(0), [], 0
+
+    def refill(need):
+        nonlocal doubles, firsts, pos
+        fresh = rng.random(max(SAMPLE_BLOCK, need))
+        doubles = np.concatenate((doubles[pos:], fresh))
+        firsts = firsts[pos:] + cdf.searchsorted(fresh, side="right").tolist()
+        pos = 0
+
+    id_of: dict[int, int] = {}
+    transactions = []
     for length in lengths:
-        chosen = rng.choice(config.num_items, size=int(length), replace=False, p=weights)
-        chosen.sort()
-        lines.append([f"I{idx + 1}" for idx in chosen])
-    # Intern through the same path as file ingestion so ids are dense and
-    # first-seen ordered, and serialization round-trips.
-    return _db_from_token_lines(lines)
+        if pos + length > len(firsts):
+            refill(length)
+        chosen = set(firsts[pos : pos + length])
+        pos += length
+        while len(chosen) < length:
+            need = length - len(chosen)
+            if pos + need > len(firsts):
+                refill(need)
+            p = weights.copy()
+            p[list(chosen)] = 0
+            redraw = np.cumsum(p)
+            redraw /= redraw[-1]
+            chosen.update(redraw.searchsorted(doubles[pos : pos + need], side="right").tolist())
+            pos += need
+        # Intern as the loader would read the row "I{a+1} I{b+1} ..." for a < b < ...
+        ids = [id_of.setdefault(idx, len(id_of)) for idx in sorted(chosen)]
+        transactions.append(tuple(sorted(ids)))
+    return TransactionDb(transactions, [f"I{idx + 1}" for idx in id_of])

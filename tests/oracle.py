@@ -2,7 +2,8 @@
 
 Nothing here shares code with the mining path: supports come from direct
 set-containment over all transactions, and frequent itemsets from exhaustive
-enumeration of every transaction's subsets.
+enumeration of every transaction's subsets. The reference generator draws
+each row with its own `Generator.choice` call and interns through ingestion.
 """
 
 import io
@@ -10,7 +11,7 @@ import random
 from collections import Counter
 from itertools import combinations
 
-from tidmine.dataset import TransactionDb, load_transactions
+from tidmine.dataset import ZIPF_EXPONENT, GeneratorConfig, TransactionDb, load_transactions
 
 
 def iset(db, spec: str) -> tuple[int, ...]:
@@ -46,4 +47,24 @@ def random_db(rng: random.Random, max_items: int = 12, max_transactions: int = 3
     for _ in range(n):
         length = rng.randint(1, num_items)
         lines.append(" ".join(f"X{i}" for i in rng.sample(range(num_items), length)))
+    return load_transactions(io.StringIO("\n".join(lines) + "\n"))
+
+
+def reference_synthetic(config: GeneratorConfig) -> TransactionDb:
+    """`generate_synthetic`'s database, one `rng.choice` call per row, each row
+    written as "I{index + 1}" tokens in ascending index order and loaded."""
+    import numpy as np
+
+    rng = np.random.default_rng(config.seed)
+    weights = 1.0 / (np.arange(config.num_items) + 1.0) ** ZIPF_EXPONENT
+    weights /= weights.sum()
+    lengths = np.clip(
+        rng.geometric(min(1.0, 1.0 / config.avg_transaction_len), size=config.num_transactions),
+        1,
+        config.num_items,
+    )
+    lines = []
+    for length in lengths:
+        chosen = rng.choice(config.num_items, size=int(length), replace=False, p=weights)
+        lines.append(" ".join(f"I{idx + 1}" for idx in sorted(chosen)))
     return load_transactions(io.StringIO("\n".join(lines) + "\n"))

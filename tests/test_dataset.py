@@ -1,11 +1,12 @@
+import hashlib
 import io
 import random
 
 import numpy as np
 import pytest
 
-from oracle import random_db
-from tidmine import mining
+from oracle import random_db, reference_synthetic
+from tidmine import dataset, mining
 from tidmine.dataset import (
     GeneratorConfig,
     TransactionDb,
@@ -215,6 +216,31 @@ def test_generator_deterministic():
     # numpy's integers and floats name the same config.
     scalar = GeneratorConfig(np.int64(300), np.int32(30), np.float32(6), seed=np.uint64(9))
     assert generate_synthetic(scalar) == generate_synthetic(config)
+
+
+@pytest.mark.parametrize(
+    "sizes, digest",
+    [
+        # A wide universe: rows rarely repeat an item.
+        ((2000, 20000, 8), "97791c9ad31b784bec6b204138fb27569963daeac67fd1de4a032d4e49047afc"),
+        # A dense one: most rows need redraw rounds.
+        ((300, 20, 20), "ce83664fbdc818f3fef1403a8b0ed02e50e9c13da95c12bd0ec6ff50bcc44017"),
+    ],
+)
+def test_generator_output_is_pinned(sizes, digest):
+    text = generate_synthetic(GeneratorConfig(*sizes, seed=1)).to_text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+@pytest.mark.parametrize("sizes", [(300, 20, 20), (200, 50, 8), (40, 2000, 30)])
+def test_generator_blocks_do_not_change_the_stream(monkeypatch, block, sizes):
+    # Blocks shorter than a row make first rounds and redraws cross block
+    # ends and make a refill draw more than one block.
+    monkeypatch.setattr(dataset, "SAMPLE_BLOCK", block)
+    for seed in (1, 2**64 - 1):
+        config = GeneratorConfig(*sizes, seed=seed)
+        assert generate_synthetic(config).to_text() == reference_synthetic(config).to_text()
 
 
 def test_generator_seeds_differ():

@@ -12,12 +12,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import bruteforce_frequent, bruteforce_support, random_db
+from oracle import bruteforce_frequent, bruteforce_support, random_db, reference_synthetic
 from tidmine import cli, metrics, mining
-from tidmine.dataset import TransactionDb
+from tidmine.dataset import GeneratorConfig, TransactionDb, generate_synthetic
 from tidmine.lanes import LANE_ITEMS
 from tidmine.mining import (
     CANDIDATE_STRATEGIES,
@@ -126,6 +126,25 @@ def test_every_candidate_level_is_canonical_and_complete(rng, variant, strategy,
             assert all(a < b for a, b in zip(cand, cand[1:]))
         assert all(a < b for a, b in zip(cands, cands[1:]))
         assert cands == _expected_candidates(strategy, expected, k)
+
+
+@PROPERTY_SETTINGS
+@given(
+    num_transactions=st.integers(1, 40),
+    num_items=st.integers(1, 30),
+    fill=st.floats(0.0, 1.0),
+    seed=st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+)
+@example(num_transactions=1, num_items=1, fill=0.0, seed=0)
+@example(num_transactions=1, num_items=12, fill=1.0, seed=2**64 - 1)
+@example(num_transactions=30, num_items=12, fill=1.0, seed=0)
+def test_generator_matches_one_choice_call_per_row(num_transactions, num_items, fill, seed):
+    # A mean length near num_items makes most rows repeat an item in their
+    # first round, so the sampler draws again against re-weighted items.
+    config = GeneratorConfig(num_transactions, num_items, 1.0 + fill * (num_items - 1), seed)
+    db, want = generate_synthetic(config), reference_synthetic(config)
+    assert db.to_text() == want.to_text()
+    assert db.tokens == want.tokens
 
 
 @PROPERTY_SETTINGS
