@@ -29,7 +29,6 @@ from .mining import (
     L1Index,
     MiningResult,
     ScanLedger,
-    compute_l1,
     generate_candidates_combinations,
     generate_candidates_join,
     resolve_min_support,
@@ -57,7 +56,6 @@ __all__ = [
     "TransactionDb",
     "UnknownItemError",
     "VariantRun",
-    "compute_l1",
     "generate_candidates_combinations",
     "generate_candidates_join",
     "generate_rules",

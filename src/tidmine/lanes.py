@@ -1,8 +1,8 @@
 """The L1 index and its bit-parallel subset tests: one byte lane per
 examined transaction.
 
-`compute_l1` builds one `L1Index` per run, from the run's only pass over the
-transactions. The index checks its TID lists against the database size and
+`compute_l1` builds one `L1Index` per run, and the index makes the run's only
+pass over the transactions: it builds its TID lists from the database and
 lays out its lanes from them, so both counting kernels test on it at every
 level. The lanes hold the items by descending support, LANE_ITEMS to a page,
 so a candidate's items share few pages, and never change after the build.
@@ -35,24 +35,25 @@ pass the head but lack the last item are counted and taken from the head's.
 
 import itertools
 import operator
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .errors import ContractViolationError, plain_ids, plain_int
+from .dataset import TransactionDb
+from .errors import ConfigurationError, ContractViolationError, plain_int
 
 LANE_ITEMS = 7
 LANE_LOW = (1 << LANE_ITEMS) - 1
 
 
 class L1Index:
-    """Support count plus strictly increasing transaction-id list for frequent
-    single items; every item and TID is an id under `plain_ids`, kept as a
-    plain int, and every TID lies in [0, num_transactions), the database's size.
+    """Support count plus strictly increasing transaction-id list for each item
+    of a `TransactionDb` with support >= min_support, built in one pass over
+    its transactions: every item is one of the database's ids and every TID a
+    position in [0, num_transactions), the database's size.
 
     The index lays out its transactions' lanes, one byte array per page: page
     p's lanes are `_words[p]`, one byte per transaction. Only indexed items
     are laid out, so the slot table and lane memory follow the counted items
-    rather than every distinct item of the database. An item with an empty
-    TID list counts 0.
+    rather than every distinct item of the database.
 
     `examined[k]` is the number of transactions `count` has tested k-itemsets
     against, one subset test each, since the index was built.
@@ -60,15 +61,20 @@ class L1Index:
 
     __slots__ = ("_tids", "by_support", "num_transactions", "examined", "_slot", "_words", "_sets")
 
-    def __init__(self, tids_by_item: Mapping[int, Sequence[int]], num_transactions: int):
-        num_transactions = plain_int(num_transactions, "num_transactions", ContractViolationError)
-        self.num_transactions = num_transactions
-        found: dict[int, tuple[int, ...]] = {}
-        for key, tids in tids_by_item.items():
-            [item] = plain_ids((key,), f"L1 item {key!r}", error=ContractViolationError)
-            name = f"TID list for item {item}"
-            found[item] = plain_ids(tids, name, num_transactions, ContractViolationError)
-        self._tids = dict(sorted(found.items()))
+    def __init__(self, db: TransactionDb, min_support: int):
+        if type(db) is not TransactionDb:
+            raise ContractViolationError(f"L1Index takes a TransactionDb, got {type(db).__name__}")
+        min_support = plain_int(min_support, "min_support")
+        if min_support < 1:
+            raise ConfigurationError(f"min_support must be at least 1, got {min_support}")
+        num_transactions = self.num_transactions = len(db)
+        found: list[list[int]] = [[] for _ in range(db.num_items)]
+        for tid, txn in enumerate(db.transactions):
+            for item in txn:
+                found[item].append(tid)
+        self._tids = {
+            item: tuple(tids) for item, tids in enumerate(found) if len(tids) >= min_support
+        }
         # The lane layout, in descending (support, id) order, so the item laid
         # out last among any itemset's members is its min-support item.
         self.by_support = tuple(

@@ -159,21 +159,13 @@ class MiningResult:
 
 
 def compute_l1(db: TransactionDb, min_support: int) -> L1Index:
-    """One full pass over the database building the frequent-singleton index.
+    """`L1Index(db, min_support)`: the run's one full pass, which keeps each
+    item with support >= min_support, its support and its sorted TID list.
 
-    Every item with support >= min_support keeps its exact support and the
-    complete sorted list of transaction ids containing it.
+    Not exported: `run_apriori` calls it through this module's globals only
+    as a hook point, where the benchmark's tracer wraps it.
     """
-    min_support = plain_int(min_support, "min_support")
-    if min_support < 1:
-        raise ConfigurationError(f"min_support must be at least 1, got {min_support}")
-    found: dict[int, list[int]] = {}
-    for tid, txn in enumerate(db.transactions):
-        for item in txn:
-            found.setdefault(item, []).append(tid)
-    return L1Index(
-        {item: tids for item, tids in found.items() if len(tids) >= min_support}, len(db)
-    )
+    return L1Index(db, min_support)
 
 
 def generate_candidates_join(prev: Iterable[Itemset]) -> CandidateSet:

@@ -1060,7 +1060,7 @@ def test_readme_names_every_export_and_no_hook_point():
     # library's kernels are l1.count_all and l1.count.
     text = README.read_text(encoding="utf-8")
     assert [name for name in tidmine.__all__ if not re.search(rf"\b{name}\b", text)] == []
-    hooks = {"CandidateSet", "count_support_full", "count_support_restricted"}
+    hooks = {"CandidateSet", "compute_l1", "count_support_full", "count_support_restricted"}
     assert hooks.isdisjoint(tidmine.__all__) and all(hasattr(mining, name) for name in hooks)
 
 

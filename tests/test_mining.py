@@ -168,7 +168,8 @@ def test_combinations_level2_golden(golden_db):
 
 
 def test_combinations_not_enough_items():
-    l1 = L1Index({7: (0, 1)}, 2)
+    l1 = L1Index(TransactionDb([(7,), (7,)], "ABCDEFGH"), 1)
+    assert l1.items == (7,)
     assert generate_candidates_combinations(l1, 2).candidates == ()
 
 
@@ -182,7 +183,7 @@ def test_combinations_rejects_level_below_two(golden_db):
 
 def test_combinations_budget(golden_db, monkeypatch):
     # C(200, 5) is about 2.5e9 tuples: building them would not finish.
-    wide = L1Index({item: (item,) for item in range(200)}, 200)
+    wide = L1Index(TransactionDb([(item,) for item in range(200)], map(str, range(200))), 1)
     with pytest.raises(ResourceLimitError, match=r"C\(200, 5\) = 2535650040"):
         generate_candidates_combinations(wide, 5)
     l1 = compute_l1(golden_db, 3)  # 4 items: C(4, 2) = 6
@@ -211,7 +212,8 @@ def test_id_tuples_of_plain_ints_are_kept_not_copied():
     ids = (0, 2, 5)
     assert plain_ids(ids, "ids") is ids
     assert TransactionDb([ids], "ABCDEF").transactions[0] is ids
-    assert L1Index({0: ids}, 6).tids(0) is ids
+    l1 = L1Index(TransactionDb([ids, ids[1:]], "ABCDEF"), 1)
+    assert l1.tids(2) == (0, 1) and l1.tids(2) is l1.tids(2)  # built once, read uncopied
     assert AssociationRule(ids, (6,), 1, 1.0).antecedent is ids
     # Anything else comes back as a new tuple of plain ints.
     for given in ([0, 2, 5], (np.int64(0), 2, 5), np.array([0, 2, 5]), iter([0, 2, 5])):
@@ -253,64 +255,27 @@ def test_min_item_level3_rows_golden(golden_db):
 
 
 def test_min_item_tie_breaks_to_smaller_id():
-    l1 = L1Index({3: (0, 1), 5: (2, 4)}, 5)  # equal supports
+    l1 = L1Index(TransactionDb([(3,), (3,), (5,), (0,), (5,)], "ABCDEF"), 2)  # equal supports
+    assert l1.items == (3, 5)
     assert l1.min_support_item((3, 5)) == 3
     assert l1.min_support_item((5, 3)) == 3
 
 
-def test_l1_index_rejects_negative_tids():
-    with pytest.raises(ContractViolationError):
-        L1Index({0: (-1, 0), 1: (-1, 0, 1, 2)}, 3)
-
-
-def test_l1_index_rejects_tids_past_the_database():
-    # Every TID list is checked against the database size once, when the index
-    # is built, so no lanes laid out from an index can name a transaction past
-    # the database.
-    tids = {0: (0, 1), 1: (1, 2, 3)}
-    with pytest.raises(ContractViolationError, match="item 1"):
-        L1Index(tids, 3)
-    with pytest.raises(ContractViolationError, match="item 1"):  # the input is unchanged
-        L1Index(tids, 3)
-    l1 = L1Index(tids, 4)
-    assert count_support_restricted((0, 1), l1) == 1  # over item 0's list
-    assert count_support_restricted((1,), l1) == 3
-
-
 @pytest.mark.parametrize(
-    "tids, size, name",
-    [
-        ({0: (0.0, 1.0)}, 2, "item 0"),
-        ({0: ("0",)}, 1, "item 0"),
-        ({0: None}, 1, "item 0"),
-        ({0: (0, 1)}, 2.0, "num_transactions"),
-        ({0: (0,)}, True, "num_transactions"),
-    ],
+    "given", [{0: (0, 1)}, [(0, 1), (1,)], None], ids=["mapping", "rows", "none"]
 )
-def test_l1_index_refuses_tids_that_are_not_integers(tids, size, name):
-    with pytest.raises(ContractViolationError, match=name):
-        L1Index(tids, size)
+def test_l1_index_is_built_from_a_database_only(given):
+    # The index makes its own TID lists, so no list from outside reaches it.
+    with pytest.raises(ContractViolationError, match="TransactionDb"):
+        L1Index(given, 1)
 
 
-def test_l1_index_stores_numpy_tids_as_ints():
-    l1 = L1Index({0: np.array([0, 2]), 1: (np.int64(1),)}, np.int64(3))
-    assert (l1.tids(0), l1.tids(1), l1.num_transactions) == ((0, 2), (1,), 3)
-    assert {type(t) for t in (*l1.tids(0), *l1.tids(1), l1.num_transactions)} == {int}
-
-
-@pytest.mark.parametrize(
-    "tids", [{"a": (0,)}, {"a": (0,), 1.5: (1,)}, {-1: ()}, {None: (0,)}, {0: (0,), 1.0: (1,)}]
-)
-def test_l1_index_refuses_items_that_are_not_ids(tids):
-    with pytest.raises(ContractViolationError, match="L1 item"):
-        L1Index(tids, 2)
-
-
-def test_l1_index_reads_a_bool_or_numpy_item_as_its_int():
-    l1 = L1Index({np.int64(2): (1,), True: (0, 1)}, 2)
-    assert l1.items == (1, 2) and l1.by_support == (1, 2)
-    assert {type(item) for item in (*l1.items, *l1.by_support)} == {int}
-    assert l1.count((1, 2)) == count_support_restricted((1, 2), l1) == 1
+def test_l1_index_tids_are_tuples_of_plain_ints():
+    db = TransactionDb([(0, 1), (1,), (0, 1)], "AB")
+    l1 = L1Index(db, 1)
+    assert (l1.tids(0), l1.tids(1), l1.num_transactions) == ((0, 2), (0, 1, 2), 3)
+    for item in l1.items:
+        assert type(l1.tids(item)) is tuple and {type(t) for t in l1.tids(item)} == {int}
 
 
 def test_lane_pages_hold_no_reference_cycle():
@@ -331,8 +296,9 @@ def test_lane_pages_hold_no_reference_cycle():
 
 
 def test_kernels_reject_items_without_a_lane_slot():
-    # Transactions (0, 1) and (1, 2); item 2 is not in the index laid out.
-    l1 = L1Index({0: (0,), 1: (0, 1)}, 2)
+    # Item 2 is in one transaction, below the floor of 2, so it is not laid out.
+    l1 = L1Index(TransactionDb([(0, 1), (1, 2), (0, 1)], "ABC"), 2)
+    assert l1.items == (0, 1)
     with pytest.raises(ContractViolationError):
         count_support_full([(1, 2)], l1)
     with pytest.raises(ContractViolationError):
@@ -393,7 +359,8 @@ def test_full_count_level3_golden(golden_db):
 
 
 def test_full_count_empty_candidates(golden_db):
-    l1 = L1Index({}, len(golden_db))
+    l1 = L1Index(golden_db, len(golden_db) + 1)
+    assert len(l1) == 0
     assert count_support_full([], l1) == {}
     assert l1.examined == {}
 
@@ -466,7 +433,8 @@ def test_lane_caches_stay_with_their_database():
 
     # Indexes that give item 0 different TID lists count apart, each on its
     # own lanes, however the calls alternate.
-    cases = [(L1Index({0: tids, 1: (0, 1, 2)}, 3), want) for tids, want in (((0, 2), 2), ((1,), 1))]
+    rows = (((0, 1), (1,), (0, 1)), 2), (((1,), (0, 1), (1,)), 1)
+    cases = [(L1Index(TransactionDb(txns, "AB"), 1), want) for txns, want in rows]
     for l1, want in cases * 2:
         before = l1.examined.get(2, 0)
         assert count_support_restricted((0, 1), l1) == want
@@ -510,8 +478,8 @@ def test_a_run_builds_one_index_of_any_size(monkeypatch):
     built = []
 
     def counting_index(*args):
-        built.append(args)
-        return L1Index(*args)
+        built.append(L1Index(*args))
+        return built[-1]
 
     monkeypatch.setattr(mining, "L1Index", counting_index)
     for variant in mining.VARIANTS:
@@ -519,7 +487,7 @@ def test_a_run_builds_one_index_of_any_size(monkeypatch):
             for support, size in ((5, 0), (3, 1)):  # L1 = {}, then {A}
                 result = run_apriori(db, support, variant, strategy)
                 assert result.max_level == size and list(result.ledger.per_level) == [1]
-                assert len(built) == 1 and len(built[0][0]) == size
+                assert len(built) == 1 and len(built[0]) == size
                 built.clear()
             result = run_apriori(db, 2, variant, strategy)  # L1 = {A, B, C}
             assert result.levels[2] == {(0, 1): 2} and len(built) == 1

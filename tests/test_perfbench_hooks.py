@@ -94,3 +94,20 @@ def test_traced_compare_join_records_every_candidate_level(golden_path, tmp_path
         # One candidate level past each frequent level, the last one empty.
         assert runs[run]["frequent"] == {"1": 5, "2": 6, "3": 2}
         assert levels == [2, 3, 4]
+
+
+def test_traced_compare_records_one_l1_pass_per_run(golden_path, tmp_path, src_env):
+    # A run that built its index without calling compute_l1 would leave the
+    # benchmark's mining.l1_s empty without failing anything else.
+    _, spans = _traced_job(
+        tmp_path,
+        src_env,
+        "compare",
+        "--input", str(golden_path),
+        "--min-support", "3",
+        "--reps", "0",
+        "--format", "machine",
+    )
+    runs = [span["id"] for span in spans if span["name"] == "mining.run_apriori"]
+    passes = [span["parent"] for span in spans if span["name"] == "mining.compute_l1"]
+    assert len(runs) == 2 and sorted(passes) == sorted(runs)

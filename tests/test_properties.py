@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracle import bruteforce_frequent, bruteforce_support, random_db, reference_synthetic
 from tidmine import cli, metrics, mining
 from tidmine.dataset import GeneratorConfig, TransactionDb, generate_synthetic
+from tidmine.errors import ContractViolationError
 from tidmine.lanes import LANE_ITEMS
 from tidmine.mining import (
     CANDIDATE_STRATEGIES,
@@ -173,6 +174,19 @@ def test_counting_kernels_match_bruteforce(rng):
         assert count_support_restricted(cand, l1) == want
 
 
+def _db_holding_every_item(rng, num_items, max_rows, density, unused=0):
+    """Up to `max_rows` transactions, each item of `range(num_items)` in each
+    with probability `density` and in at least one, interned with `unused`
+    more ids that no transaction holds."""
+    txns = [
+        {item for item in range(num_items) if rng.random() < density} or {rng.randrange(num_items)}
+        for _ in range(rng.randint(1, max_rows))
+    ]
+    for item in sorted(set(range(num_items)).difference(*txns)):
+        rng.choice(txns).add(item)
+    return TransactionDb(map(sorted, txns), [f"X{i}" for i in range(num_items + unused)])
+
+
 @PROPERTY_SETTINGS
 @given(
     seed=st.integers(0, 2**32),
@@ -182,22 +196,16 @@ def test_counting_kernels_match_bruteforce(rng):
 )
 def test_counting_kernels_across_lane_pages(seed, num_items, unused):
     # Up to 200 items on lane pages of LANE_ITEMS items, laid out by
-    # descending support before anything is counted; `unused` interned ids are
-    # in no transaction and are laid out with empty TID lists. Sizes that fill
-    # their last page exactly are drawn often.
+    # descending support before anything is counted; every one of them is in
+    # some transaction, so sizes that fill their last page exactly, drawn
+    # often, fill it in the index too. `unused` interned ids are in no
+    # transaction, so the index leaves them out and the kernels refuse them.
     # A seeded Random draws the thousands of values a corpus this wide needs
     # much faster than a Hypothesis-driven one.
     rng = random.Random(seed)
-    density = rng.uniform(0.3, 0.95)
-    txns = []
-    for _ in range(rng.randint(1, 40)):
-        txn = tuple(item for item in range(num_items) if rng.random() < density)
-        txns.append(txn or (rng.randrange(num_items),))
-    db = TransactionDb(txns, [f"X{i}" for i in range(num_items + unused)])
-    found = compute_l1(db, 1)
-    l1 = L1Index(
-        {item: found.tids(item) if item in found else () for item in range(db.num_items)}, len(db)
-    )
+    db = _db_holding_every_item(rng, num_items, 40, rng.uniform(0.3, 0.95), unused)
+    l1 = L1Index(db, 1)
+    assert len(l1) == num_items
     order = l1.by_support
     pages = [order[start : start + LANE_ITEMS] for start in range(0, len(order), LANE_ITEMS)]
     cands = [tuple(sorted(order[LANE_ITEMS - 1 : LANE_ITEMS + 2]))]
@@ -215,9 +223,11 @@ def test_counting_kernels_across_lane_pages(seed, num_items, unused):
         tally[len(cand)] += l1.support(l1.min_support_item(cand))
         assert l1.examined == tally
     for item in range(num_items, db.num_items + 2):
-        alone = L1Index({item: ()}, len(db))
-        assert count_support_full([(item,)], alone) == {(item,): 0}
-        assert count_support_restricted((item,), alone) == 0
+        assert item not in l1
+        with pytest.raises(ContractViolationError):
+            count_support_full([(item,)], l1)
+        with pytest.raises(ContractViolationError):
+            count_support_restricted((item,), l1)
 
 
 @PROPERTY_SETTINGS
@@ -230,16 +240,8 @@ def test_kernels_count_shuffled_levels(seed, num_items):
     # share the first lane page and, at size 3, one whose head spans the
     # first two pages.
     rng = random.Random(seed)
-    density = rng.uniform(0.3, 0.9)
-    txns = [
-        tuple(item for item in range(num_items) if rng.random() < density) or (0,)
-        for _ in range(rng.randint(1, 30))
-    ]
-    db = TransactionDb(txns, [f"X{i}" for i in range(num_items)])
-    found = compute_l1(db, 1)
-    l1 = L1Index(
-        {item: found.tids(item) if item in found else () for item in range(num_items)}, len(db)
-    )
+    db = _db_holding_every_item(rng, num_items, 30, rng.uniform(0.3, 0.9))
+    l1 = L1Index(db, 1)
     first, second = l1.by_support[:LANE_ITEMS], l1.by_support[LANE_ITEMS:]
     for size in (1, 2, 3):
         pool = list(combinations(range(num_items), size))
