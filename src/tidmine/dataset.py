@@ -7,8 +7,8 @@ order, and every stored transaction is a strictly increasing tuple of ids.
 """
 
 import operator
+import os
 import sys
-from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import ConfigurationError, IngestionError, ResourceLimitError, UnknownItemError
@@ -176,7 +176,7 @@ def _db_from_token_lines(lines: Iterable[Sequence[str]]) -> TransactionDb:
 
 
 def load_transactions(
-    source: IO[str] | str | Path, delimiter: str = "whitespace"
+    source: IO[str] | str | os.PathLike, delimiter: str = "whitespace"
 ) -> TransactionDb:
     """Read a transaction database from a path or an open text stream.
 
@@ -189,7 +189,7 @@ def load_transactions(
         raise ConfigurationError(
             f"delimiter policy must be one of {DELIMITER_POLICIES}, got {delimiter!r}"
         )
-    if isinstance(source, (str, Path)):
+    if isinstance(source, (str, os.PathLike)):
         try:
             handle = open(source, encoding="utf-8-sig", newline=None)
         except OSError as exc:

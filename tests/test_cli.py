@@ -794,8 +794,9 @@ def test_module_entry_point(golden_path, src_env):
     assert "8 frequent itemsets" in proc.stdout
 
 
-def _input_job_modules(golden_path, src_env) -> set[str]:
-    """The modules loaded by a `mine --input` job run in a child interpreter."""
+def _input_job_modules(golden_path, src_env, *flags: str) -> set[str]:
+    """The modules loaded by a `mine --input` job run in a child interpreter
+    started with the interpreter options `flags`."""
     script = (
         "import runpy, sys\n"
         "sys.argv = ['tidmine', 'mine', '--input', sys.argv[1], '--min-support', '3']\n"
@@ -806,7 +807,7 @@ def _input_job_modules(golden_path, src_env) -> set[str]:
         "print(' '.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(golden_path)],
+        [sys.executable, *flags, "-c", script, str(golden_path)],
         capture_output=True,
         text=True,
         env=src_env,
@@ -819,6 +820,22 @@ def _input_job_modules(golden_path, src_env) -> set[str]:
 def test_input_jobs_never_import_numpy(golden_path, src_env):
     # numpy is only for --generate; file jobs should not pay for importing it.
     assert "numpy" not in _input_job_modules(golden_path, src_env)
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=["site", "no-site"])
+def test_input_jobs_import_pathlib_only_when_start_up_does(flags, golden_path, src_env):
+    # The loader's one path test is `os.PathLike`: importing pathlib for it
+    # cost every job about 5 ms under -S. Start-up alone may import pathlib
+    # (a `.pth` file of `site` can); the job must add it only then.
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", "import sys; print(' '.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=src_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_start_up = "pathlib" in proc.stdout.split()
+    assert "pathlib" not in _input_job_modules(golden_path, src_env, *flags) or at_start_up
 
 
 def test_input_jobs_never_import_dataclasses(golden_path, src_env):
@@ -996,43 +1013,66 @@ def test_private_read_check_reads_every_attribute(source, read):
     assert _private_reads(source) == read
 
 
-def _candidate_set_builders(source: str) -> set[str]:
-    """The top-level definitions of `source` that call `CandidateSet`, by name
-    or as an attribute; "<module>" for a call outside any definition."""
+def _class_builders(source: str, name: str) -> set[str]:
+    """The top-level definitions of `source` that call the class `name`, by
+    name or as an attribute; "<module>" for a call outside any definition."""
     return {
         getattr(top, "name", "<module>")
         for top in ast.parse(source).body
         for node in ast.walk(top)
         if isinstance(node, ast.Call)
-        and "CandidateSet" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+
+
+def _package_builders(name: str) -> dict[str, list[str]]:
+    """`_class_builders` of every module of the package that calls `name`."""
+    return {
+        path.name: sorted(names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := _class_builders(path.read_text(encoding="utf-8"), name))
     }
 
 
 def test_only_the_generators_build_candidate_sets():
     # A CandidateSet stores its candidates unchecked, so its only producers
     # are the two generators, which test_properties holds to its invariant.
-    builders = {
-        path.name: sorted(names)
-        for path in sorted(PACKAGE.glob("*.py"))
-        if (names := _candidate_set_builders(path.read_text(encoding="utf-8")))
-    }
-    assert builders == {
+    assert _package_builders("CandidateSet") == {
         "mining.py": ["generate_candidates_combinations", "generate_candidates_join"]
     }
+
+
+def test_only_run_apriori_builds_levels():
+    # The join and MiningResult take a Level as built, unchecked, so its only
+    # producer is the run, from its own index and counts.
+    assert _package_builders("Level") == {"mining.py": ["run_apriori"]}
 
 
 @pytest.mark.parametrize(
     "source, builders",
     [
-        ("def f():\n    return CandidateSet(2, ())\n", {"f"}),
-        ("x = mining.CandidateSet(2, ())\n", {"<module>"}),
-        ("class C:\n    def m(self):\n        CandidateSet(2, ())\n", {"C"}),
-        ("def f():\n    def g():\n        return CandidateSet(2, ())\n", {"f"}),
-        ("def f(c: CandidateSet) -> CandidateSet:\n    return c\n", set()),
+        ("def f():\n    return CandidateSet(2, ())\n", {"CandidateSet": {"f"}, "Level": set()}),
+        ("x = mining.CandidateSet(2, ())\n", {"CandidateSet": {"<module>"}, "Level": set()}),
+        (
+            "class C:\n    def m(self):\n        CandidateSet(2, ())\n",
+            {"CandidateSet": {"C"}, "Level": set()},
+        ),
+        (
+            "def f():\n    def g():\n        return CandidateSet(2, ())\n",
+            {"CandidateSet": {"f"}, "Level": set()},
+        ),
+        (
+            "def f(c: CandidateSet) -> CandidateSet:\n    return c\n",
+            {"CandidateSet": set(), "Level": set()},
+        ),
+        (
+            "def run():\n    return Level({})\nx = mining.Level()\nclass Level(dict):\n    pass\n",
+            {"CandidateSet": set(), "Level": {"run", "<module>"}},
+        ),
     ],
 )
 def test_candidate_set_check_reads_every_call(source, builders):
-    assert _candidate_set_builders(source) == builders
+    assert {name: _class_builders(source, name) for name in builders} == builders
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -618,6 +618,38 @@ def test_mining_result_holds_plain_int_supports():
     assert result.levels[2] == {(0, 1): 3} and type(result.levels[2][(0, 1)]) is int
 
 
+def test_mining_result_keeps_a_level_as_built_and_checks_its_keys():
+    # A run's Level is kept uncopied; the level rules still hold for it.
+    level = mining.Level({(0,): 3, (1,): 4})
+    result = MiningResult({1: level}, ScanLedger(), 3, 3, "improved", "join")
+    assert result.levels[1] is level
+    for levels in ({1: level, 3: mining.Level({(0, 1, 2): 3})}, {1: level, 2: mining.Level()}):
+        with pytest.raises(ContractViolationError, match="levels must"):
+            MiningResult(levels, ScanLedger(), 3, 3, "improved", "join")
+
+
+@pytest.mark.parametrize("strategy", mining.CANDIDATE_STRATEGIES)
+@pytest.mark.parametrize("variant", mining.VARIANTS)
+def test_a_result_holds_the_very_levels_its_run_built(variant, strategy, monkeypatch):
+    # Every non-empty Level the run builds is its result's level, the same
+    # object: neither the join nor MiningResult copies it.
+    built = []
+
+    class SpyLevel(mining.Level):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(mining, "Level", SpyLevel)
+    db = generate_synthetic(GeneratorConfig(300, 12, 5, seed=4))
+    result = run_apriori(db, 0.05, variant, strategy)
+    kept = [level for level in built if level]
+    assert result.max_level >= 3 and len(kept) == result.max_level == len(built) - 1
+    assert all(result.levels[k] is level for k, level in enumerate(kept, start=1))
+
+
 @pytest.mark.parametrize("itemset", [(1.0,), (-1,), (1, 0), (0, 0), ("a",), (None,)])
 def test_mining_result_refuses_itemsets_that_are_not_id_tuples(itemset):
     # `mine_report` printed token B for (1.0,), and the last token for (-1,).

@@ -151,15 +151,26 @@ def test_generator_matches_one_choice_call_per_row(num_transactions, num_items, 
 @PROPERTY_SETTINGS
 @given(size=st.integers(1, 7), data=st.data())
 def test_join_matches_definition(size, data):
-    # Arbitrary levels, not downward-closed, passed shuffled and twice over.
-    pool = list(combinations(range(8), size))
+    # Arbitrary levels, not downward-closed, passed shuffled and twice over,
+    # over 8 sparse ids: some past one 64-bit word, some past 10,000. The
+    # same level as a run builds it, a canonical `Level`, joins to the same.
+    ids = data.draw(
+        st.lists(
+            st.integers(0, 70) | st.integers(64, 200) | st.integers(10_000, 10_100),
+            min_size=8,
+            max_size=8,
+            unique=True,
+        ),
+        label="ids",
+    )
+    pool = list(combinations(sorted(ids), size))
     prev = data.draw(st.lists(st.sampled_from(pool), min_size=1), label="prev")
     shuffled = data.draw(st.permutations(prev * 2), label="shuffled")
-    got = generate_candidates_join(shuffled)
-    assert got.candidates == tuple(
-        _expected_candidates("join", {s: 1 for s in prev}, size + 1)
-    )
-    assert got.level == size + 1
+    want = tuple(_expected_candidates("join", {s: 1 for s in prev}, size + 1))
+    for given in (shuffled, mining.Level((s, 1) for s in sorted(set(prev)))):
+        got = generate_candidates_join(given)
+        assert got.candidates == want
+        assert got.level == size + 1
 
 
 @PROPERTY_SETTINGS
