@@ -24,13 +24,33 @@ ZIPF_EXPONENT = 1.1
 SAMPLE_BLOCK = 4096
 
 
+class Rows(list):
+    """Transactions as the loader or the generator builds them: strictly
+    increasing tuples of plain int ids, each below the number of tokens built
+    with them, and none empty. Not exported; `TransactionDb` takes one as
+    built."""
+
+    __slots__ = ()
+
+
+class _Ids(dict):
+    """Token -> item id, interning a token not seen before as the next id."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> int:
+        self[token] = item_id = len(self)
+        return item_id
+
+
 class TransactionDb:
     """Interned, indexed collection of transactions.
 
     Immutable after construction; safe for concurrent readers. `transactions`
     holds tuples of item ids sorted strictly ascending, indexed by a dense
     0-based transaction id that equals input line order. `tokens[i]` is the
-    original token interned as item id `i`.
+    original token interned as item id `i`. The `Rows` of the loader and the
+    generator are taken as built; any other transactions are checked.
     """
 
     __slots__ = ("transactions", "tokens", "_id_of")
@@ -44,7 +64,10 @@ class TransactionDb:
             if token in self._id_of:
                 raise ConfigurationError(f"duplicate token in intern table: {token!r}")
             self._id_of[token] = item_id
-        self.transactions: tuple[tuple[int, ...], ...] = tuple(
+        if type(transactions) is Rows:
+            self.transactions: tuple[tuple[int, ...], ...] = tuple(transactions)
+            return
+        self.transactions = tuple(
             plain_ids(txn, f"transaction {tid}", len(self.tokens))
             for tid, txn in enumerate(transactions)
         )
@@ -157,22 +180,9 @@ def _iter_token_lines(stream: Iterable[str], delimiter: str) -> Iterator[list[st
 
 
 def _db_from_token_lines(lines: Iterable[Sequence[str]]) -> TransactionDb:
-    id_of: dict[str, int] = {}
-    tokens: list[str] = []
-    transactions: list[tuple[int, ...]] = []
-    for parts in lines:
-        if not parts:
-            continue
-        ids = set()
-        for tok in parts:
-            item_id = id_of.get(tok)
-            if item_id is None:
-                item_id = len(tokens)
-                id_of[tok] = item_id
-                tokens.append(tok)
-            ids.add(item_id)
-        transactions.append(tuple(sorted(ids)))
-    return TransactionDb(transactions, tokens)
+    ids = _Ids()
+    rows = Rows(tuple(sorted(set(map(ids.__getitem__, parts)))) for parts in lines if parts)
+    return TransactionDb(rows, ids)
 
 
 def load_transactions(
@@ -244,7 +254,7 @@ def generate_synthetic(config: GeneratorConfig) -> TransactionDb:
         pos = 0
 
     id_of: dict[int, int] = {}
-    transactions = []
+    transactions = Rows()
     for length in lengths:
         if pos + length > len(firsts):
             refill(length)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the plain-number and id rules."""
+"""Exception types shared across the package, the plain-number and id rules,
+and the exact decimal a float prints as."""
 
 import itertools
+import math
 import numbers
 import operator
 
@@ -53,6 +55,20 @@ def plain_float(value, name: str, error: type[TidmineError] = ConfigurationError
         except OverflowError:
             raise error(f"{name} is past float range, got {value!r}") from None
     raise error(f"{name} must be a real number, got {value!r}")
+
+
+def decimal_ratio(value: float) -> tuple[int, int]:
+    """`repr(value)` of a finite float as an exact, reduced (numerator,
+    denominator) pair of ints: 0.1 is (1, 10), not the binary value 0.1 holds.
+    A non-finite value raises ArithmeticError."""
+    if not math.isfinite(value):
+        raise ArithmeticError(f"{value!r} has no exact decimal value")
+    mantissa, _, exponent = repr(value).partition("e")
+    whole, _, digits = mantissa.partition(".")
+    num, shift = int(whole + digits), int(exponent or 0) - len(digits)
+    num, den = num * 10 ** max(shift, 0), 10 ** max(-shift, 0)
+    common = math.gcd(num, den)
+    return num // common, den // common
 
 
 def plain_ids(values, name: str, end=None, error=ConfigurationError) -> tuple[int, ...]:

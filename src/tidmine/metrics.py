@@ -12,12 +12,11 @@ import json
 import math
 import time
 from collections.abc import Sequence
-from decimal import ROUND_HALF_UP, Decimal
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from .dataset import TransactionDb
 from .errors import ArithmeticDomainError, ConfigurationError, ContractViolationError
-from .errors import plain_float, plain_int
+from .errors import decimal_ratio, plain_float, plain_int
 from .mining import MiningResult, ScanLedger
 from .rules import RuleTable
 
@@ -54,9 +53,16 @@ def mean_rate(rates: Sequence[float]) -> float:
 
 
 def round_percent(value: float) -> float:
-    """Display rounding: two decimals, ties away from zero; a rate that rounds
-    to zero is 0.0, never -0.0."""
-    return float(Decimal(repr(float(value))).quantize(Decimal("0.01"), ROUND_HALF_UP)) or 0.0
+    """Display rounding of the decimal a rate prints as: two decimals, ties
+    away from zero; a rate that rounds to zero is 0.0, never -0.0. NaN comes
+    back as NaN, and an infinity raises ArithmeticError."""
+    value = float(value)
+    if value != value:
+        return value
+    num, den = decimal_ratio(value)
+    # Whole hundredths, half away from zero; int / int is correctly rounded.
+    hundredths = (abs(num) * 200 + den) // (2 * den)
+    return (hundredths if num >= 0 else -hundredths) / 100
 
 
 def median_seconds(fn: Callable[[], T], repetitions: int = 5) -> tuple[T, float | None]:

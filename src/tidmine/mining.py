@@ -15,12 +15,11 @@ import itertools
 import math
 import numbers
 import operator
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dataset import TransactionDb
 from .errors import ConfigurationError, ContractViolationError, ResourceLimitError
-from .errors import plain_id_rows, plain_int
+from .errors import decimal_ratio, plain_id_rows, plain_int
 from .lanes import L1Index
 
 Itemset = tuple[int, ...]
@@ -308,13 +307,14 @@ def resolve_min_support(min_support: int | float, num_transactions: int) -> int:
     """Absolute support floor from a `check_threshold` count or fraction.
 
     Counts pass through as ints. Fractions convert by an exact decimal ceiling
-    of fraction * num_transactions (0.1 of 30 is exactly 3, never 4), clamped
-    to at least 1.
+    of fraction * num_transactions, in integers (0.1 of 30 is exactly 3, never
+    4), clamped to at least 1.
     """
     threshold = check_threshold(min_support)
     if isinstance(threshold, int):
         return threshold
-    return max(1, math.ceil(Fraction(repr(threshold)) * num_transactions))
+    num, den = decimal_ratio(threshold)
+    return max(1, -(-num * num_transactions // den))
 
 
 def run_apriori(

@@ -2,11 +2,10 @@
 
 import itertools
 import operator
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import ContractViolationError, ResourceLimitError
-from .errors import plain_float, plain_ids, plain_int
+from .errors import decimal_ratio, plain_float, plain_ids, plain_int
 from .mining import Itemset, MiningResult, check_threshold
 
 # Most rules one `generate_rules` call keeps. Each n-itemset splits into
@@ -98,8 +97,7 @@ class RuleTable:
         from array import array
 
         self.result, self.min_confidence = result, check_threshold(min_confidence, confidence=True)
-        threshold = Fraction(str(self.min_confidence))
-        num, den = threshold.numerator, threshold.denominator
+        num, den = decimal_ratio(self.min_confidence)
         levels = [result.levels[size] for size in sorted(result.levels)]
         self._itemsets = itemsets = tuple(itertools.chain.from_iterable(levels))
         self._supports = supports = tuple(

@@ -794,12 +794,16 @@ def test_module_entry_point(golden_path, src_env):
     assert "8 frequent itemsets" in proc.stdout
 
 
-def _input_job_modules(golden_path, src_env, *flags: str) -> set[str]:
-    """The modules loaded by a `mine --input` job run in a child interpreter
-    started with the interpreter options `flags`."""
+def _input_job_modules(
+    golden_path, src_env, *flags: str, job="mine --min-support 3", shows="8 frequent itemsets"
+) -> set[str]:
+    """The modules loaded by the `--input` job `job`, a subcommand and its
+    options, run in a child interpreter started with the interpreter options
+    `flags`; its output must hold `shows`."""
+    command, *options = job.split()
     script = (
         "import runpy, sys\n"
-        "sys.argv = ['tidmine', 'mine', '--input', sys.argv[1], '--min-support', '3']\n"
+        "sys.argv = ['tidmine', *sys.argv[1:]]\n"
         "try:\n"
         "    runpy.run_module('tidmine', run_name='__main__')\n"
         "except SystemExit as exc:\n"
@@ -807,13 +811,13 @@ def _input_job_modules(golden_path, src_env, *flags: str) -> set[str]:
         "print(' '.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, *flags, "-c", script, str(golden_path)],
+        [sys.executable, *flags, "-c", script, command, "--input", str(golden_path), *options],
         capture_output=True,
         text=True,
         env=src_env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "8 frequent itemsets" in proc.stdout
+    assert shows in proc.stdout
     return set(proc.stdout.splitlines()[-1].split())
 
 
@@ -849,6 +853,22 @@ def test_untimed_jobs_never_import_statistics_or_array(golden_path, src_env):
     # Only timed runs take a median and only rule tables need `array`; at
     # import, `statistics` alone held about 100 KB of heap.
     assert _input_job_modules(golden_path, src_env).isdisjoint({"statistics", "array"})
+
+
+@pytest.mark.parametrize(
+    "job, shows",
+    [
+        ("mine --min-support 0.3", "8 frequent itemsets"),
+        ("rules --min-support 0.3 --min-confidence 0.5", "6 rules"),
+        ("compare --min-support 0.3 --reps 0", "scan reduction rate: 30.56%"),
+    ],
+)
+def test_input_jobs_never_import_fractions_or_decimal(job, shows, golden_path, src_env):
+    # The fractional support floor, the confidence threshold and the printed
+    # rates are exact decimals in integer arithmetic (errors.decimal_ratio);
+    # `fractions` and `decimal` held about 0.4 MB resident in every job.
+    loaded = _input_job_modules(golden_path, src_env, job=job, shows=shows)
+    assert loaded.isdisjoint({"fractions", "decimal", "_decimal", "_pydecimal"})
 
 
 @pytest.mark.parametrize("spec", ["100000000000000000000,50,8", "10,100000000000000000000,8"])
@@ -1046,6 +1066,14 @@ def test_only_run_apriori_builds_levels():
     # The join and MiningResult take a Level as built, unchecked, so its only
     # producer is the run, from its own index and counts.
     assert _package_builders("Level") == {"mining.py": ["run_apriori"]}
+
+
+def test_only_the_loader_and_the_generator_build_rows():
+    # TransactionDb takes Rows as built, unchecked, so its only producers are
+    # the loader and the generator, which test_properties holds to every check.
+    assert _package_builders("Rows") == {
+        "dataset.py": ["_db_from_token_lines", "generate_synthetic"]
+    }
 
 
 @pytest.mark.parametrize(

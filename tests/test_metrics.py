@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -101,6 +102,14 @@ def test_round_percent_half_away_from_zero():
     assert round_percent(0.005) == 0.01
     assert round_percent(-0.005) == -0.01
     assert round_percent(61.884999) == 61.88
+
+
+def test_round_percent_passes_nan_and_refuses_infinity():
+    # As the `decimal` rounding it replaced: NaN comes back, an infinity raises.
+    assert math.isnan(round_percent(math.nan))
+    for infinity in (math.inf, -math.inf):
+        with pytest.raises(ArithmeticError):
+            round_percent(infinity)
 
 
 def test_a_rate_that_rounds_to_zero_prints_without_a_sign():

@@ -7,7 +7,9 @@ a failing corpus shrinks toward a small one.
 import contextlib
 import io
 import json
+import math
 import random
+from decimal import ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,8 +19,8 @@ from hypothesis import strategies as st
 
 from oracle import bruteforce_frequent, bruteforce_support, random_db, reference_synthetic
 from tidmine import cli, metrics, mining
-from tidmine.dataset import GeneratorConfig, TransactionDb, generate_synthetic
-from tidmine.errors import ContractViolationError
+from tidmine.dataset import GeneratorConfig, TransactionDb, generate_synthetic, load_transactions
+from tidmine.errors import ContractViolationError, decimal_ratio
 from tidmine.lanes import LANE_ITEMS
 from tidmine.mining import (
     CANDIDATE_STRATEGIES,
@@ -28,6 +30,7 @@ from tidmine.mining import (
     count_support_full,
     count_support_restricted,
     generate_candidates_join,
+    resolve_min_support,
     run_apriori,
 )
 from tidmine.rules import AssociationRule, generate_rules
@@ -146,6 +149,111 @@ def test_generator_matches_one_choice_call_per_row(num_transactions, num_items, 
     db, want = generate_synthetic(config), reference_synthetic(config)
     assert db.to_text() == want.to_text()
     assert db.tokens == want.tokens
+
+
+@pytest.mark.parametrize("config", [(40, 30, 5, 1), (30, 12, 12, 0), (1, 1, 1, 2**64 - 1)])
+def test_generated_rows_pass_every_check(config):
+    # generate_synthetic's Rows are taken as built; rebuilt as a plain list,
+    # they go through every check of TransactionDb and come out equal.
+    db = generate_synthetic(GeneratorConfig(*config))
+    assert db == TransactionDb(list(db.transactions), db.tokens)
+
+
+_TOKENS = st.sampled_from(["A", "B", "C", "I10", "é", "x.y"])
+
+
+@PROPERTY_SETTINGS
+@given(
+    lines=st.lists(st.lists(_TOKENS, max_size=6), max_size=12),
+    comma=st.booleans(),
+    crlf=st.booleans(),
+    bom=st.booleans(),
+    data=st.data(),
+)
+def test_loaded_rows_pass_every_check(tmp_path_factory, lines, comma, crlf, bom, data):
+    # The loader's Rows are taken as built; rebuilt as a plain list, they go
+    # through every check of TransactionDb and come out equal. Lines may be
+    # blank or repeat a token, and end in CRLF; the file may start with a BOM.
+    seps = [",", ", ", " ,", ",,"] if comma else [" ", "\t", "  "]
+    text = "".join(
+        data.draw(st.sampled_from(seps)).join(parts) + ("\r\n" if crlf else "\n")
+        for parts in lines
+    )
+    path = tmp_path_factory.getbasetemp() / "rows.txt"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+    db = load_transactions(path, "comma" if comma else "whitespace")
+    assert db == TransactionDb(list(db.transactions), db.tokens)
+    tokens = list(dict.fromkeys(token for parts in lines for token in parts))
+    assert db.tokens == tuple(tokens)
+    assert db.transactions == tuple(
+        tuple(sorted({tokens.index(token) for token in parts})) for parts in lines if parts
+    )
+
+
+# The exact decimals below were computed with `fractions` and `decimal`; the
+# package now does it in integers, and these hold it to the old results.
+
+
+@PROPERTY_SETTINGS
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=1e16)
+@example(x=-1e16)
+@example(x=5e-324)
+@example(x=-2.2250738585072e-308)
+@example(x=1.7976931348623157e308)
+@example(x=-0.0)
+@example(x=0.1)
+def test_decimal_ratio_is_the_fraction_of_repr(x):
+    want = Fraction(repr(x))
+    assert decimal_ratio(x) == (want.numerator, want.denominator)
+
+
+def _decimal_round_percent(x):
+    """round_percent as `decimal` computed it. From about 1e26 on, the default
+    28-digit context raised InvalidOperation, so there it takes enough digits
+    for any float."""
+    context = Context(prec=400) if abs(x) >= 1e25 else None
+    return float(Decimal(repr(x)).quantize(Decimal("0.01"), ROUND_HALF_UP, context)) or 0.0
+
+
+@PROPERTY_SETTINGS
+@given(
+    x=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e6, 1e6),
+        # x.xx5 ties, each exactly the decimal it prints as
+        st.integers(-(10**9), 10**9).map(lambda n: (10 * n + 5) / 1000),
+    )
+)
+@example(x=0.005)
+@example(x=-0.005)
+@example(x=1.005)
+@example(x=2.675)
+@example(x=-2.675)
+@example(x=67.375)
+@example(x=-0.004)
+@example(x=1e26)
+def test_round_percent_matches_decimal_rounding(x):
+    # repr tells -0.0 from 0.0: a rate that rounds to zero prints unsigned.
+    assert repr(metrics.round_percent(x)) == repr(_decimal_round_percent(x))
+
+
+@PROPERTY_SETTINGS
+@given(
+    fraction=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.integers(1, 10**6).map(lambda k: k / 10**6),
+        st.integers(1, 100).map(lambda k: k / 100),
+    ),
+    n=st.integers(0, 10**9),
+)
+@example(fraction=0.07, n=100)
+@example(fraction=0.1, n=30)
+@example(fraction=5e-324, n=10**9)
+@example(fraction=1.0, n=10**9)
+def test_resolve_min_support_is_the_exact_decimal_ceiling(fraction, n):
+    want = max(1, math.ceil(Fraction(repr(fraction)) * n))
+    assert resolve_min_support(fraction, n) == want
 
 
 @PROPERTY_SETTINGS
